@@ -184,12 +184,15 @@ func BenchmarkDictGet(b *testing.B) {
 	ctx := NewCtx(h, nil, costmodel.Default())
 	d := NewDict(ctx, 1024)
 	const n = 10000
-	for i := 0; i < n; i++ {
-		d.Set([]byte(fmt.Sprintf("key-%09d", i)), uint64(i))
+	keys := make([][]byte, n)
+	for i := range keys {
+		keys[i] = []byte(fmt.Sprintf("key-%09d", i))
+		d.Set(keys[i], uint64(i))
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		d.Get([]byte(fmt.Sprintf("key-%09d", i%n)))
+		d.Get(keys[i%n])
 	}
 }
 

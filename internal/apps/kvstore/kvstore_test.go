@@ -339,6 +339,32 @@ func TestSecondFailureFallsBack(t *testing.T) {
 	}
 }
 
+// The cleanup's mark and sweep leave the retained heap pages clean, so the
+// PHOENIX preserve after a cleanup recovery reuses the cached checksum of
+// every page the requests in between did not write.
+func TestCleanupRecoveryKeepsChecksumReuse(t *testing.T) {
+	h, kv := boot(t, Config{Cleanup: true}, recovery.ModePhoenix, phoenixCfg(), 29)
+	kv.Load(loadKeys(20000), 64)
+	crash := func() *kernel.Handoff {
+		t.Helper()
+		h.M.Clock.Advance(core.SecondFailureGrace + time.Second)
+		kv.ArmBug("R3")
+		if err := h.RunRequests(20); err != nil {
+			t.Fatal(err)
+		}
+		return h.Proc().Handoff()
+	}
+	crash()
+	ho := crash()
+	if h.Stat.PhoenixRestarts != 2 {
+		t.Fatalf("want two PHOENIX restarts: %+v", h.Stat)
+	}
+	if frac := float64(ho.ReusedChecksums) / float64(ho.VerifiedChecksums); frac < 0.9 {
+		t.Fatalf("second preserve reused %d of %d checksums (%.3f), want >= 0.9",
+			ho.ReusedChecksums, ho.VerifiedChecksums, frac)
+	}
+}
+
 func TestInjectionSitesRegistered(t *testing.T) {
 	inj := faultinject.New()
 	New(Config{}, inj)

@@ -6,14 +6,22 @@
 //   - small objects come from arenas — the first arena sits on a growable
 //     brk (data-segment) mapping, additional arenas are mmap-backed;
 //   - large objects get dedicated mmap regions;
-//   - every chunk carries a header with a PHOENIX marker bit used by the
-//     mark-and-sweep cleanup of §3.4.
+//   - the mark-and-sweep cleanup of §3.4 marks reachable chunks and frees
+//     the rest.
 //
-// Crucially, *all allocator metadata lives inside simulated memory*: the
-// root header, the arena list, the free lists (threaded through free chunk
-// bodies), and the large-region list. After a PHOENIX restart preserves the
-// heap pages, Attach reconstructs a working allocator from that memory alone
-// — "malloc regains control of the preserved heap" (§3.2 step 6).
+// Crucially, *all persistent allocator metadata lives inside simulated
+// memory*: the root header, the arena list, the chunk headers, the free lists
+// (threaded through free chunk bodies), and the large-region list. After a
+// PHOENIX restart preserves the heap pages, Attach reconstructs a working
+// allocator from that memory alone — "malloc regains control of the
+// preserved heap" (§3.2 step 6).
+//
+// The one exception is the PHOENIX marker. glibc keeps it as a bit in each
+// chunk header; here it is a transient side bitmap owned by the recovering
+// incarnation's Heap, allocated by the first Mark, dropped by Sweep, and
+// never preserved. Mark state never has to outlive a restart, and keeping it
+// off the heap pages means a cleanup pass leaves the retained pages clean,
+// so the next preserve_exec reuses their cached checksums.
 //
 // The allocator is segregated-storage: freed chunks return to a per-size-
 // class free list and are reused for the same class; there is no coalescing.
@@ -40,11 +48,15 @@ const (
 	largeHdr    = 32
 
 	// Flag bits stored in the low bits of the chunk-size word (sizes are
-	// 8-aligned so three bits are free).
-	flagInUse  = 1 << 0
-	flagMarked = 1 << 1
-	flagLarge  = 1 << 2
-	flagMask   = 7
+	// 8-aligned so three bits are free; bit 1, glibc's PHOENIX marker, is
+	// unused because the marker lives in Heap.marks).
+	flagInUse = 1 << 0
+	flagLarge = 1 << 2
+	flagMask  = 7
+
+	// markGrain is the address span one marker bit covers. Every chunk is at
+	// least 32 bytes, so no two chunk starts share a span.
+	markGrain = 16
 
 	// MmapThreshold is the payload size at or above which allocations get a
 	// dedicated mmap region.
@@ -135,6 +147,12 @@ type Heap struct {
 	as   *mem.AddressSpace
 	base mem.VAddr // arena 0 == root
 	opts Options
+
+	// marks is the PHOENIX marker set of the current cleanup: one bit per
+	// markGrain slot of the heap's address span, counted from base. It is
+	// Go memory, not simulated memory, so marking dirties no heap page; the
+	// first Mark allocates it and Sweep drops it.
+	marks []uint64
 
 	// lastSweepChunks/Bytes record the most recent Sweep's reclamation for
 	// memory-reuse accounting (Table 9).
@@ -379,6 +397,7 @@ func (h *Heap) chunkOf(p mem.VAddr, op string) (c mem.VAddr, sizeWord uint64) {
 func (h *Heap) Free(p mem.VAddr) {
 	c, sizeWord := h.chunkOf(p, "free")
 	size := int(sizeWord &^ flagMask)
+	h.unmark(c)
 	if sizeWord&flagLarge != 0 {
 		h.freeLarge(c, size)
 		return
@@ -422,48 +441,72 @@ func (h *Heap) UsableSize(p mem.VAddr) int {
 	return int(sizeWord&^flagMask) - chunkHeader
 }
 
-// Mark sets the PHOENIX marker bit on the allocation at p — the
-// phx_mark_used step of the developer's traversal (§3.4).
+// Mark sets the PHOENIX marker on the allocation at p — the phx_mark_used
+// step of the developer's traversal (§3.4).
 func (h *Heap) Mark(p mem.VAddr) {
-	c, sizeWord := h.chunkOf(p, "mark")
-	h.as.WriteU64(c, sizeWord|flagMarked)
-}
-
-// Marked reports whether the allocation at p carries the marker bit.
-func (h *Heap) Marked(p mem.VAddr) bool {
-	_, sizeWord := h.chunkOf(p, "marked")
-	return sizeWord&flagMarked != 0
-}
-
-// Sweep frees every in-use chunk whose marker bit is clear and clears the
-// marker on retained chunks, returning counts — the phx_finish_recovery
-// cleanup (§3.4). The cost of the pass (per-chunk) is returned so the caller
-// can charge the simulated clock.
-func (h *Heap) Sweep() (freedChunks int, freedBytes int64, visited int) {
-	type chunk struct {
-		payload mem.VAddr
-		size    int
-		marked  bool
+	c, _ := h.chunkOf(p, "mark")
+	w, bit := h.markBit(c)
+	if w >= len(h.marks) {
+		h.growMarks(c)
 	}
-	var live []chunk
+	h.marks[w] |= bit
+}
+
+// Marked reports whether the allocation at p carries the marker.
+func (h *Heap) Marked(p mem.VAddr) bool {
+	c, _ := h.chunkOf(p, "marked")
+	return h.marked(c)
+}
+
+// markBit locates chunk c's marker: its word in h.marks and its bit there.
+// An address below base wraps to a word past any marker set.
+func (h *Heap) markBit(c mem.VAddr) (int, uint64) {
+	slot := uint64(c-h.base) / markGrain
+	return int(slot / 64), 1 << (slot % 64)
+}
+
+// growMarks extends the marker set to cover the heap's whole address span,
+// which Mark needs for chunk c when the set is new or the heap has mapped
+// past it.
+func (h *Heap) growMarks(c mem.VAddr) {
+	end := h.as.ReadPtr(h.base + offNextMap)
+	if c < h.base || c >= end {
+		h.abort("mark(%#x): chunk outside heap", uint64(c+chunkHeader))
+	}
+	grown := make([]uint64, uint64(end-h.base)/markGrain/64+1)
+	copy(grown, h.marks)
+	h.marks = grown
+}
+
+func (h *Heap) marked(c mem.VAddr) bool {
+	w, bit := h.markBit(c)
+	return w < len(h.marks) && h.marks[w]&bit != 0
+}
+
+// unmark clears chunk c's marker, so a freed chunk is never handed out again
+// already marked.
+func (h *Heap) unmark(c mem.VAddr) {
+	if w, bit := h.markBit(c); w < len(h.marks) {
+		h.marks[w] &^= bit
+	}
+}
+
+// Sweep frees every in-use chunk without the marker and drops the marker
+// set, returning counts — the phx_finish_recovery cleanup (§3.4). It frees
+// during a single walk, in walk order, and writes nothing to retained chunks.
+// The cost of the pass (per-chunk) is returned so the caller can charge the
+// simulated clock.
+func (h *Heap) Sweep() (freedChunks int, freedBytes int64, visited int) {
 	h.Walk(func(payload mem.VAddr, size int, inUse, marked bool) bool {
 		visited++
-		if inUse {
-			live = append(live, chunk{payload, size, marked})
+		if inUse && !marked {
+			h.Free(payload)
+			freedChunks++
+			freedBytes += int64(size)
 		}
 		return true
 	})
-	for _, c := range live {
-		if !c.marked {
-			h.Free(c.payload)
-			freedChunks++
-			freedBytes += int64(c.size)
-			continue
-		}
-		// Clear the marker for future restarts.
-		ca := c.payload - chunkHeader
-		h.as.WriteU64(ca, h.as.ReadU64(ca)&^uint64(flagMarked))
-	}
+	h.marks = nil
 	h.lastSweepChunks, h.lastSweepBytes = freedChunks, freedBytes
 	return freedChunks, freedBytes, visited
 }
@@ -474,7 +517,8 @@ func (h *Heap) LastSweep() (chunks int, bytes int64) {
 }
 
 // Walk visits every chunk (in-use and free) in the heap. size is the full
-// chunk size including header. Return false from fn to stop early.
+// chunk size including header. Return false from fn to stop early. fn may
+// free the chunk it is handed: Walk has already read what it needs to move on.
 func (h *Heap) Walk(fn func(payload mem.VAddr, size int, inUse, marked bool) bool) {
 	for a := h.base; a != mem.NullPtr; a = h.as.ReadPtr(a + offArenaNext) {
 		bump := int(h.as.ReadU32(a + offArenaBump))
@@ -486,19 +530,21 @@ func (h *Heap) Walk(fn func(payload mem.VAddr, size int, inUse, marked bool) boo
 			if size < chunkHeader || size%8 != 0 {
 				h.abort("walk: corrupted chunk at %#x (size word %#x)", uint64(c), sizeWord)
 			}
-			if !fn(c+chunkHeader, size, sizeWord&flagInUse != 0, sizeWord&flagMarked != 0) {
+			if !fn(c+chunkHeader, size, sizeWord&flagInUse != 0, h.marked(c)) {
 				return
 			}
 			off += size
 		}
 	}
-	for l := h.as.ReadPtr(h.base + offLargeHead); l != mem.NullPtr; l = h.as.ReadPtr(l + 8) {
+	for l := h.as.ReadPtr(h.base + offLargeHead); l != mem.NullPtr; {
+		next := h.as.ReadPtr(l + 8) // before fn can unmap l
 		c := l + largeHdr
 		sizeWord := h.as.ReadU64(c)
 		size := int(sizeWord &^ flagMask)
-		if !fn(c+chunkHeader, size, sizeWord&flagInUse != 0, sizeWord&flagMarked != 0) {
+		if !fn(c+chunkHeader, size, sizeWord&flagInUse != 0, h.marked(c)) {
 			return
 		}
+		l = next
 	}
 }
 

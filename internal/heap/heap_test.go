@@ -157,6 +157,14 @@ func TestIntegrityChecks(t *testing.T) {
 	p2 := h.Alloc(64)
 	as.WriteU64(p2-16, 0xffffffffffffffff)
 	expectAbort(t, "corrupted header", func() { h.Free(p2) })
+
+	// A chunk of another heap is not this heap's to mark.
+	other, err := New(as, testBase-0x100_0000, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := other.Alloc(64)
+	expectAbort(t, "mark foreign chunk", func() { h.Mark(q) })
 }
 
 func TestMarkAndSweep(t *testing.T) {
@@ -175,7 +183,7 @@ func TestMarkAndSweep(t *testing.T) {
 	if freedBytes <= 0 || visited < 4 {
 		t.Fatalf("Sweep stats: bytes=%d visited=%d", freedBytes, visited)
 	}
-	// Marker is cleared on survivors so a future sweep would free them.
+	// Sweep drops the markers, so a future sweep would free the survivors.
 	if h.Marked(keep) || h.Marked(large) {
 		t.Fatal("Sweep did not clear markers on retained chunks")
 	}
@@ -188,6 +196,71 @@ func TestMarkAndSweep(t *testing.T) {
 		if p == mem.NullPtr {
 			t.Fatal("alloc after sweep failed")
 		}
+	}
+}
+
+// The marker set lives outside simulated memory, so a cleanup that keeps
+// everything writes no heap page and the next preserve reuses every sum.
+func TestMarkSweepLeavesPagesClean(t *testing.T) {
+	as, h := newHeap(t, Options{BrkMax: 64 << 10, ArenaSize: 64 << 10})
+	var live []mem.VAddr
+	for i := 0; i < 500; i++ {
+		live = append(live, h.Alloc(40+i%700))
+	}
+	live = append(live, h.Alloc(100<<10), h.Alloc(200<<10))
+	as.ClearAllDirty()
+	for _, p := range live {
+		h.Mark(p)
+	}
+	if freed, _, _ := h.Sweep(); freed != 0 {
+		t.Fatalf("Sweep freed %d chunks, want 0", freed)
+	}
+	if n := as.DirtyPages(); n != 0 {
+		t.Fatalf("mark and sweep dirtied %d pages, want 0", n)
+	}
+	if h.Marked(live[0]) || h.marks != nil {
+		t.Fatal("Sweep did not drop the marker set")
+	}
+}
+
+func TestFreedChunkIsNotPremarked(t *testing.T) {
+	_, h := newHeap(t, Options{})
+	p := h.Alloc(128)
+	h.Mark(p)
+	h.Free(p)
+	q := h.Alloc(128)
+	if q != p {
+		t.Fatalf("realloc got %#x, want recycled %#x", uint64(q), uint64(p))
+	}
+	if h.Marked(q) {
+		t.Fatal("recycled chunk came back marked")
+	}
+	if freed, _, _ := h.Sweep(); freed != 1 {
+		t.Fatalf("Sweep freed %d chunks, want the unmarked recycled one", freed)
+	}
+}
+
+// Sweep frees large regions while it walks their list, including the head
+// and a region mapped after the first Mark sized the marker set.
+func TestSweepLargeRegions(t *testing.T) {
+	as, h := newHeap(t, Options{})
+	a := h.Alloc(100 << 10)
+	keep := h.Alloc(100 << 10)
+	h.Mark(keep)
+	b := h.Alloc(300 << 10)
+	keep2 := h.Alloc(70 << 10) // past the span the marker set covers
+	h.Mark(keep2)
+	c := h.Alloc(70 << 10) // list head
+	as.WriteU64(keep, 7)
+	freed, _, visited := h.Sweep()
+	if freed != 3 || visited != 5 {
+		t.Fatalf("Sweep freed %d of %d, want 3 of 5", freed, visited)
+	}
+	if as.Mapped(a) || as.Mapped(b) || as.Mapped(c) {
+		t.Fatal("unmarked large regions still mapped")
+	}
+	if h.Stats().LargeRegs != 2 || as.ReadU64(keep) != 7 || !as.Mapped(keep2) {
+		t.Fatal("marked large regions not retained intact")
 	}
 }
 

@@ -203,10 +203,10 @@ func (d *Dict) Iterate(fn func(key []byte, val uint64) bool) {
 	d.c.Charge(steps + int(nb))
 }
 
-// Mark sets the PHOENIX marker bit on the dictionary header, bucket array,
-// every entry node and key blob, and invokes markVal for each stored value so
-// the owner can mark value objects — the developer traversal protocol of
-// §3.4.
+// Mark sets the PHOENIX marker (in the heap's transient side bitmap, never in
+// preserved pages) on the dictionary header, bucket array, every entry node
+// and key blob, and invokes markVal for each stored value so the owner can
+// mark value objects — the developer traversal protocol of §3.4.
 func (d *Dict) Mark(markVal func(val uint64)) {
 	d.c.Heap.Mark(d.addr)
 	bkts, nb := d.buckets()

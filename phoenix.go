@@ -131,7 +131,8 @@ const (
 
 // Heap substrate.
 type (
-	// Heap is the simulated malloc (glibc-style, with PHOENIX marker bits).
+	// Heap is the simulated malloc (glibc-style; the PHOENIX marker sits in
+	// a transient side bitmap, never in preserved pages).
 	Heap = heap.Heap
 	// HeapOptions configures a heap region.
 	HeapOptions = heap.Options
