@@ -7,7 +7,7 @@
 //	phoenixlint [-root dir] [-json] [-list]
 //
 // The JSON report is deterministic: same tree, same baseline, byte-identical
-// bytes (CI runs the campaign twice and cmps).
+// bytes.
 package main
 
 import (

@@ -1,8 +1,6 @@
 package registry_test
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"strings"
 	"testing"
@@ -14,31 +12,15 @@ import (
 	"phoenix/internal/workload"
 )
 
-// TestConcurrencyCampaignGolden runs the concurrent-serving campaign twice on
-// the same seed and requires byte-identical JSON — the property the CI step
-// checks end-to-end through phxinject. It also pins the campaign's headline
-// contract: every snapshot-serving app present, ≥2x throughput at 4 readers,
-// a PHOENIX restart ridden mid-run, and a clean stale oracle.
+// TestConcurrencyCampaignGolden pins the concurrent-serving campaign's
+// headline contract, which the checked-in phxinject golden output alone
+// would let an -update drop: every snapshot-serving app present, ≥2x
+// throughput at 4 readers, a PHOENIX restart ridden mid-run, and a clean
+// stale oracle.
 func TestConcurrencyCampaignGolden(t *testing.T) {
-	run := func() []recovery.ConcurrencyOutcome {
-		t.Helper()
-		outs, err := recovery.CheckConcurrency(registry.ConcurrencySpecs(1), recovery.ConcurrencyConfig{Seed: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return outs
-	}
-	a, b := run(), run()
-	ja, err := json.Marshal(a)
+	a, err := recovery.CheckConcurrency(registry.ConcurrencySpecs(1), recovery.ConcurrencyConfig{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
-	}
-	jb, err := json.Marshal(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(ja, jb) {
-		t.Fatalf("same-seed campaign runs diverged:\n%s\n%s", ja, jb)
 	}
 
 	names := registry.ConcurrencyNames()
@@ -62,6 +44,29 @@ func TestConcurrencyCampaignGolden(t *testing.T) {
 			t.Errorf("%s: modelled parallel preserve %dns not below serial %dns",
 				o.App, o.PreserveParallelNs, o.PreserveSerialNs)
 		}
+	}
+}
+
+// TestMicrorebootFullLadder requires the granularity ordering the
+// microreboot campaign enforces to have actually been measured on at least
+// three applications: rewind, microreboot, and PHOENIX windows all present.
+func TestMicrorebootFullLadder(t *testing.T) {
+	outs, err := recovery.CheckMicroreboot(registry.MicrorebootSpecs(7), recovery.MicrorebootConfig{Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fullLadder := 0
+	for _, o := range outs {
+		rungs := map[string]bool{}
+		for _, w := range o.Windows {
+			rungs[w.Granularity] = true
+		}
+		if rungs["rewind"] && rungs["microreboot"] && rungs["phoenix"] {
+			fullLadder++
+		}
+	}
+	if fullLadder < 3 {
+		t.Fatalf("only %d app(s) measured the full rewind/microreboot/phoenix ladder, want >= 3", fullLadder)
 	}
 }
 
@@ -116,7 +121,7 @@ func TestSnapshotServersAreRewindable(t *testing.T) {
 // MVCC snapshots across the reader ladder. The metric of record is
 // sim_ops_per_sec (wall time on a 1-core CI box says nothing); the acceptance
 // bar — ≥2x ops/sec at 4 readers vs 1 on at least two apps — is enforced
-// deterministically by TestConcurrencyCampaignGolden, this benchmark makes the
+// deterministically by TestConcurrencyCampaignGolden; this benchmark makes the
 // same curve visible in bench output.
 func BenchmarkServeConcurrent(b *testing.B) {
 	for _, name := range registry.ConcurrencyNames() {

@@ -19,6 +19,7 @@ import (
 	"phoenix/internal/apps/kvstore"
 	"phoenix/internal/apps/lsmdb"
 	"phoenix/internal/apps/particle"
+	"phoenix/internal/apps/registry"
 	"phoenix/internal/apps/webcache"
 )
 
@@ -151,7 +152,7 @@ func buildSystem(system string, cfg recovery.Config, o Options, inj *faultinject
 			samples = 500
 		}
 		tr := boost.New(boost.Config{Samples: samples, Features: 8, MaxIters: 4096, WorkScale: 400}, inj)
-		h, err := boot(tr, &computeGen{})
+		h, err := boot(tr, &registry.StepGen{})
 		if err != nil {
 			return nil, err
 		}
@@ -163,7 +164,7 @@ func buildSystem(system string, cfg recovery.Config, o Options, inj *faultinject
 			parts = 1000
 		}
 		s := particle.New(particle.Config{Particles: parts, Cells: 128, WorkScale: 400}, inj)
-		h, err := boot(s, &computeGen{})
+		h, err := boot(s, &registry.StepGen{})
 		if err != nil {
 			return nil, err
 		}
@@ -172,17 +173,6 @@ func buildSystem(system string, cfg recovery.Config, o Options, inj *faultinject
 	}
 	return nil, fmt.Errorf("experiments: unknown system %q", system)
 }
-
-// computeGen emits one compute step per request.
-type computeGen struct{ seq uint64 }
-
-func (g *computeGen) Next() *workload.Request {
-	g.seq++
-	return &workload.Request{Seq: g.seq, Op: workload.OpRead, Key: "step"}
-}
-
-// Clone implements workload.Generator; the step stream is seed-independent.
-func (g *computeGen) Clone(seed int64) workload.Generator { return &computeGen{} }
 
 // fmtDur renders a duration in seconds with ms precision.
 func fmtDur(d time.Duration) string { return fmt.Sprintf("%.3fs", d.Seconds()) }

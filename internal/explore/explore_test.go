@@ -247,22 +247,12 @@ func TestCheckedInArtifactsReproduce(t *testing.T) {
 	}
 }
 
-// TestCampaignSmoke: a small sweep completes, reruns byte-identically, and
-// every violating seed ships a verified minimal artifact.
+// TestCampaignSmoke: a small sweep completes and every violating seed ships
+// a verified minimal artifact.
 func TestCampaignSmoke(t *testing.T) {
-	opts := Options{Seeds: 10, Start: 1}
-	a, err := CheckExplore(opts)
+	a, err := CheckExplore(Options{Seeds: 10, Start: 1})
 	if err != nil {
 		t.Fatal(err)
-	}
-	b, err := CheckExplore(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ja, _ := json.Marshal(a)
-	jb, _ := json.Marshal(b)
-	if string(ja) != string(jb) {
-		t.Fatalf("same-option campaigns diverged:\n%s\n%s", ja, jb)
 	}
 	if len(a.Results) != 10 {
 		t.Fatalf("campaign covered %d seeds, want 10", len(a.Results))

@@ -1,10 +1,6 @@
 package explore
 
-import (
-	"bytes"
-	"encoding/json"
-	"testing"
-)
+import "testing"
 
 // TestCheckVetAgreement: the shipped models must verify clean and stay
 // violation-free dynamically, and every registered mutant must be flagged
@@ -40,27 +36,6 @@ func TestCheckVetAgreement(t *testing.T) {
 				t.Fatalf("model %s mutant %s#%d lacks position", m.Model, mu.Fn, mu.NthStore)
 			}
 		}
-	}
-}
-
-// TestCheckVetGolden: the campaign JSON is byte-identical across two runs of
-// the same seed range — the same-seed determinism bar the other campaigns
-// already meet.
-func TestCheckVetGolden(t *testing.T) {
-	run := func() []byte {
-		sum, err := CheckVet(VetOptions{Seeds: 6, Start: 3})
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := json.Marshal(sum)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return b
-	}
-	b1, b2 := run(), run()
-	if !bytes.Equal(b1, b2) {
-		t.Fatalf("vet campaign not byte-stable:\n%s\n%s", b1, b2)
 	}
 }
 

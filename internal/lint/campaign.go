@@ -16,8 +16,7 @@ type AnalyzerResult struct {
 }
 
 // Report is the deterministic product of a full lint campaign: same tree,
-// same baseline → byte-identical JSON (CI double-runs and cmps it, the same
-// discipline every other campaign in this repo is held to).
+// same baseline → byte-identical JSON.
 type Report struct {
 	Module     string           `json:"module"`
 	Packages   int              `json:"packages"`

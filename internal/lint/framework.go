@@ -1,3 +1,10 @@
+// Package lint implements phoenixlint, the repo's static contract suite: a
+// go/ast + go/types analyzer framework over the whole module with four
+// registered analyzers — snapshot-purity, dirty-bit soundness, cost-charging,
+// and determinism (no wall-clock reads, no global math/rand draws, no
+// map-ordered JSON assembly in production code). Findings carry exact
+// positions, and a checked-in baseline of justified exceptions
+// (baseline.json) separates accepted findings from contract violations.
 package lint
 
 import (

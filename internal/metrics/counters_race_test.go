@@ -38,11 +38,15 @@ func TestRecoveryCountersConcurrent(t *testing.T) {
 				case <-stop:
 					return
 				default:
-					snap := c.Snapshot()
-					if snap["preserves_committed"] > snap["preserves_staged"] {
+					// Snapshot is not a consistent cut, so the ordering
+					// invariant is checked on loads taken in the reverse of
+					// the writers' order: committed first, then staged.
+					committed := c.PreservesCommitted.Load()
+					if staged := c.PreservesStaged.Load(); committed > staged {
 						t.Error("committed overtook staged")
 						return
 					}
+					_ = c.Snapshot()
 					_ = c.String()
 				}
 			}

@@ -4,27 +4,9 @@ import (
 	"bytes"
 	"testing"
 
-	"phoenix/internal/apps/registry"
 	"phoenix/internal/recovery"
 	"phoenix/internal/shard"
 )
-
-// TestCheckShardAllApps runs the full sharded availability campaign — every
-// shardable registered app, PHOENIX vs builtin vs vanilla under the same
-// kill-and-rebalance schedule — and enforces its contract, including the
-// internal same-seed byte-identity replay.
-func TestCheckShardAllApps(t *testing.T) {
-	results, err := shard.CheckShard(registry.ShardSystems(1), shard.Options{Seed: 1})
-	for _, res := range results {
-		t.Logf("\n%s", shard.FmtComparison(res))
-	}
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != len(registry.ShardNames()) {
-		t.Fatalf("campaign covered %d systems, want %d", len(results), len(registry.ShardNames()))
-	}
-}
 
 // TestShardReportByteIdentity is the golden determinism check at the Run
 // level: the identical configuration and schedule must produce byte-identical
