@@ -1,12 +1,13 @@
 // Package mem implements the simulated virtual-memory substrate that the
 // PHOENIX reproduction runs on.
 //
-// An AddressSpace maps 4 KiB-page-aligned regions to physical Frames. Frames
-// are allocated lazily on first write (an untouched mapped page reads as
-// zeros, like anonymous memory). The key operation for PHOENIX is
-// MovePages: transferring frame pointers — the page-table entries — from a
-// dying address space into a fresh one with no data copy, which is the
-// zero-copy transfer mechanism of §3.3.
+// An AddressSpace maps 4 KiB-page-aligned regions to physical Frames. Each
+// Mapping owns its page table: one frame pointer per page, indexed from the
+// mapping's start. Frames are allocated lazily on first write (an untouched
+// mapped page reads as zeros, like anonymous memory). The key operation for
+// PHOENIX is MovePages: transferring frame pointers — the page-table
+// entries — from a dying address space into a fresh one with no data copy,
+// which is the zero-copy transfer mechanism of §3.3.
 //
 // Accessing an unmapped address panics with *Fault. This mirrors a hardware
 // page fault turning into SIGSEGV: application code that follows a dangling
@@ -15,8 +16,8 @@
 package mem
 
 import (
+	"encoding/binary"
 	"fmt"
-	"sort"
 )
 
 // PageSize is the simulated page size in bytes.
@@ -104,7 +105,9 @@ func (k Kind) String() string {
 // distinct mutation events never share a stamp, so an observer that records
 // PageGen(p) knows the page's bytes are unchanged for exactly as long as the
 // stamp is. Live shard migration uses this to find its per-round delta
-// without touching the preserve machinery's soft-dirty baseline.
+// without touching the preserve machinery's soft-dirty baseline. The
+// counter starts at zero and is bumped before every stamp, so a frame's
+// stamp is never 0; 0 is free to mean "no frame".
 type Frame struct {
 	Data  []byte
 	Dirty bool
@@ -125,6 +128,11 @@ type Mapping struct {
 	Pages int
 	Kind  Kind
 	Name  string
+
+	// ptes is the mapping's page table: ptes[i] is the frame of page
+	// PageOf(Start)+i, nil until that page gets a frame. While the mapping
+	// belongs to an address space, len(ptes) == Pages.
+	ptes []*Frame
 }
 
 // End returns the first address past the mapping.
@@ -138,18 +146,35 @@ func (m *Mapping) Contains(addr VAddr) bool {
 	return addr >= m.Start && addr < m.End()
 }
 
+// resize sets the mapping's length to pages, extending its page table with
+// empty slots or truncating it. Truncated slots are cleared, so growing the
+// mapping again never brings their frames back.
+func (m *Mapping) resize(pages int) {
+	if pages < len(m.ptes) {
+		clear(m.ptes[pages:])
+		m.ptes = m.ptes[:pages]
+	} else {
+		m.ptes = append(m.ptes, make([]*Frame, pages-len(m.ptes))...)
+	}
+	m.Pages = pages
+}
+
 // AddressSpace is one process's simulated virtual memory.
+//
+// Lookups write nothing — no cache, no last-mapping hint — so any number of
+// goroutines may read one space at once, as the kernel's preserve worker
+// pool and MVCC snapshot readers do.
 type AddressSpace struct {
-	frames   map[PageNum]*Frame
 	mappings []*Mapping // sorted by Start, non-overlapping
+	starts   []VAddr    // starts[i] == mappings[i].Start: the lookup index
 
 	// domain is the open rewind domain's undo log, nil when none (rewind.go).
 	domain *rewindDomain
 
 	// writeGen is the monotonic write-generation counter stamped onto frames
 	// at every content mutation (see Frame.Gen). It only ever increases, so a
-	// stamp is never reused — not even when a frame entry is deleted and a
-	// fresh one created at the same page number.
+	// stamp is never reused — not even when a frame is dropped and a fresh
+	// one created at the same page number.
 	writeGen uint64
 
 	// ASLRBase is the randomized layout offset chosen at first startup and
@@ -158,9 +183,7 @@ type AddressSpace struct {
 }
 
 // NewAddressSpace returns an empty address space.
-func NewAddressSpace() *AddressSpace {
-	return &AddressSpace{frames: make(map[PageNum]*Frame)}
-}
+func NewAddressSpace() *AddressSpace { return &AddressSpace{} }
 
 // Map creates a mapping of pages pages starting at the page-aligned start.
 // It returns an error if start is unaligned, the length is non-positive, the
@@ -180,6 +203,7 @@ func (as *AddressSpace) Map(start VAddr, pages int, kind Kind, name string) (*Ma
 		return nil, fmt.Errorf("mem: Map %s: [%#x,%#x) overlaps %s [%#x,%#x)",
 			name, uint64(start), uint64(m.End()), ov.Name, uint64(ov.Start), uint64(ov.End()))
 	}
+	m.ptes = make([]*Frame, pages)
 	as.insert(m)
 	if as.domain != nil {
 		as.domain.journal = append(as.domain.journal, mapUndo{kind: undoMap, m: m})
@@ -187,49 +211,118 @@ func (as *AddressSpace) Map(start VAddr, pages int, kind Kind, name string) (*Ma
 	return m, nil
 }
 
+// search returns how many mappings start at or below addr: a binary search
+// over the contiguous starts index, with no closure and no writes.
+func (as *AddressSpace) search(addr VAddr) int {
+	lo, hi := 0, len(as.starts)
+	for lo < hi {
+		h := int(uint(lo+hi) >> 1)
+		if as.starts[h] <= addr {
+			lo = h + 1
+		} else {
+			hi = h
+		}
+	}
+	return lo
+}
+
+// resolve returns the page-table slot of addr's page, or nil when addr is
+// unmapped. It is the one lookup every accessor and page query makes: a
+// search of the starts index, then an index into the owning mapping's
+// table.
+func (as *AddressSpace) resolve(addr VAddr) **Frame {
+	if i := as.search(addr); i > 0 {
+		m := as.mappings[i-1]
+		if j := uint64(addr-m.Start) >> PageShift; j < uint64(len(m.ptes)) {
+			return &m.ptes[j]
+		}
+	}
+	return nil
+}
+
+// frameAt returns page p's frame, or nil when p has none or is unmapped.
+func (as *AddressSpace) frameAt(p PageNum) *Frame {
+	if pte := as.resolve(VAddr(p) << PageShift); pte != nil {
+		return *pte
+	}
+	return nil
+}
+
+// walk calls fn with the page number and page-table slot of every mapped
+// page of [start, start+pages*PageSize), in address order.
+func (as *AddressSpace) walk(start VAddr, pages int, fn func(p PageNum, pte **Frame)) {
+	end := PageOf(start) + PageNum(pages)
+	for p := PageOf(start); p < end; {
+		m := as.FindMapping(VAddr(p) << PageShift)
+		if m == nil {
+			p++
+			continue
+		}
+		for i := int(p - PageOf(m.Start)); i < len(m.ptes) && p < end; i, p = i+1, p+1 {
+			fn(p, &m.ptes[i])
+		}
+	}
+}
+
+// eachFrame calls fn with every frame in the space and its page number, in
+// address order.
+func (as *AddressSpace) eachFrame(fn func(p PageNum, f *Frame)) {
+	for _, m := range as.mappings {
+		first := PageOf(m.Start)
+		for i, f := range m.ptes {
+			if f != nil {
+				fn(first+PageNum(i), f)
+			}
+		}
+	}
+}
+
 // overlap returns any mapping intersecting [lo,hi). The mappings slice is
 // sorted by Start and non-overlapping, so the first candidate is the first
 // mapping whose end lies past lo; it intersects iff it starts before hi.
 func (as *AddressSpace) overlap(lo, hi VAddr) *Mapping {
-	i := sort.Search(len(as.mappings), func(i int) bool {
-		return as.mappings[i].End() > lo
-	})
+	i := as.search(lo)
+	if i > 0 && as.mappings[i-1].End() > lo {
+		i--
+	}
 	if i < len(as.mappings) && as.mappings[i].Start < hi {
 		return as.mappings[i]
 	}
 	return nil
 }
 
+// insert adds m, whose page table the caller has set, to the sorted index.
 func (as *AddressSpace) insert(m *Mapping) {
-	i := sort.Search(len(as.mappings), func(i int) bool {
-		return as.mappings[i].Start >= m.Start
-	})
+	i := as.search(m.Start)
 	as.mappings = append(as.mappings, nil)
 	copy(as.mappings[i+1:], as.mappings[i:])
 	as.mappings[i] = m
+	as.starts = append(as.starts, 0)
+	copy(as.starts[i+1:], as.starts[i:])
+	as.starts[i] = m.Start
 }
 
-// Unmap removes the mapping that starts exactly at start and drops its
-// frames. It returns an error if no such mapping exists.
+// Unmap removes the mapping that starts exactly at start and drops its page
+// table. It returns an error if no such mapping exists.
 func (as *AddressSpace) Unmap(start VAddr) error {
-	for i, m := range as.mappings {
-		if m.Start == start {
-			if as.domain != nil {
-				// Snapshot every frame the unmap is about to drop, then
-				// journal the mapping so a discard can re-insert it.
-				for p := PageOf(m.Start); p < PageOf(m.End()); p++ {
-					as.touch(p)
-				}
-				as.domain.journal = append(as.domain.journal, mapUndo{kind: undoUnmap, m: m})
-			}
-			for p := PageOf(m.Start); p < PageOf(m.End()); p++ {
-				delete(as.frames, p)
-			}
-			as.mappings = append(as.mappings[:i], as.mappings[i+1:]...)
-			return nil
-		}
+	i := as.search(start) - 1
+	if i < 0 || as.starts[i] != start {
+		return fmt.Errorf("mem: Unmap: no mapping at %#x", uint64(start))
 	}
-	return fmt.Errorf("mem: Unmap: no mapping at %#x", uint64(start))
+	m := as.mappings[i]
+	if as.domain != nil {
+		// Snapshot every frame the unmap is about to drop, then journal the
+		// mapping so a discard can re-insert it.
+		first := PageOf(m.Start)
+		for j, f := range m.ptes {
+			as.touch(first+PageNum(j), f)
+		}
+		as.domain.journal = append(as.domain.journal, mapUndo{kind: undoUnmap, m: m})
+	}
+	m.ptes = nil
+	as.mappings = append(as.mappings[:i], as.mappings[i+1:]...)
+	as.starts = append(as.starts[:i], as.starts[i+1:]...)
+	return nil
 }
 
 // Grow extends mapping m by extra pages (used by the sbrk path). The mapping
@@ -241,10 +334,7 @@ func (as *AddressSpace) Grow(m *Mapping, extra int) error {
 	if extra <= 0 {
 		return fmt.Errorf("mem: Grow %s: non-positive extra %d", m.Name, extra)
 	}
-	i := sort.Search(len(as.mappings), func(i int) bool {
-		return as.mappings[i].Start >= m.Start
-	})
-	if i >= len(as.mappings) || as.mappings[i] != m {
+	if i := as.search(m.Start); i == 0 || as.mappings[i-1] != m {
 		return fmt.Errorf("mem: Grow %s: mapping [%#x,%#x) not owned by this address space",
 			m.Name, uint64(m.Start), uint64(m.End()))
 	}
@@ -252,20 +342,20 @@ func (as *AddressSpace) Grow(m *Mapping, extra int) error {
 	if ov := as.overlap(m.End(), newEnd); ov != nil {
 		return fmt.Errorf("mem: Grow %s: collides with %s", m.Name, ov.Name)
 	}
-	m.Pages += extra
+	m.resize(m.Pages + extra)
 	if as.domain != nil {
 		as.domain.journal = append(as.domain.journal, mapUndo{kind: undoGrow, m: m, extra: extra})
 	}
 	return nil
 }
 
-// FindMapping returns the mapping containing addr, or nil.
+// FindMapping returns the mapping containing addr, or nil. Only the last
+// mapping starting at or below addr can contain it.
 func (as *AddressSpace) FindMapping(addr VAddr) *Mapping {
-	i := sort.Search(len(as.mappings), func(i int) bool {
-		return as.mappings[i].End() > addr
-	})
-	if i < len(as.mappings) && as.mappings[i].Contains(addr) {
-		return as.mappings[i]
+	if i := as.search(addr); i > 0 {
+		if m := as.mappings[i-1]; addr < m.End() {
+			return m
+		}
 	}
 	return nil
 }
@@ -281,43 +371,48 @@ func (as *AddressSpace) Mappings() []*Mapping {
 // Mapped reports whether addr lies inside a mapping.
 func (as *AddressSpace) Mapped(addr VAddr) bool { return as.FindMapping(addr) != nil }
 
-// checkRange panics with *Fault unless [addr, addr+n) is fully mapped.
-// n must be small enough that the range spans a bounded number of mappings;
-// contiguous adjacent mappings are accepted.
+// checkRange panics with a *Fault at the first unmapped byte of
+// [addr, addr+n). It walks mapping by mapping, so contiguous adjacent
+// mappings are accepted. Page-crossing accesses call it before touching any
+// page, so a faulting access changes nothing.
 func (as *AddressSpace) checkRange(addr VAddr, n int, op string) {
 	end := addr + VAddr(n)
-	cur := addr
-	for cur < end {
+	for cur := addr; cur < end; {
 		m := as.FindMapping(cur)
 		if m == nil {
 			panic(&Fault{Addr: cur, Op: op})
 		}
 		cur = m.End()
 	}
-	if n == 0 && !as.Mapped(addr) {
+}
+
+// mustResolve is resolve for an access: it panics with a *Fault for op when
+// addr is unmapped.
+func (as *AddressSpace) mustResolve(addr VAddr, op string) **Frame {
+	pte := as.resolve(addr)
+	if pte == nil {
 		panic(&Fault{Addr: addr, Op: op})
 	}
+	return pte
 }
 
-// frame returns the frame for page p, allocating the bookkeeping entry (but
-// not the data) on demand.
-func (as *AddressSpace) frame(p PageNum) *Frame {
-	f := as.frames[p]
+// onePage reports whether n bytes at addr stay inside addr's page. An
+// access that does needs one lookup; any other takes the multi-page walk.
+func onePage(addr VAddr, n int) bool { return int(addr%PageSize)+n <= PageSize }
+
+// write returns the materialized data of page p, whose page-table slot is
+// pte, for mutation: it logs the page into an open rewind domain, creates
+// the frame on demand and stamps it with a fresh write generation. Every
+// byte-mutating path funnels through it (Zero and DiscardDomain stamp
+// explicitly), which is what makes PageGen a sound change detector.
+func (as *AddressSpace) write(p PageNum, pte **Frame) []byte {
+	f := *pte
+	as.touch(p, f)
 	if f == nil {
 		f = &Frame{}
-		as.frames[p] = f
+		*pte = f
 	}
-	return f
-}
-
-// write returns page p's materialized data for mutation, stamping the frame
-// with a fresh write generation first. Every byte-mutating path funnels
-// through it (or stamps explicitly, as Zero and DiscardDomain do), which is
-// what makes PageGen a sound change detector.
-func (as *AddressSpace) write(p PageNum) []byte {
-	f := as.frame(p)
-	as.writeGen++
-	f.Gen = as.writeGen
+	as.stamp(f)
 	return f.materialize()
 }
 
@@ -330,39 +425,47 @@ func (as *AddressSpace) stamp(f *Frame) {
 	f.Gen = as.writeGen
 }
 
+// readPage copies bytes of f's page from addr's offset into buf, stopping
+// at the page end, and returns how many it copied. A nil frame or one
+// without data reads as zeros.
+func readPage(f *Frame, addr VAddr, buf []byte) int {
+	o := int(addr % PageSize)
+	if f != nil && f.Data != nil {
+		return copy(buf, f.Data[o:])
+	}
+	n := min(len(buf), PageSize-o)
+	clear(buf[:n])
+	return n
+}
+
 // ReadAt copies len(buf) bytes at addr into buf. It panics with *Fault if
-// any byte of the range is unmapped.
+// any byte of the range is unmapped (an empty read checks addr itself).
 func (as *AddressSpace) ReadAt(addr VAddr, buf []byte) {
+	if onePage(addr, len(buf)) {
+		readPage(*as.mustResolve(addr, "read"), addr, buf)
+		return
+	}
 	as.checkRange(addr, len(buf), "read")
-	off := 0
-	for off < len(buf) {
-		p := PageOf(addr + VAddr(off))
-		pgOff := int((addr + VAddr(off)) % PageSize)
-		n := min(PageSize-pgOff, len(buf)-off)
-		if f := as.frames[p]; f != nil && f.Data != nil {
-			copy(buf[off:off+n], f.Data[pgOff:pgOff+n])
-		} else {
-			for i := off; i < off+n; i++ {
-				buf[i] = 0
-			}
-		}
-		off += n
+	for off := 0; off < len(buf); {
+		a := addr + VAddr(off)
+		off += readPage(*as.resolve(a), a, buf[off:])
 	}
 }
 
 // WriteAt copies buf into simulated memory at addr. It panics with *Fault if
-// any byte of the range is unmapped.
+// any byte of the range is unmapped (an empty write checks addr itself).
 func (as *AddressSpace) WriteAt(addr VAddr, buf []byte) {
+	if onePage(addr, len(buf)) {
+		pte := as.mustResolve(addr, "write")
+		if len(buf) > 0 {
+			copy(as.write(PageOf(addr), pte)[addr%PageSize:], buf)
+		}
+		return
+	}
 	as.checkRange(addr, len(buf), "write")
-	off := 0
-	for off < len(buf) {
-		p := PageOf(addr + VAddr(off))
-		pgOff := int((addr + VAddr(off)) % PageSize)
-		n := min(PageSize-pgOff, len(buf)-off)
-		as.touch(p)
-		data := as.write(p)
-		copy(data[pgOff:pgOff+n], buf[off:off+n])
-		off += n
+	for off := 0; off < len(buf); {
+		a := addr + VAddr(off)
+		off += copy(as.write(PageOf(a), as.resolve(a))[a%PageSize:], buf[off:])
 	}
 }
 
@@ -374,31 +477,41 @@ func (as *AddressSpace) ReadBytes(addr VAddr, n int) []byte {
 }
 
 // Zero writes n zero bytes at addr. A frame left entirely zero is released
-// back to the unmaterialized state (its bookkeeping entry and dirty bit
-// remain), so large clears shrink the resident set instead of inflating the
+// back to the unmaterialized state (the frame and its dirty bit remain), so
+// large clears shrink the resident set instead of inflating the
 // preserve/checksum working set with pages that read identically to untouched
 // ones.
 func (as *AddressSpace) Zero(addr VAddr, n int) {
-	as.checkRange(addr, n, "write")
-	off := 0
-	for off < n {
-		p := PageOf(addr + VAddr(off))
-		pgOff := int((addr + VAddr(off)) % PageSize)
-		cnt := min(PageSize-pgOff, n-off)
-		if f := as.frames[p]; f != nil && f.Data != nil {
-			as.touch(p)
-			d := f.Data[pgOff : pgOff+cnt]
-			for i := range d {
-				d[i] = 0
-			}
-			f.Dirty = true
-			as.stamp(f)
-			if allZero(f.Data) {
-				f.Data = nil
-			}
+	if onePage(addr, n) {
+		pte := as.mustResolve(addr, "write")
+		if n > 0 {
+			as.zeroPage(*pte, addr, n)
 		}
-		off += cnt
+		return
 	}
+	as.checkRange(addr, n, "write")
+	for off := 0; off < n; {
+		a := addr + VAddr(off)
+		off += as.zeroPage(*as.resolve(a), a, n-off)
+	}
+}
+
+// zeroPage clears up to n bytes of f's page from addr's offset, stopping at
+// the page end, and returns how many bytes it covered. A frame without data
+// already reads as zeros and is left alone.
+func (as *AddressSpace) zeroPage(f *Frame, addr VAddr, n int) int {
+	o := int(addr % PageSize)
+	n = min(n, PageSize-o)
+	if f != nil && f.Data != nil {
+		as.touch(PageOf(addr), f)
+		clear(f.Data[o : o+n])
+		f.Dirty = true
+		as.stamp(f)
+		if allZero(f.Data) {
+			f.Data = nil
+		}
+	}
+	return n
 }
 
 func allZero(b []byte) bool {
@@ -412,8 +525,7 @@ func allZero(b []byte) bool {
 
 // ReadU8 reads one byte at addr.
 func (as *AddressSpace) ReadU8(addr VAddr) byte {
-	as.checkRange(addr, 1, "read")
-	f := as.frames[PageOf(addr)]
+	f := *as.mustResolve(addr, "read")
 	if f == nil || f.Data == nil {
 		return 0
 	}
@@ -422,69 +534,47 @@ func (as *AddressSpace) ReadU8(addr VAddr) byte {
 
 // WriteU8 writes one byte at addr.
 func (as *AddressSpace) WriteU8(addr VAddr, v byte) {
-	as.checkRange(addr, 1, "write")
-	as.touch(PageOf(addr))
-	as.write(PageOf(addr))[addr%PageSize] = v
+	as.write(PageOf(addr), as.mustResolve(addr, "write"))[addr%PageSize] = v
 }
 
 // ReadU64 reads a little-endian uint64 at addr (which may straddle pages).
 func (as *AddressSpace) ReadU64(addr VAddr) uint64 {
-	if addr%PageSize <= PageSize-8 {
-		as.checkRange(addr, 8, "read")
-		f := as.frames[PageOf(addr)]
-		if f == nil || f.Data == nil {
-			return 0
-		}
-		o := addr % PageSize
-		d := f.Data
-		return uint64(d[o]) | uint64(d[o+1])<<8 | uint64(d[o+2])<<16 | uint64(d[o+3])<<24 |
-			uint64(d[o+4])<<32 | uint64(d[o+5])<<40 | uint64(d[o+6])<<48 | uint64(d[o+7])<<56
+	if !onePage(addr, 8) {
+		var buf [8]byte
+		as.ReadAt(addr, buf[:])
+		return binary.LittleEndian.Uint64(buf[:])
 	}
-	var buf [8]byte
-	as.ReadAt(addr, buf[:])
-	return uint64(buf[0]) | uint64(buf[1])<<8 | uint64(buf[2])<<16 | uint64(buf[3])<<24 |
-		uint64(buf[4])<<32 | uint64(buf[5])<<40 | uint64(buf[6])<<48 | uint64(buf[7])<<56
+	f := *as.mustResolve(addr, "read")
+	if f == nil || f.Data == nil {
+		return 0
+	}
+	return binary.LittleEndian.Uint64(f.Data[addr%PageSize:])
 }
 
-// WriteU64 writes a little-endian uint64 at addr.
+// WriteU64 writes a little-endian uint64 at addr (which may straddle pages).
 func (as *AddressSpace) WriteU64(addr VAddr, v uint64) {
-	if addr%PageSize <= PageSize-8 {
-		as.checkRange(addr, 8, "write")
-		as.touch(PageOf(addr))
-		d := as.write(PageOf(addr))
-		o := addr % PageSize
-		d[o] = byte(v)
-		d[o+1] = byte(v >> 8)
-		d[o+2] = byte(v >> 16)
-		d[o+3] = byte(v >> 24)
-		d[o+4] = byte(v >> 32)
-		d[o+5] = byte(v >> 40)
-		d[o+6] = byte(v >> 48)
-		d[o+7] = byte(v >> 56)
+	if !onePage(addr, 8) {
+		var buf [8]byte
+		binary.LittleEndian.PutUint64(buf[:], v)
+		as.WriteAt(addr, buf[:])
 		return
 	}
-	var buf [8]byte
-	buf[0] = byte(v)
-	buf[1] = byte(v >> 8)
-	buf[2] = byte(v >> 16)
-	buf[3] = byte(v >> 24)
-	buf[4] = byte(v >> 32)
-	buf[5] = byte(v >> 40)
-	buf[6] = byte(v >> 48)
-	buf[7] = byte(v >> 56)
-	as.WriteAt(addr, buf[:])
+	d := as.write(PageOf(addr), as.mustResolve(addr, "write"))
+	binary.LittleEndian.PutUint64(d[addr%PageSize:], v)
 }
 
 // ReadU32 reads a little-endian uint32 at addr.
 func (as *AddressSpace) ReadU32(addr VAddr) uint32 {
 	var buf [4]byte
 	as.ReadAt(addr, buf[:])
-	return uint32(buf[0]) | uint32(buf[1])<<8 | uint32(buf[2])<<16 | uint32(buf[3])<<24
+	return binary.LittleEndian.Uint32(buf[:])
 }
 
 // WriteU32 writes a little-endian uint32 at addr.
 func (as *AddressSpace) WriteU32(addr VAddr, v uint32) {
-	as.WriteAt(addr, []byte{byte(v), byte(v >> 8), byte(v >> 16), byte(v >> 24)})
+	var buf [4]byte
+	binary.LittleEndian.PutUint32(buf[:], v)
+	as.WriteAt(addr, buf[:])
 }
 
 // ReadPtr reads a simulated pointer stored at addr.
@@ -496,13 +586,13 @@ func (as *AddressSpace) WritePtr(addr VAddr, p VAddr) { as.WriteU64(addr, uint64
 // MovePages transfers the frames of [start, start+pages*PageSize) from as
 // into dst — the zero-copy PTE move at the heart of preserve_exec. The
 // region must be fully covered by mappings in as; equivalent mappings are
-// created in dst (which must have the range free). It returns the number of
+// created in dst (which must have the range free), and the page-table
+// entries move from the source tables into theirs. It returns the number of
 // page-table entries moved (including entries for untouched zero pages).
 func (as *AddressSpace) MovePages(dst *AddressSpace, start VAddr, pages int) (int, error) {
 	end := start + VAddr(pages)*PageSize
 	// Validate full coverage first so we fail atomically.
-	cur := start
-	for cur < end {
+	for cur := start; cur < end; {
 		m := as.FindMapping(cur)
 		if m == nil {
 			return 0, fmt.Errorf("mem: MovePages: unmapped address %#x", uint64(cur))
@@ -512,24 +602,24 @@ func (as *AddressSpace) MovePages(dst *AddressSpace, start VAddr, pages int) (in
 	if ov := dst.overlap(start, end); ov != nil {
 		return 0, fmt.Errorf("mem: MovePages: destination overlap with %s", ov.Name)
 	}
-	// Create mappings in dst mirroring the source mappings clipped to range.
-	cur = start
-	for cur < end {
-		m := as.FindMapping(cur)
-		lo := max64(m.Start, start)
-		hi := min64(m.End(), end)
-		nm := &Mapping{Start: lo, Pages: int((hi - lo) / PageSize), Kind: m.Kind, Name: m.Name}
-		dst.insert(nm)
-		cur = m.End()
-	}
+	// Mirror each source mapping clipped to the range in dst, and move the
+	// clipped part of its page table across.
 	moved := 0
-	for p := PageOf(start); p < PageOf(end); p++ {
-		if f, ok := as.frames[p]; ok {
-			dst.stamp(f)
-			dst.frames[p] = f
-			delete(as.frames, p)
+	for cur := start; cur < end; {
+		m := as.FindMapping(cur)
+		lo, hi := max(m.Start, start), min(m.End(), end)
+		run := m.ptes[(lo-m.Start)>>PageShift : (hi-m.Start)>>PageShift]
+		nm := &Mapping{Start: lo, Pages: len(run), Kind: m.Kind, Name: m.Name, ptes: make([]*Frame, len(run))}
+		copy(nm.ptes, run)
+		clear(run)
+		for _, f := range nm.ptes {
+			if f != nil {
+				dst.stamp(f)
+			}
 		}
-		moved++
+		dst.insert(nm)
+		moved += len(run)
+		cur = m.End()
 	}
 	return moved, nil
 }
@@ -543,63 +633,77 @@ func (as *AddressSpace) MovePages(dst *AddressSpace, start VAddr, pages int) (in
 // process half-gutted.
 func (as *AddressSpace) UnmovePages(src *AddressSpace, start VAddr, pages int) {
 	end := start + VAddr(pages)*PageSize
-	for p := PageOf(start); p < PageOf(end); p++ {
-		if f, ok := as.frames[p]; ok {
-			src.stamp(f)
-			src.frames[p] = f
-			delete(as.frames, p)
+	for _, m := range as.mappings {
+		for a := max(m.Start, start); a < min(m.End(), end); a += PageSize {
+			pte := &m.ptes[(a-m.Start)>>PageShift]
+			if f := *pte; f != nil {
+				src.stamp(f)
+				if back := src.resolve(a); back != nil {
+					*back = f
+				}
+				*pte = nil
+			}
 		}
 	}
-	kept := as.mappings[:0]
+	n := 0
 	for _, m := range as.mappings {
 		if m.Start >= start && m.End() <= end {
+			m.ptes = nil
 			continue
 		}
-		kept = append(kept, m)
+		as.mappings[n], as.starts[n] = m, m.Start
+		n++
 	}
-	as.mappings = kept
+	clear(as.mappings[n:])
+	as.mappings, as.starts = as.mappings[:n], as.starts[:n]
 }
 
 // CopyPages copies the content of [start, start+pages*PageSize) from as into
 // dst, creating a single mapping there. Unlike MovePages it duplicates the
 // data (used by fork-style snapshots and partial-page preservation).
 func (as *AddressSpace) CopyPages(dst *AddressSpace, start VAddr, pages int, kind Kind, name string) (int, error) {
-	if _, err := dst.Map(start, pages, kind, name); err != nil {
+	nm, err := dst.Map(start, pages, kind, name)
+	if err != nil {
 		return 0, err
 	}
 	copied := 0
-	for i := 0; i < pages; i++ {
-		p := PageOf(start) + PageNum(i)
-		if f, ok := as.frames[p]; ok {
-			nf := dst.frame(p)
-			nf.Dirty = f.Dirty // snapshot preserves tracking state, it is not a write
-			dst.stamp(nf)      // but the generation is per-space: re-stamp on arrival
-			if f.Data != nil {
-				nf.Data = append([]byte(nil), f.Data...)
-				copied++
-			}
+	as.walk(start, pages, func(p PageNum, pte **Frame) {
+		f := *pte
+		if f == nil {
+			return
 		}
-	}
+		nf := &Frame{Dirty: f.Dirty} // snapshot preserves tracking state, it is not a write
+		dst.stamp(nf)                // but the generation is per-space: re-stamp on arrival
+		if f.Data != nil {
+			nf.Data = append([]byte(nil), f.Data...)
+			copied++
+		}
+		nm.ptes[p-PageOf(start)] = nf
+	})
 	return copied, nil
 }
 
-// Clone returns a deep copy of the address space: mappings and frame
-// contents are duplicated so the copy is fully independent. Used by
+// Clone returns a deep copy of the address space: mappings, page tables and
+// frame contents are duplicated so the copy is fully independent. Used by
 // CRIU-style full-process snapshots.
 func (as *AddressSpace) Clone() *AddressSpace {
-	cp := NewAddressSpace()
-	cp.ASLRBase = as.ASLRBase
-	cp.writeGen = as.writeGen // faithful snapshot: stamps stay valid as a set
-	for _, m := range as.mappings {
-		nm := *m
-		cp.insert(&nm)
+	cp := &AddressSpace{
+		ASLRBase: as.ASLRBase,
+		writeGen: as.writeGen, // faithful snapshot: stamps stay valid as a set
 	}
-	for p, f := range as.frames {
-		nf := &Frame{Dirty: f.Dirty, Gen: f.Gen}
-		if f.Data != nil {
-			nf.Data = append([]byte(nil), f.Data...)
+	for _, m := range as.mappings {
+		nm := &Mapping{Start: m.Start, Pages: m.Pages, Kind: m.Kind, Name: m.Name, ptes: make([]*Frame, len(m.ptes))}
+		for i, f := range m.ptes {
+			if f == nil {
+				continue
+			}
+			nf := &Frame{Dirty: f.Dirty, Gen: f.Gen}
+			if f.Data != nil {
+				nf.Data = append([]byte(nil), f.Data...)
+			}
+			nm.ptes[i] = nf
 		}
-		cp.frames[p] = nf
+		cp.insert(nm)
 	}
 	return cp
 }
@@ -630,7 +734,7 @@ var zeroPageChecksum = Checksum(make([]byte, PageSize))
 // Unmaterialized frames (and unmapped pages) read as zeros, matching what
 // ReadAt would observe.
 func (as *AddressSpace) PageChecksum(p PageNum) uint64 {
-	if f := as.frames[p]; f != nil && f.Data != nil {
+	if f := as.frameAt(p); f != nil && f.Data != nil {
 		return Checksum(f.Data)
 	}
 	return zeroPageChecksum
@@ -645,9 +749,7 @@ func (as *AddressSpace) PageChecksum(p PageNum) uint64 {
 // in pages the application never wrote: a "clean" page whose content changed
 // is by definition corrupted, and it must re-enter the checksum walk.
 func (as *AddressSpace) FlipBit(addr VAddr, bit uint) {
-	as.checkRange(addr, 1, "write")
-	as.touch(PageOf(addr))
-	as.write(PageOf(addr))[addr%PageSize] ^= 1 << (bit % 8)
+	as.write(PageOf(addr), as.mustResolve(addr, "write"))[addr%PageSize] ^= 1 << (bit % 8)
 }
 
 // PageGen returns page p's write-generation stamp; 0 means the page has
@@ -658,7 +760,7 @@ func (as *AddressSpace) FlipBit(addr VAddr, bit uint) {
 // stamps (cheap) and re-hash only stamp-changed pages (expensive), so round
 // cost tracks the write rate, not the shard size.
 func (as *AddressSpace) PageGen(p PageNum) uint64 {
-	if f := as.frames[p]; f != nil {
+	if f := as.frameAt(p); f != nil {
 		return f.Gen
 	}
 	return 0
@@ -666,37 +768,36 @@ func (as *AddressSpace) PageGen(p PageNum) uint64 {
 
 // PageDirty reports whether page p carries a set soft-dirty bit.
 func (as *AddressSpace) PageDirty(p PageNum) bool {
-	f := as.frames[p]
+	f := as.frameAt(p)
 	return f != nil && f.Dirty
 }
 
 // PageResident reports whether page p has materialized data. A non-resident
 // page reads as zeros and checksums as the zero page in O(1).
 func (as *AddressSpace) PageResident(p PageNum) bool {
-	f := as.frames[p]
+	f := as.frameAt(p)
 	return f != nil && f.Data != nil
 }
 
 // DirtySet returns the numbers of every dirty page, in ascending order.
 func (as *AddressSpace) DirtySet() []PageNum {
 	var out []PageNum
-	for p, f := range as.frames {
+	as.eachFrame(func(p PageNum, f *Frame) {
 		if f.Dirty {
 			out = append(out, p)
 		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	})
 	return out
 }
 
 // DirtyPages returns the number of dirty pages.
 func (as *AddressSpace) DirtyPages() int {
 	n := 0
-	for _, f := range as.frames {
+	as.eachFrame(func(_ PageNum, f *Frame) {
 		if f.Dirty {
 			n++
 		}
-	}
+	})
 	return n
 }
 
@@ -704,11 +805,11 @@ func (as *AddressSpace) DirtyPages() int {
 // dirty.
 func (as *AddressSpace) DirtyPagesIn(start VAddr, pages int) int {
 	n := 0
-	for p := PageOf(start); p < PageOf(start)+PageNum(pages); p++ {
-		if as.PageDirty(p) {
+	as.walk(start, pages, func(_ PageNum, pte **Frame) {
+		if f := *pte; f != nil && f.Dirty {
 			n++
 		}
-	}
+	})
 	return n
 }
 
@@ -718,11 +819,11 @@ func (as *AddressSpace) DirtyPagesIn(start VAddr, pages int) int {
 // when there is nothing to report.
 func (as *AddressSpace) DirtySetIn(start VAddr, pages int) []PageNum {
 	var out []PageNum
-	for p := PageOf(start); p < PageOf(start)+PageNum(pages); p++ {
-		if as.PageDirty(p) {
+	as.walk(start, pages, func(p PageNum, pte **Frame) {
+		if f := *pte; f != nil && f.Dirty {
 			out = append(out, p)
 		}
-	}
+	})
 	return out
 }
 
@@ -732,29 +833,27 @@ func (as *AddressSpace) DirtySetIn(start VAddr, pages int) []PageNum {
 // the new baseline, so clearing without having recorded (and verified) the
 // content breaks the delta-checksum invariant.
 func (as *AddressSpace) ClearDirty(start VAddr, pages int) {
-	for p := PageOf(start); p < PageOf(start)+PageNum(pages); p++ {
-		if f := as.frames[p]; f != nil {
+	as.walk(start, pages, func(_ PageNum, pte **Frame) {
+		if f := *pte; f != nil {
 			f.Dirty = false
 		}
-	}
+	})
 }
 
 // ClearAllDirty clears every soft-dirty bit in the address space. Same
 // contract as ClearDirty; used by whole-process incremental checkpoints.
 func (as *AddressSpace) ClearAllDirty() {
-	for _, f := range as.frames {
-		f.Dirty = false
-	}
+	as.eachFrame(func(_ PageNum, f *Frame) { f.Dirty = false })
 }
 
 // ResidentPages returns the number of frames with materialized data.
 func (as *AddressSpace) ResidentPages() int {
 	n := 0
-	for _, f := range as.frames {
+	as.eachFrame(func(_ PageNum, f *Frame) {
 		if f.Data != nil {
 			n++
 		}
-	}
+	})
 	return n
 }
 
@@ -769,24 +868,3 @@ func (as *AddressSpace) MappedPages() int {
 
 // MappedBytes returns the total mapped size in bytes.
 func (as *AddressSpace) MappedBytes() int64 { return int64(as.MappedPages()) * PageSize }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max64(a, b VAddr) VAddr {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func min64(a, b VAddr) VAddr {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -2,6 +2,7 @@ package mem
 
 import (
 	"bytes"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -110,20 +111,67 @@ func TestZeroFill(t *testing.T) {
 	}
 }
 
+// TestFaultPanics pins the fault contract of every accessor: an access that
+// touches an unmapped byte panics with a *Fault naming the first unmapped
+// byte and the access direction, and changes nothing on the way.
 func TestFaultPanics(t *testing.T) {
 	as := NewAddressSpace()
 	mustMap(t, as, 0x1000, 1, KindMmap, "a")
+	// Two adjacent mappings ending in a hole: a bulk access walks both.
+	mustMap(t, as, 0x4000, 2, KindMmap, "b")
+	mustMap(t, as, 0x6000, 1, KindMmap, "c")
+	for a := VAddr(0x1000); a < 0x2000; a += 8 {
+		as.WriteU64(a, uint64(a))
+	}
+	for a := VAddr(0x4000); a < 0x7000; a += 8 {
+		as.WriteU64(a, uint64(a))
+	}
 	cases := []struct {
 		name string
+		addr VAddr // the first unmapped byte
+		op   string
 		fn   func()
 	}{
-		{"read unmapped", func() { as.ReadU64(0x9000) }},
-		{"write unmapped", func() { as.WriteU64(0x9000, 1) }},
-		{"read null", func() { as.ReadU8(NullPtr) }},
-		{"read straddles end", func() { as.ReadBytes(0x1ffc, 8) }},
-		{"bulk write past end", func() { as.WriteAt(0x1f00, make([]byte, 512)) }},
+		{"ReadU8 unmapped", 0x9000, "read", func() { as.ReadU8(0x9000) }},
+		{"WriteU8 unmapped", 0x9000, "write", func() { as.WriteU8(0x9000, 1) }},
+		{"ReadU32 unmapped", 0x9000, "read", func() { as.ReadU32(0x9000) }},
+		{"WriteU32 unmapped", 0x9000, "write", func() { as.WriteU32(0x9000, 1) }},
+		{"ReadU64 unmapped", 0x9000, "read", func() { as.ReadU64(0x9000) }},
+		{"WriteU64 unmapped", 0x9000, "write", func() { as.WriteU64(0x9000, 1) }},
+		{"ReadAt unmapped", 0x9000, "read", func() { as.ReadAt(0x9000, make([]byte, 16)) }},
+		{"WriteAt unmapped", 0x9000, "write", func() { as.WriteAt(0x9000, make([]byte, 16)) }},
+		{"Zero unmapped", 0x9000, "write", func() { as.Zero(0x9000, 16) }},
+		{"FlipBit unmapped", 0x9000, "write", func() { as.FlipBit(0x9000, 3) }},
+		{"ReadU8 null", NullPtr, "read", func() { as.ReadU8(NullPtr) }},
+		{"ReadU64 null", NullPtr, "read", func() { as.ReadU64(NullPtr) }},
+		{"WriteU64 null", NullPtr, "write", func() { as.WriteU64(NullPtr, 1) }},
+		{"empty ReadAt unmapped", 0x9000, "read", func() { as.ReadAt(0x9000, nil) }},
+		{"empty WriteAt unmapped", 0x9000, "write", func() { as.WriteAt(0x9000, nil) }},
+		{"empty Zero unmapped", 0x9000, "write", func() { as.Zero(0x9000, 0) }},
+		{"ReadU32 off the end", 0x2000, "read", func() { as.ReadU32(0x1ffe) }},
+		{"WriteU32 off the end", 0x2000, "write", func() { as.WriteU32(0x1ffe, 1) }},
+		{"ReadU64 off the end", 0x2000, "read", func() { as.ReadU64(0x1ffc) }},
+		{"WriteU64 off the end", 0x2000, "write", func() { as.WriteU64(0x1ffc, 1) }},
+		{"ReadAt off the end", 0x2000, "read", func() { as.ReadBytes(0x1ffc, 8) }},
+		{"WriteAt off the end", 0x2000, "write", func() { as.WriteAt(0x1f00, make([]byte, 512)) }},
+		{"Zero off the end", 0x2000, "write", func() { as.Zero(0x1f00, 512) }},
+		{"ReadAt across mappings off the end", 0x7000, "read", func() { as.ReadBytes(0x5ff0, 0x1020) }},
+		{"WriteAt across mappings off the end", 0x7000, "write", func() { as.WriteAt(0x5ff0, make([]byte, 0x1020)) }},
+		{"Zero across mappings off the end", 0x7000, "write", func() { as.Zero(0x5ff0, 0x1020) }},
+	}
+	type page struct {
+		data []byte
+		gen  uint64
+	}
+	state := func() []page {
+		var out []page
+		for _, a := range []VAddr{0x1000, 0x4000, 0x5000, 0x6000} {
+			out = append(out, page{as.ReadBytes(a, PageSize), as.PageGen(PageOf(a))})
+		}
+		return out
 	}
 	for _, tc := range cases {
+		before := state()
 		func() {
 			defer func() {
 				r := recover()
@@ -131,12 +179,22 @@ func TestFaultPanics(t *testing.T) {
 					t.Errorf("%s: no panic", tc.name)
 					return
 				}
-				if _, ok := r.(*Fault); !ok {
+				f, ok := r.(*Fault)
+				if !ok {
 					t.Errorf("%s: panic value %T, want *Fault", tc.name, r)
+					return
+				}
+				if f.Addr != tc.addr || f.Op != tc.op {
+					t.Errorf("%s: fault %s at %#x, want %s at %#x", tc.name, f.Op, uint64(f.Addr), tc.op, uint64(tc.addr))
 				}
 			}()
 			tc.fn()
 		}()
+		for i, p := range state() {
+			if !bytes.Equal(p.data, before[i].data) || p.gen != before[i].gen {
+				t.Errorf("%s: faulting access changed mapped page %d", tc.name, i)
+			}
+		}
 	}
 }
 
@@ -147,6 +205,29 @@ func TestContiguousMappingsSpanAccess(t *testing.T) {
 	as.WriteU64(0x1ffc, 0xdeadbeefcafef00d) // spans both mappings
 	if got := as.ReadU64(0x1ffc); got != 0xdeadbeefcafef00d {
 		t.Fatalf("adjacent-mapping access = %#x", got)
+	}
+	as.WriteU32(0x1ffe, 0x01020304)
+	if got := as.ReadU32(0x1ffe); got != 0x01020304 {
+		t.Fatalf("adjacent-mapping u32 access = %#x", got)
+	}
+	buf := make([]byte, 64)
+	for i := range buf {
+		buf[i] = byte(i + 1)
+	}
+	as.WriteAt(0x1fe0, buf)
+	if got := as.ReadBytes(0x1fe0, len(buf)); !bytes.Equal(got, buf) {
+		t.Fatalf("adjacent-mapping bulk access = %v", got)
+	}
+	as.Zero(0x1ff0, 32)
+	got := as.ReadBytes(0x1fe0, len(buf))
+	for i, b := range got {
+		want := buf[i]
+		if i >= 16 && i < 48 {
+			want = 0
+		}
+		if b != want {
+			t.Fatalf("after Zero across mappings byte %d = %d, want %d", i, b, want)
+		}
 	}
 }
 
@@ -201,11 +282,11 @@ func TestMovePagesZeroCopy(t *testing.T) {
 	dst := NewAddressSpace()
 	mustMap(t, src, 0x1000, 1, KindMmap, "a")
 	src.WriteU8(0x1000, 9)
-	f := src.frames[PageOf(0x1000)]
+	f := src.frameAt(PageOf(0x1000))
 	if _, err := src.MovePages(dst, 0x1000, 1); err != nil {
 		t.Fatal(err)
 	}
-	if dst.frames[PageOf(0x1000)] != f {
+	if dst.frameAt(PageOf(0x1000)) != f {
 		t.Fatal("MovePages copied the frame instead of moving the pointer")
 	}
 }
@@ -385,5 +466,55 @@ func TestUnmovePagesKeepsUnrelatedMappings(t *testing.T) {
 	}
 	if dst.Mapped(0x4000) {
 		t.Fatal("rolled-back mapping still present in destination")
+	}
+}
+
+// benchArenas maps 64 one-MiB arenas back to back, the way the heap lays out
+// its mmap arenas, writes every page, and draws random 8-byte-aligned
+// addresses across them (aligned like the heap's pointers and counters, so
+// no access crosses a page).
+func benchArenas(b *testing.B) (*AddressSpace, []VAddr) {
+	const (
+		base       = VAddr(0x1000_0000)
+		arenas     = 64
+		arenaBytes = 1 << 20
+	)
+	as := NewAddressSpace()
+	for i := 0; i < arenas; i++ {
+		if _, err := as.Map(base+VAddr(i)*arenaBytes, arenaBytes/PageSize, KindMmap, "heap.arena"); err != nil {
+			b.Fatal(err)
+		}
+	}
+	const span = arenas * arenaBytes
+	for a := base; a < base+span; a += PageSize {
+		as.WriteU64(a, uint64(a))
+	}
+	rng := rand.New(rand.NewSource(1))
+	addrs := make([]VAddr, 1<<14)
+	for i := range addrs {
+		addrs[i] = base + VAddr(rng.Int63n(span/8))*8
+	}
+	return as, addrs
+}
+
+var benchSink uint64
+
+func BenchmarkReadU64(b *testing.B) {
+	as, addrs := benchArenas(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	var sum uint64
+	for i := 0; i < b.N; i++ {
+		sum += as.ReadU64(addrs[i&(len(addrs)-1)])
+	}
+	benchSink = sum
+}
+
+func BenchmarkWriteU64(b *testing.B) {
+	as, addrs := benchArenas(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		as.WriteU64(addrs[i&(len(addrs)-1)], uint64(i))
 	}
 }

@@ -25,8 +25,8 @@ type domainRecord struct {
 	data []byte
 	// dirty is the frame's soft-dirty bit at first touch.
 	dirty bool
-	// existed reports whether a frame bookkeeping entry existed at all; when
-	// false, discard deletes the entry instead of restoring into it.
+	// existed reports whether the page had a frame at all; when false,
+	// discard clears the page-table slot instead of restoring into it.
 	existed bool
 }
 
@@ -41,7 +41,7 @@ const (
 	// Unmap touches every dropped page into the undo log first).
 	undoUnmap
 	// undoGrow records a Grow performed inside the domain: discard shrinks
-	// the mapping back.
+	// the mapping back, truncating its page table.
 	undoGrow
 )
 
@@ -113,20 +113,28 @@ func (as *AddressSpace) DiscardDomain() (int, error) {
 				return 0, fmt.Errorf("mem: DiscardDomain: %w", err)
 			}
 		case undoUnmap:
+			// Unmap dropped the page table; the page records below refill it.
+			u.m.ptes = make([]*Frame, u.m.Pages)
 			as.insert(u.m)
 		case undoGrow:
-			u.m.Pages -= u.extra
+			u.m.resize(u.m.Pages - u.extra)
 		}
 	}
 	for p, rec := range d.pages {
-		if !rec.existed {
-			delete(as.frames, p)
+		pte := as.resolve(VAddr(p) << PageShift)
+		if pte == nil {
+			// The page lay in a mapping the rollback removed or shrank
+			// away, so it had no frame before the domain either.
 			continue
 		}
-		f := as.frames[p]
+		if !rec.existed {
+			*pte = nil
+			continue
+		}
+		f := *pte
 		if f == nil {
 			f = &Frame{}
-			as.frames[p] = f
+			*pte = f
 		}
 		f.Data = rec.data
 		f.Dirty = rec.dirty
@@ -141,10 +149,11 @@ func (as *AddressSpace) DiscardDomain() (int, error) {
 	return len(d.pages), nil
 }
 
-// touch snapshots page p into the open domain's undo log before its first
-// mutation. Every write path calls it ahead of the write; it is a no-op when
-// no domain is open or the page was already captured.
-func (as *AddressSpace) touch(p PageNum) {
+// touch snapshots page p, whose frame is f (nil when it has none), into the
+// open domain's undo log before its first mutation. Every write path calls
+// it ahead of the write; it is a no-op when no domain is open or the page was
+// already captured.
+func (as *AddressSpace) touch(p PageNum, f *Frame) {
 	if as.domain == nil {
 		return
 	}
@@ -152,7 +161,7 @@ func (as *AddressSpace) touch(p PageNum) {
 		return
 	}
 	rec := domainRecord{}
-	if f, ok := as.frames[p]; ok {
+	if f != nil {
 		rec.existed = true
 		rec.dirty = f.Dirty
 		if f.Data != nil {

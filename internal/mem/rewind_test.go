@@ -144,6 +144,24 @@ func TestRewindDomainMappingRollback(t *testing.T) {
 	if _, err := as.Map(fresh, 1, KindMmap, "fresh2"); err != nil {
 		t.Fatalf("re-Map after rollback: %v", err)
 	}
+	// Growing the brk mapping again must not bring back the discarded tail:
+	// the re-grown pages are fresh, like pages that were never written.
+	if err := as.Grow(brk, 3); err != nil {
+		t.Fatal(err)
+	}
+	for i := 2; i < 5; i++ {
+		a := rwBase + VAddr(i)*PageSize
+		p := PageOf(a)
+		if got := as.ReadU64(a); got != 0 {
+			t.Fatalf("re-grown page %d reads %#x, want 0", i, got)
+		}
+		if as.PageResident(p) || as.PageDirty(p) {
+			t.Fatalf("re-grown page %d resident=%v dirty=%v, want neither", i, as.PageResident(p), as.PageDirty(p))
+		}
+		if g := as.PageGen(p); g != 0 {
+			t.Fatalf("re-grown page %d has PageGen %d, want 0", i, g)
+		}
+	}
 }
 
 func TestRewindDomainCommitKeepsWrites(t *testing.T) {

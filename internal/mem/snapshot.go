@@ -21,7 +21,7 @@ import (
 // Open returns the latest committed version in O(1) (a refcount bump under
 // the store mutex; the mutex handoff is also the happens-before edge that
 // publishes the frozen frames to reader goroutines). Release drops the ref;
-// a superseded version retires — its frame table is dropped so preserved
+// a superseded version retires — its page tables are dropped so preserved
 // pages don't leak — the moment its last reader releases it. The latest
 // version is always retained as the sharing base for the next Commit.
 //
@@ -45,8 +45,10 @@ type SnapshotVersion struct {
 	seq  uint64
 	view *AddressSpace
 	// gens records every page's generation stamp at commit time (resident or
-	// not), the basis for sharing unchanged pages with the next version.
-	gens map[PageNum]uint64
+	// not; 0 for a page without a frame), the basis for sharing unchanged
+	// pages with the next version. gens[i][j] belongs to page j of the
+	// view's mapping i, so it lines up with that mapping's page table.
+	gens [][]uint64
 	// maxGen is the highest generation visible at commit (write counter and
 	// frame stamps both); no frame in a frozen view may ever exceed it.
 	maxGen  uint64
@@ -67,6 +69,10 @@ func (s *SnapshotStore) Space() *AddressSpace { return s.as }
 // it. Must be called from the writer (the space must be quiescent for the
 // duration of the call). The previous latest retires immediately if no
 // reader holds it.
+//
+// It walks the live page tables in address order, building the view's own
+// tables beside them; the previous version is walked in step, so finding a
+// page's previous stamp takes no lookup.
 func (s *SnapshotStore) Commit() *SnapshotVersion {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -75,41 +81,44 @@ func (s *SnapshotStore) Commit() *SnapshotVersion {
 	s.nextSeq++
 	v := &SnapshotVersion{
 		seq:    s.nextSeq,
-		view:   NewAddressSpace(),
-		gens:   make(map[PageNum]uint64, len(s.as.frames)),
+		view:   &AddressSpace{ASLRBase: s.as.ASLRBase},
+		gens:   make([][]uint64, 0, len(s.as.mappings)),
 		maxGen: s.as.writeGen,
 	}
-	v.view.ASLRBase = s.as.ASLRBase
-
-	for p, f := range s.as.frames {
-		v.gens[p] = f.Gen
-		if f.Gen > v.maxGen {
-			v.maxGen = f.Gen
-		}
-		if prev != nil {
-			if pg, ok := prev.gens[p]; ok && pg == f.Gen {
-				// Unchanged since the previous version: share its frozen
-				// frame. A missing view entry means the page was (and still
-				// is) non-resident — residency can't change without a stamp.
-				if pf, ok := prev.view.frames[p]; ok {
-					v.view.frames[p] = pf
-				}
+	k := 0 // prev's walk position, see at
+	for _, m := range s.as.mappings {
+		nm := &Mapping{Start: m.Start, Pages: m.Pages, Kind: m.Kind, Name: m.Name, ptes: make([]*Frame, len(m.ptes))}
+		gens := make([]uint64, len(m.ptes))
+		first := PageOf(m.Start)
+		for i, f := range m.ptes {
+			if f == nil {
 				continue
 			}
-		}
-		v.changed++
-		if f.Data != nil {
-			v.view.frames[p] = &Frame{
-				Data: append([]byte(nil), f.Data...),
-				Gen:  f.Gen,
+			gens[i] = f.Gen
+			if f.Gen > v.maxGen {
+				v.maxGen = f.Gen
 			}
+			if prev != nil {
+				if pg, pf := prev.at(first+PageNum(i), &k); pg == f.Gen {
+					// Unchanged since the previous version: share its frozen
+					// frame. A nil one means the page was (and still is)
+					// non-resident — residency can't change without a stamp.
+					nm.ptes[i] = pf
+					continue
+				}
+			}
+			v.changed++
+			if f.Data != nil {
+				nm.ptes[i] = &Frame{
+					Data: append([]byte(nil), f.Data...),
+					Gen:  f.Gen,
+				}
+			}
+			// Non-resident pages get no frame: the view reads them as zeros,
+			// exactly like the live space.
 		}
-		// Non-resident pages get no frame: the view reads them as zeros,
-		// exactly like the live space.
-	}
-	for _, m := range s.as.mappings {
-		nm := *m
-		v.view.insert(&nm)
+		v.view.insert(nm)
+		v.gens = append(v.gens, gens)
 	}
 
 	s.latest = v
@@ -118,6 +127,21 @@ func (s *SnapshotStore) Commit() *SnapshotVersion {
 		s.retire(prev)
 	}
 	return v
+}
+
+// at returns page p's stamp at commit time (0 when it had no frame) and its
+// frozen frame. Successive calls must ask for ascending pages; *k carries
+// the walk's position in the view's mappings from one call to the next.
+func (v *SnapshotVersion) at(p PageNum, k *int) (uint64, *Frame) {
+	ms := v.view.mappings
+	for *k < len(ms) && PageOf(ms[*k].End()) <= p {
+		*k++
+	}
+	if *k == len(ms) || PageOf(ms[*k].Start) > p {
+		return 0, nil
+	}
+	i := p - PageOf(ms[*k].Start)
+	return v.gens[*k][i], ms[*k].ptes[i]
 }
 
 // Open returns the latest committed version with a reference held, or nil if
@@ -147,7 +171,7 @@ func (s *SnapshotStore) Release(v *SnapshotVersion) {
 	}
 }
 
-// retire drops a version's frame table and removes it from the live list.
+// retire drops a version's view and stamps and removes it from the live list.
 // Caller holds s.mu.
 func (s *SnapshotStore) retire(v *SnapshotVersion) {
 	if v.retired {
@@ -188,9 +212,7 @@ func (s *SnapshotStore) RetainedPages() int {
 	defer s.mu.Unlock()
 	seen := make(map[*Frame]struct{})
 	for _, v := range s.live {
-		for _, f := range v.view.frames {
-			seen[f] = struct{}{}
-		}
+		v.view.eachFrame(func(_ PageNum, f *Frame) { seen[f] = struct{}{} })
 	}
 	return len(seen)
 }
@@ -218,11 +240,12 @@ func (v *SnapshotVersion) CheckFrozen() error {
 	if view == nil {
 		return fmt.Errorf("mem: snapshot v%d already retired", v.seq)
 	}
-	for p, f := range view.frames {
-		if f.Gen > v.maxGen {
-			return fmt.Errorf("mem: snapshot v%d page %d gen %d exceeds commit horizon %d (live frame leaked into frozen view)",
+	var err error
+	view.eachFrame(func(p PageNum, f *Frame) {
+		if f.Gen > v.maxGen && err == nil {
+			err = fmt.Errorf("mem: snapshot v%d page %d gen %d exceeds commit horizon %d (live frame leaked into frozen view)",
 				v.seq, p, f.Gen, v.maxGen)
 		}
-	}
-	return nil
+	})
+	return err
 }

@@ -118,8 +118,7 @@ func TestSnapshotCheckFrozenCatchesLeakedFrame(t *testing.T) {
 
 	// Simulate the bug the oracle exists for: alias a live frame into the
 	// frozen view, then write through the live space.
-	p := PageOf(snapBase)
-	v.view.frames[p] = as.frames[p]
+	*v.view.resolve(snapBase) = *as.resolve(snapBase)
 	as.WriteU64(snapBase, 2)
 	if err := v.CheckFrozen(); err == nil {
 		t.Fatal("CheckFrozen missed a live frame aliased into the view")
