@@ -80,9 +80,11 @@ func BenchmarkPreserveExec(b *testing.B) {
 
 // BenchmarkPreserveCommit runs the incremental preserve_exec scenario over
 // the 10k-page set at 1% and 100% dirty. Wall clock measures the simulator;
-// the reported sim-ns metrics are the deterministic latencies the checked-in
-// BENCH_preserve.json trajectory gates, and the bench asserts the headline
-// acceptance criterion (>= 5x at 1% vs 100% dirty) every run.
+// the reported sim-ns metrics are the deterministic latencies phoenix-bench's
+// `preserve` entry prints and its golden output
+// (internal/experiments/testdata/golden/preserve.txt) pins, and the bench
+// asserts the headline acceptance criterion (>= 5x at 1% vs 100% dirty) every
+// run.
 func BenchmarkPreserveCommit(b *testing.B) {
 	for _, frac := range []struct {
 		name  string

@@ -1,5 +1,6 @@
 // Command phoenix-bench regenerates the paper's evaluation tables and
-// figures (see DESIGN.md's per-experiment index and EXPERIMENTS.md for the
+// figures, the design-choice ablations, and the preserve-path trajectory
+// (see DESIGN.md's per-experiment index and EXPERIMENTS.md for the
 // paper-vs-measured comparison).
 //
 // Usage:
@@ -8,8 +9,6 @@
 //	phoenix-bench -run fig10,tab7 # selected experiments
 //	phoenix-bench -quick          # reduced scale (CI-sized)
 //	phoenix-bench -list           # list experiment IDs
-//	phoenix-bench -preserve -out BENCH_preserve.json    # record the preserve trajectory
-//	phoenix-bench -preserve -check BENCH_preserve.json  # gate against the baseline
 package main
 
 import (
@@ -20,52 +19,31 @@ import (
 	"time"
 
 	"phoenix/internal/experiments"
-	"phoenix/internal/perftraj"
 )
 
 func main() {
 	var (
-		run       = flag.String("run", "", "comma-separated experiment IDs (default: all)")
-		quick     = flag.Bool("quick", false, "reduced workload sizes")
-		seed      = flag.Int64("seed", 1, "deterministic seed")
-		list      = flag.Bool("list", false, "list experiments and exit")
-		ablations = flag.Bool("ablations", false, "also run the design-choice ablations")
-		preserve  = flag.Bool("preserve", false, "collect the preserve-path perf trajectory instead of the experiments")
-		out       = flag.String("out", "", "with -preserve: write the trajectory JSON to this file")
-		check     = flag.String("check", "", "with -preserve: fail if any metric regresses >20% vs this baseline file")
+		run   = flag.String("run", "", "comma-separated experiment IDs (default: all)")
+		quick = flag.Bool("quick", false, "reduced workload sizes")
+		seed  = flag.Int64("seed", 1, "deterministic seed")
+		list  = flag.Bool("list", false, "list experiments and exit")
 	)
 	flag.Parse()
 
-	if *preserve {
-		preserveTrajectory(*out, *check)
-		return
-	}
-
-	all := experiments.All()
-	if *ablations || *run != "" {
-		all = append(all, experiments.Ablations()...)
-	}
-
 	if *list {
-		all = append(all, experiments.Ablations()...)
-		for _, e := range all {
+		for _, e := range experiments.All() {
 			fmt.Printf("%-12s %s\n", e.ID, e.Title)
 		}
 		return
 	}
 
-	want := map[string]bool{}
-	if *run != "" {
-		for _, id := range strings.Split(*run, ",") {
-			want[strings.TrimSpace(id)] = true
-		}
+	selected, err := selectRun(experiments.All(), *run)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "phoenix-bench: %v\n", err)
+		os.Exit(2)
 	}
-
 	failed := false
-	for _, e := range all {
-		if len(want) > 0 && !want[e.ID] {
-			continue
-		}
+	for _, e := range selected {
 		fmt.Printf("=== %s: %s ===\n", e.ID, e.Title)
 		start := time.Now()
 		err := e.Run(experiments.Options{Quick: *quick, Seed: *seed, Out: os.Stdout})
@@ -80,58 +58,39 @@ func main() {
 	}
 }
 
-// tolerance is the regression gate: a metric more than 20% slower than the
-// checked-in baseline fails the run.
-const tolerance = 0.20
-
-// preserveTrajectory collects the deterministic preserve-path metrics,
-// optionally records them to a baseline file, and optionally gates the run
-// against an existing baseline.
-func preserveTrajectory(out, check string) {
-	traj, err := perftraj.Collect()
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "perf trajectory: %v\n", err)
-		os.Exit(1)
+// selectRun returns the experiments named by the comma-separated -run list,
+// in registry order, or all of them when the list is empty. Any name that is
+// not a registry ID is an error naming it and listing the valid IDs.
+func selectRun(all []experiments.Experiment, run string) ([]experiments.Experiment, error) {
+	if run == "" {
+		return all, nil
 	}
-	fmt.Printf("preserve trajectory (schema v%d, %d pages, simulated clock):\n", traj.Schema, traj.Pages)
-	for _, m := range traj.Metrics {
-		fmt.Printf("  %-28s %12d sim-ns\n", m.Name, m.SimNanos)
+	known := map[string]bool{}
+	for _, e := range all {
+		known[e.ID] = true
 	}
-	if out != "" {
-		data, err := perftraj.Encode(traj)
-		if err == nil {
-			err = os.WriteFile(out, data, 0o644)
+	want := map[string]bool{}
+	var unknown []string
+	for _, id := range strings.Split(run, ",") {
+		id = strings.TrimSpace(id)
+		if !known[id] {
+			unknown = append(unknown, fmt.Sprintf("%q", id))
 		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "perf trajectory: write %s: %v\n", out, err)
-			os.Exit(1)
+		want[id] = true
+	}
+	if len(unknown) > 0 {
+		ids := make([]string, len(all))
+		for i, e := range all {
+			ids[i] = e.ID
 		}
-		fmt.Printf("wrote %s\n", out)
+		return nil, fmt.Errorf("unknown experiment %s; valid IDs: %s",
+			strings.Join(unknown, ", "), strings.Join(ids, ", "))
 	}
-	if check == "" {
-		return
-	}
-	data, err := os.ReadFile(check)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "perf trajectory: %v\n", err)
-		os.Exit(1)
-	}
-	base, err := perftraj.Decode(data)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "perf trajectory: baseline %s: %v\n", check, err)
-		os.Exit(1)
-	}
-	regs, err := perftraj.Compare(base, traj, tolerance)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "perf trajectory: compare: %v\n", err)
-		os.Exit(1)
-	}
-	if len(regs) > 0 {
-		for _, r := range regs {
-			fmt.Fprintf(os.Stderr, "REGRESSION %-28s %d -> %d sim-ns (%.2fx, gate %.0f%%)\n",
-				r.Name, r.BaselineNanos, r.CurrentNanos, r.Ratio, tolerance*100)
+	var out []experiments.Experiment
+	for _, e := range all {
+		if want[e.ID] {
+			out = append(out, e)
 		}
-		os.Exit(1)
 	}
-	fmt.Printf("no metric regressed >%.0f%% vs %s\n", tolerance*100, check)
+	return out, nil
 }

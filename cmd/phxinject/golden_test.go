@@ -1,14 +1,11 @@
 package main
 
 import (
-	"bytes"
-	"flag"
-	"os"
 	"path/filepath"
 	"testing"
-)
 
-var update = flag.Bool("update", false, "rewrite testdata/golden from the current campaign outputs")
+	"phoenix/internal/golden"
+)
 
 // TestCampaignGolden runs every campaign at its pinned configuration,
 // requires its contract check to pass, and byte-compares the -json report
@@ -26,33 +23,7 @@ func TestCampaignGolden(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			path := filepath.Join("testdata", "golden", c.name+".json")
-			if *update {
-				if err := os.WriteFile(path, got, 0o644); err != nil {
-					t.Fatal(err)
-				}
-				return
-			}
-			want, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(got, want) {
-				t.Fatalf("%s: output differs at byte offset %d (got %d bytes, want %d); rerun with -update to accept",
-					path, firstDiff(got, want), len(got), len(want))
-			}
+			golden.Check(t, filepath.Join("testdata", "golden", c.name+".json"), got)
 		})
 	}
-}
-
-// firstDiff returns the offset of the first byte where a and b differ (the
-// shorter length when one is a prefix of the other).
-func firstDiff(a, b []byte) int {
-	n := min(len(a), len(b))
-	for i := 0; i < n; i++ {
-		if a[i] != b[i] {
-			return i
-		}
-	}
-	return n
 }

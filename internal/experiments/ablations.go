@@ -25,57 +25,46 @@ import (
 //	abl-regions   — tight analyzer-derived unsafe regions vs conservative
 //	                whole-function regions (availability cost of imprecision)
 
-// Ablations returns the ablation registry (kept separate from All so the
-// default phoenix-bench run remains exactly the paper's artifact set).
-func Ablations() []Experiment {
-	return []Experiment{
-		{"abl-zerocopy", "Ablation: zero-copy PTE transfer vs page copying", RunAblZeroCopy},
-		{"abl-cleanup", "Ablation: post-restart mark-and-sweep cleanup on vs off", RunAblCleanup},
-		{"abl-regions", "Ablation: tight vs conservative unsafe-region instrumentation", RunAblRegions},
-	}
-}
-
 // RunAblZeroCopy compares the preserve_exec transfer mechanisms: moving
 // page-table entries (the paper's design) against physically copying every
 // preserved page (the fallback the kernel uses for partial pages, and what
 // a user-space implementation like the Facebook Scuba shared-memory restart
-// would pay, §5).
+// would pay, §5). Both sides pay the same integrity hashing and dirty-bit
+// scan, printed as the hashing column, so the ratio compares transfers only.
 func RunAblZeroCopy(o Options) error {
 	o.fill()
 	sizes := []int64{4 << 20, 64 << 20, 512 << 20}
 	if o.Quick {
 		sizes = sizes[:2]
 	}
-	fmt.Fprintf(o.Out, "%-12s %-14s %-14s %-8s\n", "preserved", "zero-copy", "page-copy", "ratio")
+	fmt.Fprintf(o.Out, "%-12s %-14s %-14s %-14s %-8s\n", "preserved", "zero-copy", "page-copy", "hashing", "ratio")
 	for _, size := range sizes {
-		moved, err := ablTransfer(o.Seed, size, false)
+		zeroCopy, pageCopy, hashing, err := ablTransfer(o.Seed, size)
 		if err != nil {
 			return err
 		}
-		copied, err := ablTransfer(o.Seed, size, true)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(o.Out, "%-12s %-14v %-14v %6.1fx\n",
-			fmtBytes(size), moved, copied, float64(copied)/float64(moved))
+		fmt.Fprintf(o.Out, "%-12s %-14v %-14v %-14v %6.1fx\n",
+			fmtBytes(size), zeroCopy, pageCopy, hashing, float64(pageCopy)/float64(zeroCopy))
 	}
 	return nil
 }
 
-// ablTransfer builds a process with `size` bytes of heap and restarts it
-// once, either zero-copy (preserve_exec) or via full page copies.
-func ablTransfer(seed, size int64, copyPages bool) (time.Duration, error) {
+// ablTransfer builds a process with `size` bytes of touched heap, restarts it
+// once through preserve_exec, and returns that zero-copy restart's time, the
+// time of a restart that copies the same pages instead, and the integrity
+// hashing both include.
+func ablTransfer(seed, size int64) (zeroCopy, pageCopy, hashing time.Duration, err error) {
 	m := kernel.NewMachine(seed)
 	b := linker.NewBuilder("abl", 0x0010_0000)
 	b.Var("cfg", 8, linker.SecData)
 	p, err := m.Spawn(b.Build())
 	if err != nil {
-		return 0, err
+		return 0, 0, 0, err
 	}
 	rt := core.Init(p, nil)
 	h, err := rt.OpenHeap(heap.Options{ArenaSize: 64 << 20, BrkMax: 1 << 20})
 	if err != nil {
-		return 0, err
+		return 0, 0, 0, err
 	}
 	const chunk = 32 << 20
 	for allocated := int64(0); allocated < size; {
@@ -85,10 +74,10 @@ func ablTransfer(seed, size int64, copyPages bool) (time.Duration, error) {
 		}
 		ptr := h.Alloc(int(n))
 		if ptr == mem.NullPtr {
-			return 0, fmt.Errorf("abl-zerocopy: allocation failed")
+			return 0, 0, 0, fmt.Errorf("abl-zerocopy: allocation failed")
 		}
-		// Touch one word per page so frames exist (copying cost depends on
-		// resident pages).
+		// Touch one word per page so frames exist (integrity hashing covers
+		// resident pages only).
 		for off := int64(0); off < n; off += mem.PageSize {
 			p.AS.WriteU64(ptr+mem.VAddr(off), 1)
 		}
@@ -97,26 +86,23 @@ func ablTransfer(seed, size int64, copyPages bool) (time.Duration, error) {
 	info := h.Alloc(16)
 
 	start := m.Clock.Now()
-	if !copyPages {
-		if _, err := rt.Restart(core.RestartPlan{InfoAddr: info, WithHeap: true}); err != nil {
-			return 0, err
-		}
-		return m.Clock.Now() - start, nil
+	np, err := rt.Restart(core.RestartPlan{InfoAddr: info, WithHeap: true})
+	if err != nil {
+		return 0, 0, 0, err
 	}
-	// Copy-based preservation: clone every preserved page into the new
-	// address space and charge the per-page copy cost.
-	dst := mem.NewAddressSpace()
-	pages := 0
-	for _, r := range h.PreservedRanges() {
-		n := mem.PagesFor(r.Len)
-		if _, err := p.AS.CopyPages(dst, r.Start, n, mem.KindMmap, "copy"); err != nil {
-			return 0, err
-		}
-		pages += n
+	zeroCopy = m.Clock.Now() - start
+	// preserve_exec charges PreserveExecDelta(moved, copied, hashed, moved)
+	// and nothing else, so the restart minus its hash-free terms is the
+	// hashing. The copy-based restart hashes and scans the same pages, and
+	// copies every moved page instead of moving it.
+	ho := np.Handoff()
+	hashing = zeroCopy - m.Model.PreserveExecDelta(ho.MovedPages, ho.CopiedPages, 0, ho.MovedPages)
+	if hashing < 0 || hashing%m.Model.ChecksumPerPage != 0 {
+		return 0, 0, 0, fmt.Errorf("abl-zerocopy: restart took %v, not a preserve_exec charge", zeroCopy)
 	}
-	m.Clock.Advance(m.Model.Exec() + m.Model.PhoenixFixed)
-	m.Clock.Advance(time.Duration(pages) * m.Model.PageCopy)
-	return m.Clock.Now() - start, nil
+	hashed := int(hashing / m.Model.ChecksumPerPage)
+	pageCopy = m.Model.PreserveExecDelta(0, ho.MovedPages+ho.CopiedPages, hashed, ho.MovedPages)
+	return zeroCopy, pageCopy, hashing, nil
 }
 
 // RunAblCleanup measures what the §3.4 mark-and-sweep cleanup costs at

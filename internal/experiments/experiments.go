@@ -50,7 +50,9 @@ type Experiment struct {
 	Run   func(o Options) error
 }
 
-// All returns the experiment registry in paper order.
+// All returns the experiment registry: the paper's tables and figures in
+// paper order, then the design-choice ablations and the preserve-path
+// trajectory, which go beyond the paper.
 func All() []Experiment {
 	return []Experiment{
 		{"tab1", "Table 1: real-world failure study taxonomy", RunTab1},
@@ -71,6 +73,10 @@ func All() []Experiment {
 		{"figshard", "Shard figure: sharded fabric availability with per-shard kills and preserve-riding live migration", RunFigShard},
 		{"figexplore", "Exploration campaign: randomized fault-schedule search with oracle checking and failing-seed shrinking", RunFigExplore},
 		{"figvet", "Vet differential: points-to preservation-safety verifier vs dynamic restart-audit ground truth", RunFigVet},
+		{"abl-zerocopy", "Ablation: zero-copy PTE transfer vs page copying", RunAblZeroCopy},
+		{"abl-cleanup", "Ablation: post-restart mark-and-sweep cleanup on vs off", RunAblCleanup},
+		{"abl-regions", "Ablation: tight vs conservative unsafe-region instrumentation", RunAblRegions},
+		{"preserve", "Preserve-path trajectory: preserve_exec, rewind, migration and serving costs on a 10k-page set", RunPreserve},
 	}
 }
 

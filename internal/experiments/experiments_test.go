@@ -3,18 +3,26 @@ package experiments
 import (
 	"bytes"
 	"fmt"
+	"path/filepath"
+	"slices"
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"phoenix/internal/golden"
+	"phoenix/internal/perftraj"
 	"phoenix/internal/recovery"
 )
 
-// TestRegistryComplete checks every paper table/figure has an experiment.
+// TestRegistryComplete checks every paper table/figure, ablation and the
+// preserve trajectory has an entry.
 func TestRegistryComplete(t *testing.T) {
 	want := []string{"tab1", "fig1", "fig9", "tab3", "tab4", "tab5",
 		"fig10", "fig11", "fig12", "fig13", "tab6", "tab7", "tab8", "tab9",
-		"figcluster", "figshard", "figexplore", "figvet"}
+		"figcluster", "figshard", "figexplore", "figvet",
+		"abl-zerocopy", "abl-cleanup", "abl-regions", "preserve"}
 	for _, id := range want {
 		if _, ok := ByID(id); !ok {
 			t.Errorf("missing experiment %s", id)
@@ -28,47 +36,88 @@ func TestRegistryComplete(t *testing.T) {
 	}
 }
 
-// runQuick executes one experiment at quick scale and returns its output.
-func runQuick(t *testing.T, id string) string {
-	t.Helper()
-	e, ok := ByID(id)
-	if !ok {
-		t.Fatalf("unknown experiment %s", id)
+// quickRuns holds each registry entry's output at -quick scale and seed 1.
+// An entry runs on first use, so the golden test and the claim checks below
+// share one run and no entry runs twice in a test binary.
+var quickRuns = func() map[string]func() (string, error) {
+	runs := map[string]func() (string, error){}
+	for _, e := range All() {
+		runs[e.ID] = sync.OnceValues(func() (string, error) {
+			var buf bytes.Buffer
+			err := e.Run(Options{Quick: true, Seed: 1, Out: &buf})
+			return buf.String(), err
+		})
 	}
-	var buf bytes.Buffer
-	if err := e.Run(Options{Quick: true, Seed: 1, Out: &buf}); err != nil {
+	return runs
+}()
+
+// quickOutput returns the quick output of registry entry id.
+func quickOutput(t *testing.T, id string) string {
+	t.Helper()
+	if testing.Short() {
+		t.Skip("quick experiment runs skipped in -short mode")
+	}
+	out, err := quickRuns[id]()
+	if err != nil {
 		t.Fatalf("%s: %v", id, err)
 	}
-	return buf.String()
+	return out
 }
 
-func TestStaticTables(t *testing.T) {
-	if out := runQuick(t, "tab1"); !strings.Contains(out, "87.5%") {
-		t.Fatalf("tab1 missing finding-1 percentage:\n%s", out)
-	}
-	if out := runQuick(t, "tab3"); !strings.Contains(out, "Skiplist") {
-		t.Fatalf("tab3 incomplete:\n%s", out)
-	}
-	if out := runQuick(t, "tab5"); strings.Count(out, "\n") < 17 {
-		t.Fatalf("tab5 incomplete:\n%s", out)
-	}
-	if out := runQuick(t, "tab6"); !strings.Contains(out, "comparison-inversion") {
-		t.Fatalf("tab6 incomplete:\n%s", out)
-	}
-	if out := runQuick(t, "tab4"); !strings.Contains(out, "phx_stage") {
-		t.Fatalf("tab4 incomplete:\n%s", out)
+// TestGolden byte-compares every registry entry's quick output with
+// testdata/golden/<id>.txt. Every printed figure is a pure function of the
+// code, so any change in behaviour shows up here as a diff naming the file
+// and its first differing line; `go test ./internal/experiments -update`
+// accepts it by rewriting the files whose output changed. Entries share no
+// state, so they run in parallel.
+func TestGolden(t *testing.T) {
+	for _, e := range All() {
+		t.Run(e.ID, func(t *testing.T) {
+			t.Parallel()
+			golden.Check(t, filepath.Join("testdata", "golden", e.ID+".txt"), []byte(quickOutput(t, e.ID)))
+		})
 	}
 }
 
-func TestFig9Shape(t *testing.T) {
-	out := runQuick(t, "fig9")
-	if !strings.Contains(out, "64KiB") || !strings.Contains(out, "1GiB") {
-		t.Fatalf("fig9 sizes missing:\n%s", out)
+// rows returns the whitespace-split fields of every output line whose first
+// field is key.
+func rows(out, key string) [][]string {
+	var rs [][]string
+	for _, line := range strings.Split(out, "\n") {
+		if f := strings.Fields(line); len(f) > 0 && f[0] == key {
+			rs = append(rs, f)
+		}
 	}
-	// Baseline column present and constant.
-	if !strings.Contains(out, "1.02ms") {
-		t.Fatalf("fig9 baseline missing:\n%s", out)
+	return rs
+}
+
+// oneRow returns the only output line starting with key, split into fields,
+// and fails unless it has n fields.
+func oneRow(t *testing.T, out, key string, n int) []string {
+	t.Helper()
+	rs := rows(out, key)
+	if len(rs) != 1 || len(rs[0]) != n {
+		t.Fatalf("want one %d-field %q row, got %q in:\n%s", n, key, rs, out)
 	}
+	return rs[0]
+}
+
+func parseDur(t *testing.T, s string) time.Duration {
+	t.Helper()
+	d, err := time.ParseDuration(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
+func parseFloat(t *testing.T, s string) float64 {
+	t.Helper()
+	f, err := strconv.ParseFloat(s, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f
 }
 
 func TestBuildSystemAllNames(t *testing.T) {
@@ -89,218 +138,256 @@ func TestBuildSystemAllNames(t *testing.T) {
 	}
 }
 
-// TestFig12Shape runs the Redis mechanism comparison and checks the ordering
-// claims the paper makes.
-func TestFig12Shape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
+// TestFig9Shape checks Figure 9's shape: the plain-restart baseline is the
+// same at every size, and PHOENIX's restart latency rises with the preserved
+// size.
+func TestFig9Shape(t *testing.T) {
+	lines := strings.Split(strings.TrimSpace(quickOutput(t, "fig9")), "\n")[1:]
+	if len(lines) != 7 {
+		t.Fatalf("fig9 printed %d sizes, want 7", len(lines))
 	}
-	warm, observe := fig1Windows(Options{Quick: true})
-	results := map[recovery.Mode]time.Duration{}
-	avail := map[recovery.Mode]float64{}
-	for _, mode := range []recovery.Mode{recovery.ModeVanilla, recovery.ModeBuiltin, recovery.ModePhoenix} {
-		cfg := recovery.Config{Mode: mode, UnsafeRegions: mode == recovery.ModePhoenix, WatchdogTimeout: 2 * time.Second}
-		if mode != recovery.ModeVanilla {
-			cfg.CheckpointInterval = warm / 2
+	var prev time.Duration
+	for _, line := range lines {
+		f := strings.Fields(line) // preserved, phoenix, baseline
+		if len(f) != 3 {
+			t.Fatalf("bad fig9 row %q", line)
 		}
-		sh, err := buildBigKV(cfg, Options{Quick: true, Seed: 1})
-		if err != nil {
-			t.Fatal(err)
+		if f[2] != strings.Fields(lines[0])[2] {
+			t.Errorf("baseline moved with the preserved size: %s", line)
 		}
-		if err := sh.h.RunUntil(sh.h.M.Clock.Now() + warm + warm/5); err != nil {
-			t.Fatal(err)
-		}
-		sh.arm("R4")
-		if err := sh.h.RunUntil(sh.h.M.Clock.Now() + observe); err != nil {
-			t.Fatal(err)
-		}
-		sum := sh.h.TL.Summarize()
-		results[mode] = sum.Downtime
-		avail[mode] = sum.FifthSecond
-	}
-	// PHOENIX downtime at or below every alternative.
-	if results[recovery.ModePhoenix] > results[recovery.ModeVanilla] ||
-		results[recovery.ModePhoenix] > results[recovery.ModeBuiltin] {
-		t.Fatalf("phoenix downtime not best: %v", results)
-	}
-	// Vanilla's 5-second availability far below PHOENIX's.
-	if avail[recovery.ModeVanilla] > avail[recovery.ModePhoenix]*0.8 {
-		t.Fatalf("vanilla availability suspiciously high: %v", avail)
-	}
-}
-
-// TestTab7Smoke runs a tiny injection campaign end to end.
-func TestTab7Smoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
-	}
-	out := runQuick(t, "tab7")
-	if !strings.Contains(out, "kvstore") || !strings.Contains(out, "Sum") {
-		t.Fatalf("tab7 incomplete:\n%s", out)
-	}
-	// The U configuration must never show additional corruption.
-	for _, line := range strings.Split(out, "\n") {
-		fields := strings.Fields(line)
-		if len(fields) >= 9 && fields[1] == "U" {
-			if fields[6] != "0" {
-				t.Fatalf("U config with additional corruption:\n%s", out)
-			}
+		if d := parseDur(t, f[1]); d <= prev {
+			t.Errorf("restart latency did not rise: %s", line)
+		} else {
+			prev = d
 		}
 	}
 }
 
-// TestAblations runs each ablation and checks its headline claim.
-func TestAblations(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
-	}
-	if len(Ablations()) != 3 {
-		t.Fatalf("ablation registry = %d", len(Ablations()))
-	}
-	run := func(id string) string {
-		t.Helper()
-		for _, e := range Ablations() {
-			if e.ID == id {
-				var buf bytes.Buffer
-				if err := e.Run(Options{Quick: true, Seed: 1, Out: &buf}); err != nil {
-					t.Fatalf("%s: %v", id, err)
-				}
-				return buf.String()
-			}
-		}
-		t.Fatalf("unknown ablation %s", id)
-		return ""
-	}
-	// Zero-copy must beat page copying.
-	out := run("abl-zerocopy")
-	if !strings.Contains(out, "x") || strings.Contains(out, "0.") && strings.Contains(out, " 0.9x") {
-		t.Fatalf("abl-zerocopy output:\n%s", out)
-	}
-	// Cleanup must reclaim memory.
-	out = run("abl-cleanup")
-	if !strings.Contains(out, "true") || !strings.Contains(out, "false") {
-		t.Fatalf("abl-cleanup output:\n%s", out)
-	}
-	// Precision: the analyzer placement must reject strictly fewer crashes
-	// than critical-section-style blanket marking.
-	out = run("abl-regions")
-	var tightPct, critPct float64
-	for _, line := range strings.Split(out, "\n") {
-		var crashes, unsafeCnt int
-		var pct float64
-		if n, _ := fmt.Sscanf(line, "analyzer %d %d %f%%", &crashes, &unsafeCnt, &pct); n == 3 {
-			tightPct = pct
-		}
-		if n, _ := fmt.Sscanf(line, "crit-section %d %d %f%%", &crashes, &unsafeCnt, &pct); n == 3 {
-			critPct = pct
-		}
-	}
-	if tightPct == 0 || critPct == 0 || tightPct >= critPct {
-		t.Fatalf("precision ablation: analyzer %.1f%% vs crit-section %.1f%%\n%s", tightPct, critPct, out)
-	}
-}
-
-// TestTab9Smoke checks the reuse accounting is sane.
-func TestTab9Smoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
-	}
-	out := runQuick(t, "tab9")
-	for _, sys := range []string{"kvstore", "lsmdb", "boost", "particle"} {
-		if !strings.Contains(out, sys) {
-			t.Fatalf("tab9 missing %s:\n%s", sys, out)
-		}
-	}
-	// No reuse ratio above 100%.
-	if strings.Contains(out, "1000.") || strings.Contains(out, "((") {
-		t.Fatalf("tab9 implausible:\n%s", out)
-	}
-}
-
-// TestFig11Smoke checks the Varnish deadlock scenario end to end.
+// TestFig11Smoke checks Figure 11's claim: PHOENIX discards the deadlocked
+// requests but keeps the cache, so its downtime is the lowest and its
+// 5-second availability the highest of the three mechanisms.
 func TestFig11Smoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
-	}
-	out := runQuick(t, "fig11")
-	if !strings.Contains(out, "PHOENIX") || !strings.Contains(out, "Vanilla") {
-		t.Fatalf("fig11 incomplete:\n%s", out)
-	}
-}
-
-// TestFig13Smoke checks the progress-recovery scenario: PHOENIX must report
-// zero recomputed iterations.
-func TestFig13Smoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
-	}
-	out := runQuick(t, "fig13")
-	found := false
-	for _, line := range strings.Split(out, "\n") {
-		if strings.HasPrefix(line, "PHOENIX") && strings.Contains(line, "0 iters") {
-			found = true
+	out := quickOutput(t, "fig11")
+	ph := oneRow(t, out, "PHOENIX", 4) // mode, downtime, 5s-avail, 90%-rec
+	for _, mode := range []string{"Vanilla", "CRIU"} {
+		r := oneRow(t, out, mode, 4)
+		if parseDur(t, ph[1]) > parseDur(t, r[1]) || parseFloat(t, ph[2]) < parseFloat(t, r[2]) {
+			t.Errorf("PHOENIX %q not ahead of %q", ph, r)
 		}
 	}
-	if !found {
-		t.Fatalf("phoenix recomputed work:\n%s", out)
+}
+
+// TestFig12Shape checks the ordering claims the paper makes on Figure 12:
+// PHOENIX's downtime is at or below vanilla's and builtin's, and vanilla's
+// 5-second availability is far below PHOENIX's.
+func TestFig12Shape(t *testing.T) {
+	out := quickOutput(t, "fig12")
+	downtime := map[string]time.Duration{}
+	avail := map[string]float64{}
+	for _, mode := range []string{"Vanilla", "Builtin", "PHOENIX"} {
+		r := oneRow(t, out, mode, 4) // mode, downtime, 5s-avail, 90%-rec
+		downtime[mode] = parseDur(t, r[1])
+		avail[mode] = parseFloat(t, r[2])
+	}
+	if downtime["PHOENIX"] > downtime["Vanilla"] || downtime["PHOENIX"] > downtime["Builtin"] {
+		t.Errorf("phoenix downtime not best: %v", downtime)
+	}
+	if avail["Vanilla"] > avail["PHOENIX"]*0.8 {
+		t.Errorf("vanilla 5s-availability not below 0.8x phoenix's: %v", avail)
 	}
 }
 
-// TestFigExploreSmoke runs the quick exploration sweep: the summary must
-// cover both execution modes, and any violating seed must report a shrunk
-// minimal schedule.
-func TestFigExploreSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
+// TestTab7Smoke checks Table 7's claim that the U configuration (unsafe
+// regions, no cross-check) adds no corruption beyond vanilla's.
+func TestTab7Smoke(t *testing.T) {
+	out := quickOutput(t, "tab7")
+	u := 0
+	for _, line := range strings.Split(out, "\n") {
+		// system cfg Rec Chk Fbk Rate Add Shd Sil attempts
+		if f := strings.Fields(line); len(f) == 10 && f[1] == "U" {
+			u++
+			if f[6] != "0" {
+				t.Errorf("U config with additional corruption: %s", line)
+			}
+		}
 	}
-	out := runQuick(t, "figexplore")
-	if !strings.Contains(out, "explore: 50 seeds") {
-		t.Fatalf("figexplore did not run the quick sweep:\n%s", out)
-	}
-	if !strings.Contains(out, "modes: single=") || strings.Contains(out, "cluster=0") {
-		t.Fatalf("quick sweep never drew a cluster schedule:\n%s", out)
-	}
-	if strings.Contains(out, "violating") && !strings.Contains(out, ": 0 violating") &&
-		!strings.Contains(out, "minimal:") {
-		t.Fatalf("violating seeds without minimal schedules:\n%s", out)
-	}
-}
-
-// TestFigVetSmoke runs the quick vet differential: every model must verify
-// clean, the campaign must agree end to end, and every mutant line must show
-// both static flagging and dynamic manifestation.
-func TestFigVetSmoke(t *testing.T) {
-	out := runQuick(t, "figvet")
-	if !strings.Contains(out, "vet: 50 seeds") {
-		t.Fatalf("figvet did not run the quick sweep:\n%s", out)
-	}
-	if !strings.Contains(out, "static/dynamic AGREE") {
-		t.Fatalf("figvet campaign disagreed:\n%s", out)
-	}
-	if strings.Contains(out, "clean=false") || strings.Contains(out, "flagged=false") {
-		t.Fatalf("figvet model not clean or mutant unflagged:\n%s", out)
-	}
-	if strings.Count(out, "mutant ") < 5 {
-		t.Fatalf("figvet exercised fewer than 5 mutants:\n%s", out)
+	if u != 4 {
+		t.Fatalf("found %d U rows, want 4:\n%s", u, out)
 	}
 }
 
-// TestFigShardSmoke runs the quick sharded-fabric comparison: the contract
-// check inside CheckShard does the heavy lifting; here we require the
-// figure's own lines — per-shard kill windows all recovered and at least
-// one completed migration with its delta trajectory.
+// TestTab9Smoke checks the memory-reuse accounting: every system reports,
+// and none preserves more than its footprint.
+func TestTab9Smoke(t *testing.T) {
+	out := quickOutput(t, "tab9")
+	for _, sys := range []string{"kvstore", "lsmdb", "webcache-varnish", "webcache-squid", "boost", "particle"} {
+		r := oneRow(t, out, sys, 5) // system, footprint, preserved, cleanup, reuse
+		if reuse := parseFloat(t, strings.TrimSuffix(r[4], "%")); reuse <= 0 || reuse > 100 {
+			t.Errorf("%s reuses %.1f%% of its footprint", sys, reuse)
+		}
+	}
+}
+
+// TestFig13Smoke checks the progress-recovery claim: PHOENIX resumes within
+// the crashed iteration and recomputes none.
+func TestFig13Smoke(t *testing.T) {
+	// mode, at-crash, downtime, recomputed ("<n> iters"), final-iters
+	r := oneRow(t, quickOutput(t, "fig13"), "PHOENIX", 6)
+	if r[3] != "0" || r[4] != "iters" {
+		t.Fatalf("phoenix recomputed work: %q", r)
+	}
+}
+
+// TestFigShardSmoke checks the sharded fabric's recovery claims: every
+// PHOENIX shard kill window closes with the shard recovered, and a live
+// migration completes.
 func TestFigShardSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
+	out := quickOutput(t, "figshard")
+	windows, moves := 0, 0
+	for _, f := range rows(out, "phoenix") {
+		switch f[1] {
+		case "shard":
+			windows++
+			if f[len(f)-1] != "(recovered)" {
+				t.Errorf("kill window left open: %q", f)
+			}
+		case "move":
+			moves++
+		}
 	}
-	out := runQuick(t, "figshard")
-	if !strings.Contains(out, "kvstore") || !strings.Contains(out, "PHOENIX") {
-		t.Fatalf("figshard incomplete:\n%s", out)
+	if windows == 0 || moves == 0 {
+		t.Fatalf("%d kill windows and %d completed moves:\n%s", windows, moves, out)
 	}
-	if strings.Contains(out, "unrecovered at run end") {
-		t.Fatalf("figshard left a kill window open:\n%s", out)
+}
+
+// TestFigExploreSmoke checks the quick exploration sweep: it draws both
+// single-harness and cluster schedules, and every violating seed is shrunk
+// to a minimal schedule.
+func TestFigExploreSmoke(t *testing.T) {
+	out := quickOutput(t, "figexplore")
+	var single, cluster int
+	modes := oneRow(t, out, "modes:", 3)
+	if _, err := fmt.Sscanf(modes[1]+" "+modes[2], "single=%d cluster=%d", &single, &cluster); err != nil || single == 0 || cluster == 0 {
+		t.Errorf("sweep did not draw both modes: %q", modes)
 	}
-	if !strings.Contains(out, "delta rounds") {
-		t.Fatalf("figshard reports no completed migration:\n%s", out)
+	for _, f := range rows(out, "seed") {
+		if !slices.Contains(f, "minimal:") {
+			t.Errorf("violating seed without a minimal schedule: %q", f)
+		}
+	}
+}
+
+// TestFigVetSmoke checks the vet differential's verdicts: every model
+// verifies clean, the verifier flags every seeded mutant, and its static
+// verdicts agree with the dynamic restart audit.
+func TestFigVetSmoke(t *testing.T) {
+	out := quickOutput(t, "figvet")
+	clean, flagged := 0, 0
+	for _, f := range strings.Fields(out) {
+		switch f {
+		case "clean=true":
+			clean++
+		case "flagged=true":
+			flagged++
+		case "clean=false", "flagged=false":
+			t.Errorf("figvet reports %s", f)
+		}
+	}
+	// Five models, each verified statically and then by the campaign.
+	if clean != 10 || flagged < 5 {
+		t.Errorf("%d clean verdicts (want 10) and %d flagged mutants (want >= 5)", clean, flagged)
+	}
+	if v := oneRow(t, out, "vet:", 7); v[6] != "AGREE" {
+		t.Errorf("static and dynamic verdicts disagree: %q", v)
+	}
+}
+
+// TestAblations checks each ablation's ordering claim: moving PTEs beats
+// copying pages at every size, and the analyzer's unsafe-region placement
+// rejects fewer crashes than critical-section-style blanket marking.
+func TestAblations(t *testing.T) {
+	sizes := 0
+	for _, line := range strings.Split(quickOutput(t, "abl-zerocopy"), "\n")[1:] {
+		f := strings.Fields(line) // preserved, zero-copy, page-copy, hashing, ratio
+		if len(f) != 5 {
+			continue
+		}
+		sizes++
+		if zero, cp := parseDur(t, f[1]), parseDur(t, f[2]); cp <= zero {
+			t.Errorf("page copying (%v) not slower than zero-copy (%v) at %s", cp, zero, f[0])
+		}
+	}
+	if sizes != 2 {
+		t.Errorf("abl-zerocopy printed %d sizes, want 2", sizes)
+	}
+
+	out := quickOutput(t, "abl-regions")
+	pct := map[string]float64{}
+	for _, name := range []string{"analyzer", "crit-section"} {
+		r := oneRow(t, out, name, 4) // placement, crashes, unsafe, rejected%
+		pct[name] = parseFloat(t, strings.TrimSuffix(r[3], "%"))
+	}
+	if pct["analyzer"] == 0 || pct["analyzer"] >= pct["crit-section"] {
+		t.Fatalf("precision ablation: analyzer %.1f%% vs crit-section %.1f%%", pct["analyzer"], pct["crit-section"])
+	}
+}
+
+// preserveMetrics parses the preserve entry's output into its 22 metrics,
+// each of which must be positive.
+func preserveMetrics(t *testing.T) map[string]int64 {
+	t.Helper()
+	out := quickOutput(t, "preserve")
+	ms := map[string]int64{}
+	for _, line := range strings.Split(out, "\n")[1:] {
+		var name, unit string
+		var v int64
+		if n, _ := fmt.Sscanf(line, "%s %d %s", &name, &v, &unit); n != 3 {
+			continue
+		}
+		if v <= 0 {
+			t.Errorf("metric %s is non-positive: %d %s", name, v, unit)
+		}
+		ms[name] = v
+	}
+	if len(ms) != 22 {
+		t.Fatalf("parsed %d metrics, want 22:\n%s", len(ms), out)
+	}
+	return ms
+}
+
+// TestIncrementalSpeedup pins the incremental-preservation claim: preserve
+// commit at 1% dirty is at least 5x cheaper than at 100% dirty for the
+// 10k-page set, and a fully dirty incremental commit costs no more than the
+// cold one.
+func TestIncrementalSpeedup(t *testing.T) {
+	ms := preserveMetrics(t)
+	d1, d100, full := ms["preserve_commit_dirty_1pct"], ms["preserve_commit_dirty_100pct"], ms["preserve_commit_full"]
+	if ratio := float64(d100) / float64(d1); ratio < 5 {
+		t.Errorf("1%% dirty commit only %.1fx cheaper than 100%% (want >= 5x): %d vs %d ns", ratio, d1, d100)
+	}
+	if d100 > full {
+		t.Errorf("100%% dirty incremental commit (%d) slower than the cold full commit (%d)", d100, full)
+	}
+}
+
+// TestMigrationCutoverScaling pins the live-migration claim the shard fabric
+// rides: the cutover freeze window at a 1% final delta is far smaller than
+// the degenerate stop-and-copy cutover at 100%, the steady-state delta round
+// beats the first full-copy round, and the round trip ships the full set
+// once plus two 1% deltas in three rounds.
+func TestMigrationCutoverScaling(t *testing.T) {
+	ms := preserveMetrics(t)
+	c1, c100 := ms["migrate_cutover_dirty_1pct"], ms["migrate_cutover_dirty_100pct"]
+	if ratio := float64(c100) / float64(c1); ratio < 3 {
+		t.Errorf("1%%-delta cutover only %.1fx faster than stop-and-copy (want >= 3x): %d vs %d ns", ratio, c1, c100)
+	}
+	if delta, first := ms["migrate_delta_round_1pct"], ms["migrate_first_round"]; delta >= first {
+		t.Errorf("steady-state round (%d ns) not cheaper than full-copy round (%d ns)", delta, first)
+	}
+	if r := ms["migrate_rounds_1pct"]; r != 3 {
+		t.Errorf("round trip ran %d rounds, want 3 (full, delta, cutover)", r)
+	}
+	if got, want := ms["migrate_pages_shipped_1pct"], int64(perftraj.Pages+2*perftraj.Pages/100); got != want {
+		t.Errorf("shipped %d pages, want %d (full set + two 1%% deltas)", got, want)
 	}
 }

@@ -24,7 +24,7 @@ func RunTab8(o Options) error {
 	o.fill()
 	window := 30 * time.Second
 	if o.Quick {
-		window = 8 * time.Second
+		window = 2 * time.Second
 	}
 	systems := []string{"kvstore", "lsmdb", "webcache-varnish", "webcache-squid", "boost", "particle"}
 	fmt.Fprintf(o.Out, "%-18s %10s %10s %10s\n", "system", "PHOENIX", "CRIU", "Builtin")

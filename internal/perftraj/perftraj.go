@@ -1,16 +1,14 @@
 // Package perftraj collects the preserve-path performance trajectory: a
-// small, schema-versioned set of simulated-clock metrics for the operations
-// the incremental-preservation work optimises (preserve_exec commit latency
-// at several dirty fractions, restart-to-first-request, live-migration delta
-// rounds and cutover windows, and the cost-model scan/fork terms). Because
-// every metric is read off the deterministic
-// simulation clock, the collected numbers are bit-stable across hosts and
-// runs — which is what lets a checked-in BENCH_preserve.json act as a CI
-// regression gate instead of a flaky wall-clock threshold.
+// small set of simulated-clock metrics for the operations the
+// incremental-preservation work optimises (preserve_exec commit latency at
+// several dirty fractions, restart-to-first-request, live-migration delta
+// rounds and cutover windows, and the cost-model scan/fork terms). Every
+// metric is read off the deterministic simulation clock, so the numbers are
+// bit-stable across hosts and runs: phoenix-bench's `preserve` entry prints
+// them, and its checked-in golden output pins them exactly.
 package perftraj
 
 import (
-	"encoding/json"
 	"fmt"
 	"time"
 
@@ -21,37 +19,17 @@ import (
 	"phoenix/internal/mem"
 )
 
-// SchemaVersion gates baseline comparisons: a trajectory written under a
-// different schema never silently compares against this code's metrics.
-const SchemaVersion = 1
-
 // Pages is the preserved-set size every scenario uses — large enough that
 // the O(pages) and O(dirty) terms separate cleanly.
 const Pages = 10000
 
-// Metric is one named measurement: simulated-clock nanoseconds for latency
-// metrics, or a raw count for the migrate_rounds/pages_shipped volume
-// metrics — both deterministic, both gated by the same regression ratio.
+// Metric is one named measurement: simulated-clock nanoseconds (Unit
+// "sim-ns") for latency metrics, or a raw count (Unit "count") for the
+// migrate_rounds/pages_shipped volume metrics.
 type Metric struct {
-	Name     string `json:"name"`
-	SimNanos int64  `json:"sim_nanos"`
-}
-
-// Trajectory is the full collected set, ordered deterministically.
-type Trajectory struct {
-	Schema  int      `json:"schema"`
-	Pages   int      `json:"pages"`
-	Metrics []Metric `json:"metrics"`
-}
-
-// Get returns a metric by name.
-func (t Trajectory) Get(name string) (int64, bool) {
-	for _, m := range t.Metrics {
-		if m.Name == name {
-			return m.SimNanos, true
-		}
-	}
-	return 0, false
+	Name  string
+	Value int64
+	Unit  string
 }
 
 // region is where scenarios map the preserved set.
@@ -150,9 +128,8 @@ func RewindDomainRoundTrip(pages, touched int) (begin, discard time.Duration, er
 
 // MigrationCosts accounts one live-migration round trip at a fixed dirty
 // fraction. Durations are simulated clock; Rounds and ShippedPages are
-// counts (stored in the trajectory under the same ratio gate — a convergence
-// regression shows up as a page-volume jump just as a cost-model regression
-// shows up as a latency jump).
+// counts, so a convergence regression shows up as a page-volume jump just as
+// a cost-model regression shows up as a latency jump.
 type MigrationCosts struct {
 	// FirstRound is the initial full-copy delta round: every page hashed
 	// and shipped while the source keeps serving.
@@ -336,24 +313,24 @@ func RestartToFirstRequest(pages int) (time.Duration, error) {
 	return m.Clock.Now() - t0, nil
 }
 
-// Collect runs every scenario and returns the trajectory.
-func Collect() (Trajectory, error) {
-	t := Trajectory{Schema: SchemaVersion, Pages: Pages}
+// Collect runs every scenario and returns its metrics in a fixed order.
+func Collect() ([]Metric, error) {
+	var out []Metric
 	add := func(name string, d time.Duration) {
-		t.Metrics = append(t.Metrics, Metric{Name: name, SimNanos: int64(d)})
+		out = append(out, Metric{Name: name, Value: int64(d), Unit: "sim-ns"})
 	}
 
 	full, d1, err := PreserveCommit(Pages, Pages/100) // 1% dirty
 	if err != nil {
-		return t, err
+		return nil, err
 	}
 	_, d10, err := PreserveCommit(Pages, Pages/10) // 10% dirty
 	if err != nil {
-		return t, err
+		return nil, err
 	}
 	_, d100, err := PreserveCommit(Pages, Pages) // 100% dirty
 	if err != nil {
-		return t, err
+		return nil, err
 	}
 	add("preserve_commit_full", full)
 	add("preserve_commit_dirty_1pct", d1)
@@ -362,17 +339,17 @@ func Collect() (Trajectory, error) {
 
 	restart, err := RestartToFirstRequest(Pages)
 	if err != nil {
-		return t, err
+		return nil, err
 	}
 	add("restart_to_first_request", restart)
 
 	begin, disc1, err := RewindDomainRoundTrip(Pages, Pages/100) // 1% touched
 	if err != nil {
-		return t, err
+		return nil, err
 	}
 	_, disc10, err := RewindDomainRoundTrip(Pages, Pages/10) // 10% touched
 	if err != nil {
-		return t, err
+		return nil, err
 	}
 	add("rewind_domain_begin", begin)
 	add("rewind_discard_touched_1pct", disc1)
@@ -380,23 +357,23 @@ func Collect() (Trajectory, error) {
 
 	// Live-migration trajectory: steady-state delta rounds and the cutover
 	// freeze window at 1% and 100% final delta. The count metrics (rounds,
-	// pages shipped) ride the same >tolerance ratio gate — a convergence
-	// regression inflates transfer volume even when per-page costs hold.
+	// pages shipped) catch a convergence regression, which inflates transfer
+	// volume even when per-page costs hold.
 	mc1, err := MigrationRoundTrip(Pages, Pages/100) // 1% write rate
 	if err != nil {
-		return t, err
+		return nil, err
 	}
 	mc100, err := MigrationRoundTrip(Pages, Pages) // degenerate stop-and-copy
 	if err != nil {
-		return t, err
+		return nil, err
 	}
 	add("migrate_first_round", mc1.FirstRound)
 	add("migrate_delta_round_1pct", mc1.DeltaRound)
 	add("migrate_cutover_dirty_1pct", mc1.Cutover)
 	add("migrate_cutover_dirty_100pct", mc100.Cutover)
-	t.Metrics = append(t.Metrics,
-		Metric{Name: "migrate_rounds_1pct", SimNanos: int64(mc1.Rounds)},
-		Metric{Name: "migrate_pages_shipped_1pct", SimNanos: int64(mc1.ShippedPages)})
+	out = append(out,
+		Metric{Name: "migrate_rounds_1pct", Value: int64(mc1.Rounds), Unit: "count"},
+		Metric{Name: "migrate_pages_shipped_1pct", Value: int64(mc1.ShippedPages), Unit: "count"})
 
 	// Cost-model terms the incremental path leans on, pinned so a model
 	// change shows up in the trajectory diff rather than only downstream.
@@ -411,7 +388,7 @@ func Collect() (Trajectory, error) {
 	for _, readers := range []int{1, 4, 16} {
 		d, err := SnapshotServeBatch(Pages, Pages/100, 128, readers)
 		if err != nil {
-			return t, err
+			return nil, err
 		}
 		add(fmt.Sprintf("serve_batch_128_x%d", readers), d)
 	}
@@ -420,64 +397,5 @@ func Collect() (Trajectory, error) {
 	// win must survive cost-model changes.
 	add("preserve_stage_serial", model.PreserveExecDelta(Pages, 0, Pages, Pages))
 	add("preserve_stage_parallel_4w", model.PreserveExecDeltaParallel(Pages, 0, Pages, Pages, 4))
-	return t, nil
-}
-
-// Regression is one metric that moved past the comparison tolerance.
-type Regression struct {
-	Name          string  `json:"name"`
-	BaselineNanos int64   `json:"baseline_nanos"`
-	CurrentNanos  int64   `json:"current_nanos"`
-	Ratio         float64 `json:"ratio"`
-}
-
-// Compare checks current against baseline: any metric slower than
-// baseline*(1+tolerance) is a regression, and a baseline metric missing from
-// current is an error (a renamed metric must update the baseline in the same
-// change). Improvements are not flagged — refreshing the checked-in baseline
-// on a win is deliberate, not forced.
-func Compare(baseline, current Trajectory, tolerance float64) ([]Regression, error) {
-	if baseline.Schema != current.Schema {
-		return nil, fmt.Errorf("perftraj: schema mismatch: baseline v%d vs current v%d", baseline.Schema, current.Schema)
-	}
-	if baseline.Pages != current.Pages {
-		return nil, fmt.Errorf("perftraj: page-count mismatch: baseline %d vs current %d", baseline.Pages, current.Pages)
-	}
-	var regs []Regression
-	for _, b := range baseline.Metrics {
-		cur, ok := current.Get(b.Name)
-		if !ok {
-			return nil, fmt.Errorf("perftraj: baseline metric %q missing from current trajectory", b.Name)
-		}
-		if b.SimNanos <= 0 {
-			return nil, fmt.Errorf("perftraj: baseline metric %q is non-positive (%d)", b.Name, b.SimNanos)
-		}
-		ratio := float64(cur) / float64(b.SimNanos)
-		if ratio > 1+tolerance {
-			regs = append(regs, Regression{Name: b.Name, BaselineNanos: b.SimNanos, CurrentNanos: cur, Ratio: ratio})
-		}
-	}
-	return regs, nil
-}
-
-// Encode renders the trajectory as stable, human-diffable JSON.
-func Encode(t Trajectory) ([]byte, error) {
-	data, err := json.MarshalIndent(t, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(data, '\n'), nil
-}
-
-// Decode parses a trajectory, rejecting unknown fields so baseline drift is
-// loud.
-func Decode(data []byte) (Trajectory, error) {
-	var t Trajectory
-	if err := json.Unmarshal(data, &t); err != nil {
-		return t, fmt.Errorf("perftraj: %w", err)
-	}
-	if t.Schema != SchemaVersion {
-		return t, fmt.Errorf("perftraj: unsupported schema v%d (this build speaks v%d)", t.Schema, SchemaVersion)
-	}
-	return t, nil
+	return out, nil
 }
