@@ -12,7 +12,7 @@
 //	crash         null-dereference crash (R3 class)
 //	hang          infinite loop, ended by the watchdog (R4 class)
 //	corrupt       unsanitized overwrite inside the unsafe region (R2 class)
-//	stats         harness statistics
+//	stats         harness statistics and the recovery's cleanup
 //	quit
 package main
 
@@ -24,6 +24,7 @@ import (
 	"time"
 
 	"phoenix/internal/apps/kvstore"
+	"phoenix/internal/core"
 	"phoenix/internal/kernel"
 	"phoenix/internal/recovery"
 	"phoenix/internal/workload"
@@ -50,15 +51,24 @@ func main() {
 	}
 	fmt.Println("phxkv — PHOENIX-protected KV store (type 'help')")
 
+	// Every command goes through ServeRequest, like any other client: a
+	// crash is recovered there, and a recovery's cleanup frees its garbage
+	// at the first request after its background pass.
 	exec := func(req *workload.Request) {
-		var ok, eff bool
-		ci := h.Proc().Run(func() { ok, eff = kv.Handle(req) })
-		if ci == nil {
+		failures := h.Stat.Failures
+		ok, eff, err := h.ServeRequest(req)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "recovery failed:", err)
+			os.Exit(1)
+		}
+		if h.Stat.Failures == failures {
 			fmt.Printf("ok=%v hit=%v (t=%v)\n", ok, eff, m.Clock.Now())
 			return
 		}
-		fmt.Printf("!! %s: %s\n", ci.Sig, ci.Reason)
-		recoverNow(h, m, ci)
+		crash := lastCrash(h)
+		fmt.Printf("!! %s\n", crash.Detail)
+		fmt.Printf("recovered in %v (simulated); phoenix restarts so far: %d, fallbacks: %d\n",
+			m.Clock.Now()-crash.At, h.Stat.PhoenixRestarts, h.Stat.UnsafeFallbacks)
 	}
 
 	sc := bufio.NewScanner(os.Stdin)
@@ -100,6 +110,7 @@ func main() {
 		case "stats":
 			fmt.Printf("phoenix restarts: %d, unsafe fallbacks: %d, failures: %d, sim time: %v\n",
 				h.Stat.PhoenixRestarts, h.Stat.UnsafeFallbacks, h.Stat.Failures, m.Clock.Now())
+			fmt.Println(cleanupStatus(h.Runtime().Cleanup()))
 		case "help":
 			fmt.Println("set K V | get K | del K | len | crash | hang | corrupt | stats | quit")
 		case "quit", "exit":
@@ -110,17 +121,23 @@ func main() {
 	}
 }
 
-// recoverNow mirrors the driver's failure handling for the REPL.
-func recoverNow(h *recovery.Harness, m *kernel.Machine, ci *kernel.CrashInfo) {
-	before := m.Clock.Now()
-	// Route through the harness by replaying the failure path: the harness
-	// only handles failures inside Step, so drive one no-op request whose
-	// handling begins with the recovery. Simplest correct route: use the
-	// internal handler via a synthetic step.
-	if err := h.HandleFailureForREPL(ci); err != nil {
-		fmt.Fprintln(os.Stderr, "recovery failed:", err)
-		os.Exit(1)
+// lastCrash returns the harness's most recent crash event.
+func lastCrash(h *recovery.Harness) recovery.Event {
+	for i := len(h.Stat.Events) - 1; i >= 0; i-- {
+		if e := h.Stat.Events[i]; e.Kind == recovery.EvCrash {
+			return e
+		}
 	}
-	fmt.Printf("recovered in %v (simulated); phoenix restarts so far: %d, fallbacks: %d\n",
-		m.Clock.Now()-before, h.Stat.PhoenixRestarts, h.Stat.UnsafeFallbacks)
+	return recovery.Event{}
+}
+
+// cleanupStatus describes the live incarnation's mark-and-sweep cleanup.
+func cleanupStatus(c *core.Cleanup) string {
+	switch {
+	case c == nil:
+		return "cleanup: none in this incarnation"
+	case !c.Reclaimed:
+		return fmt.Sprintf("cleanup: pending (fork %v); frees land at the first request at or after t=%v", c.Fork, c.Due)
+	}
+	return fmt.Sprintf("cleanup: reclaimed %d chunks (%d bytes) at t=%v", c.FreedChunks, c.FreedBytes, c.ReclaimedAt)
 }

@@ -45,8 +45,11 @@ func main() {
 	info := h.Alloc(16)
 	proc.AS.WritePtr(info, table.Addr())
 
-	// A request dereferences a null pointer — SIGSEGV.
+	// A request allocates a scratch buffer, then dereferences a null
+	// pointer — SIGSEGV. Nothing reaches the buffer after the crash: it is
+	// the garbage the successor's cleanup frees.
 	crash := proc.Run(func() {
+		h.Alloc(512)
 		proc.AS.ReadU64(phoenix.NullPtr + 8)
 	})
 	fmt.Printf("crash: %s (%s)\n", crash.Reason, crash.Sig)
@@ -78,9 +81,15 @@ func main() {
 	v, ok := recovered.Get([]byte("key-00042"))
 	fmt.Printf("lookup key-00042 -> %d (found=%v)\n", v, ok)
 
-	// Cleanup: mark what we keep, sweep the rest (phx_finish_recovery).
-	recovered.Mark(nil)
-	h2.Mark(rt2.RecoveryInfo())
-	freed, bytes := rt2.FinishRecovery(true)
-	fmt.Printf("cleanup freed %d chunks (%d bytes)\n", freed, bytes)
+	// Cleanup (phx_finish_recovery): the traversal marks what we keep. It
+	// runs on a copy-on-write fork in the background, so the restart window
+	// pays only the fork; AwaitCleanup waits for the background pass and
+	// frees the rest.
+	rt2.FinishRecovery(func() {
+		recovered.Mark(nil)
+		h2.Mark(rt2.RecoveryInfo())
+	})
+	c := rt2.AwaitCleanup()
+	fmt.Printf("cleanup: fork %v on the restart window; freed %d chunks (%d bytes) at t=%v\n",
+		c.Fork, c.FreedChunks, c.FreedBytes, c.ReclaimedAt)
 }

@@ -218,7 +218,7 @@ func (tr *Trainer) Main(rt *core.Runtime) error {
 		tr.vault = core.OpenStageVault(ctx, as.ReadPtr(hdr+offVault))
 		tr.stages = rt.NewStages(hdr + offTracker)
 		tr.repairComponents()
-		rt.FinishRecovery(false) // workspace dominates memory: skip cleanup (§4.2.2)
+		rt.FinishRecovery(nil) // workspace dominates memory: skip cleanup (§4.2.2)
 		return nil
 	}
 
@@ -262,7 +262,7 @@ func (tr *Trainer) Main(rt *core.Runtime) error {
 	if tr.persistence {
 		tr.loadCheckpoint(h)
 	}
-	rt.FinishRecovery(false)
+	rt.FinishRecovery(nil)
 	return nil
 }
 

@@ -42,7 +42,8 @@ type Config struct {
 	// RedoLog maintains the in-memory redo log needed by cross-check
 	// validation.
 	RedoLog bool
-	// Cleanup runs the mark-and-sweep pass during PHOENIX recovery.
+	// Cleanup runs the mark-and-sweep pass after a PHOENIX recovery, off
+	// the restart window (core.Cleanup).
 	Cleanup bool
 }
 
@@ -182,17 +183,18 @@ func (kv *KV) Main(rt *core.Runtime) error {
 		if !kv.dict.ValidateHeader() {
 			return fmt.Errorf("kvstore: preserved dictionary failed validation")
 		}
+		var mark func()
 		if kv.cfg.Cleanup {
-			kv.dict.Mark(func(val uint64) { h.Mark(mem.VAddr(val)) })
-			kv.markExpires()
-			if kv.redo != nil {
-				kv.redo.Mark()
+			mark = func() {
+				kv.dict.Mark(func(val uint64) { h.Mark(mem.VAddr(val)) })
+				kv.markExpires()
+				if kv.redo != nil {
+					kv.redo.Mark()
+				}
+				h.Mark(kv.info)
 			}
-			h.Mark(kv.info)
-			rt.FinishRecovery(true)
-		} else {
-			rt.FinishRecovery(false)
 		}
+		rt.FinishRecovery(mark)
 		return nil
 	}
 
@@ -213,7 +215,7 @@ func (kv *KV) Main(rt *core.Runtime) error {
 	if kv.persistence {
 		kv.loadRDB()
 	}
-	rt.FinishRecovery(false)
+	rt.FinishRecovery(nil)
 	return nil
 }
 

@@ -33,7 +33,8 @@ type Config struct {
 	// BootCost / PhoenixBootCost mirror kvstore's initialisation split.
 	BootCost        time.Duration
 	PhoenixBootCost time.Duration
-	// Cleanup runs mark-and-sweep during PHOENIX recovery.
+	// Cleanup runs mark-and-sweep after a PHOENIX recovery, off the restart
+	// window (core.Cleanup).
 	Cleanup bool
 }
 
@@ -169,13 +170,14 @@ func (db *DB) Main(rt *core.Runtime) error {
 		if !db.mt.ValidateHeader() {
 			return fmt.Errorf("lsmdb: preserved memtable failed validation")
 		}
+		var mark func()
 		if db.cfg.Cleanup {
-			db.mt.Mark()
-			h.Mark(db.info)
-			rt.FinishRecovery(true)
-		} else {
-			rt.FinishRecovery(false)
+			mark = func() {
+				db.mt.Mark()
+				h.Mark(db.info)
+			}
 		}
+		rt.FinishRecovery(mark)
 		return nil
 	}
 
@@ -189,7 +191,7 @@ func (db *DB) Main(rt *core.Runtime) error {
 	if db.persistence {
 		db.replayWAL()
 	}
-	rt.FinishRecovery(false)
+	rt.FinishRecovery(nil)
 	return nil
 }
 

@@ -176,7 +176,7 @@ func (s *Sim) Main(rt *core.Runtime) error {
 		ctx := simds.NewCtx(h, m.Clock, m.Model)
 		s.vault = core.OpenStageVault(ctx, as.ReadPtr(hdr+offVault))
 		s.stages = rt.NewStages(hdr + offTracker)
-		rt.FinishRecovery(false) // >90% of memory preserved: skip cleanup (§4.2.2)
+		rt.FinishRecovery(nil) // >90% of memory preserved: skip cleanup (§4.2.2)
 		return nil
 	}
 
@@ -223,7 +223,7 @@ func (s *Sim) Main(rt *core.Runtime) error {
 	if s.persistence {
 		s.loadCheckpoint()
 	}
-	rt.FinishRecovery(false)
+	rt.FinishRecovery(nil)
 	return nil
 }
 

@@ -59,7 +59,8 @@ type Config struct {
 	// ObjectTTL is the freshness lifetime of cached objects (0 = immortal).
 	// Stale objects are revalidated: evicted and refetched on access.
 	ObjectTTL time.Duration
-	// Cleanup runs mark-and-sweep during PHOENIX recovery.
+	// Cleanup runs mark-and-sweep after a PHOENIX recovery, off the restart
+	// window (core.Cleanup).
 	Cleanup bool
 }
 
@@ -248,12 +249,11 @@ func (c *Cache) Main(rt *core.Runtime) error {
 		if as.ReadU64(root+16) != total {
 			as.WriteU64(root+16, total)
 		}
+		var mark func()
 		if c.cfg.Cleanup {
-			c.markAll(h)
-			rt.FinishRecovery(true)
-		} else {
-			rt.FinishRecovery(false)
+			mark = func() { c.markAll(h) }
 		}
+		rt.FinishRecovery(mark)
 		return nil
 	}
 
@@ -274,7 +274,7 @@ func (c *Cache) Main(rt *core.Runtime) error {
 			as.WriteU64(c.poolsVar.Addr+mem.VAddr(i*8), uint64(i)*16+1)
 		}
 	}
-	rt.FinishRecovery(false)
+	rt.FinishRecovery(nil)
 	return nil
 }
 

@@ -71,7 +71,7 @@ func TestPhoenixRestartCycle(t *testing.T) {
 		t.Fatal("preserved state content lost")
 	}
 	_ = h2
-	rt2.FinishRecovery(false)
+	rt2.FinishRecovery(nil)
 	if rt2.IsRecoveryMode() {
 		t.Fatal("recovery mode persists after FinishRecovery")
 	}
@@ -123,15 +123,24 @@ func TestMarkPreserveAndCleanup(t *testing.T) {
 	if _, err := rt2.OpenHeap(heap.Options{}); err != nil {
 		t.Fatal(err)
 	}
-	rt2.MarkPreserve(rt2.RecoveryInfo())
-	rt2.MarkPreserve(np.AS.ReadPtr(rt2.RecoveryInfo()))
 	before := np.Machine.Clock.Now()
-	freed, bytes := rt2.FinishRecovery(true)
-	if freed != 20 || bytes <= 0 {
-		t.Fatalf("cleanup freed %d chunks (%d bytes), want 20", freed, bytes)
+	rt2.FinishRecovery(func() {
+		rt2.MarkPreserve(rt2.RecoveryInfo())
+		rt2.MarkPreserve(np.AS.ReadPtr(rt2.RecoveryInfo()))
+	})
+	c := rt2.Cleanup()
+	if c == nil || c.Reclaimed {
+		t.Fatalf("FinishRecovery left no pending cleanup: %+v", c)
 	}
-	if np.Machine.Clock.Now() == before {
-		t.Fatal("cleanup charged no simulated time")
+	if got := np.Machine.Clock.Now() - before; got != c.Fork || c.Due <= np.Machine.Clock.Now() {
+		t.Fatalf("FinishRecovery charged %v, fork %v, due %v at %v: want only the fork, with the sweep still running",
+			got, c.Fork, c.Due, np.Machine.Clock.Now())
+	}
+	if rt2.AwaitCleanup() != c || c.FreedChunks != 20 || c.FreedBytes <= 0 {
+		t.Fatalf("cleanup freed %d chunks (%d bytes), want 20", c.FreedChunks, c.FreedBytes)
+	}
+	if c.ReclaimedAt <= c.Due {
+		t.Fatalf("frees landed at %v, not after the background pass ending at %v", c.ReclaimedAt, c.Due)
 	}
 }
 

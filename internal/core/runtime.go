@@ -45,6 +45,7 @@ type Runtime struct {
 	restartedAt time.Duration
 
 	finished bool
+	cleanup  *Cleanup
 }
 
 // HandlerFunc is the user-defined restart handler registered with Init. It
@@ -160,7 +161,7 @@ func (rt *Runtime) CreateAllocator(opts heap.Options) (*heap.Heap, error) {
 func (rt *Runtime) Allocators() []*heap.Heap { return rt.allocators }
 
 // MarkPreserve marks the heap object at addr as reachable so FinishRecovery's
-// garbage collection keeps it (phx_mark_preserve). The object must belong to
+// cleanup keeps it (phx_mark_preserve). The object must belong to
 // the main heap or one of the created allocators.
 func (rt *Runtime) MarkPreserve(addr mem.VAddr) {
 	h := rt.heapOf(addr)
@@ -191,29 +192,20 @@ func (rt *Runtime) heapOf(addr mem.VAddr) *heap.Heap {
 	return nil
 }
 
-// FinishRecovery resets the recovery-mode flag and, when cleanupMalloc is
-// set, runs the mark-and-sweep cleanup over every registered heap, freeing
-// unmarked objects (phx_finish_recovery, §3.4). It returns the number of
-// chunks and bytes freed; the sweep's cost is charged to the simulated
-// clock.
-func (rt *Runtime) FinishRecovery(cleanupMalloc bool) (freedChunks int, freedBytes int64) {
-	if cleanupMalloc && rt.IsRecoveryMode() {
-		heaps := append([]*heap.Heap{}, rt.allocators...)
-		if rt.mainHeap != nil {
-			heaps = append(heaps, rt.mainHeap)
-		}
-		visited := 0
-		for _, h := range heaps {
-			fc, fb, v := h.Sweep()
-			freedChunks += fc
-			freedBytes += fb
-			visited += v
-		}
-		m := rt.proc.Machine
-		m.Clock.Advance(time.Duration(visited) * m.Model.GCSweepPerChunk)
+// FinishRecovery resets the recovery-mode flag (phx_finish_recovery). A
+// non-nil mark starts the §3.4 mark-and-sweep cleanup over every registered
+// heap: mark is the application's traversal, which calls MarkPreserve (or
+// Heap.Mark) on every chunk reachable from its roots. The cleanup runs off
+// the restart window (see Cleanup): this call charges only a copy-on-write
+// fork of the preserved pages, and the unmarked chunks are freed later, by
+// Cleanup().Reclaim. A nil mark, or a start outside recovery mode, runs no
+// cleanup. A crash inside mark propagates to the caller, as any crash in
+// Main does.
+func (rt *Runtime) FinishRecovery(mark func()) {
+	if mark != nil && rt.IsRecoveryMode() {
+		rt.cleanup = rt.startCleanup(mark)
 	}
 	rt.finished = true
-	return freedChunks, freedBytes
 }
 
 // RestartPlan is what a restart handler assembles before calling Restart —

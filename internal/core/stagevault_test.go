@@ -101,9 +101,11 @@ func TestVaultSurvivesRestart(t *testing.T) {
 		t.Fatal("vault copy lost across restart")
 	}
 	// Cleanup keeps the vault and its copies.
-	v2.Mark()
-	h2.Mark(rt2.RecoveryInfo())
-	rt2.FinishRecovery(true)
+	rt2.FinishRecovery(func() {
+		v2.Mark()
+		h2.Mark(rt2.RecoveryInfo())
+	})
+	rt2.AwaitCleanup()
 	if v2.Len("grad") != 17 {
 		t.Fatal("sweep collected the vault")
 	}

@@ -302,9 +302,11 @@ func TestFigVetSmoke(t *testing.T) {
 	}
 }
 
-// TestAblations checks each ablation's ordering claim: moving PTEs beats
-// copying pages at every size, and the analyzer's unsafe-region placement
-// rejects fewer crashes than critical-section-style blanket marking.
+// TestAblations checks each ablation's claim: moving PTEs beats copying
+// pages at every size, the cleanup adds exactly its fork to the restart
+// window and still reclaims memory, and the analyzer's unsafe-region
+// placement rejects fewer crashes than critical-section-style blanket
+// marking.
 func TestAblations(t *testing.T) {
 	sizes := 0
 	for _, line := range strings.Split(quickOutput(t, "abl-zerocopy"), "\n")[1:] {
@@ -321,7 +323,17 @@ func TestAblations(t *testing.T) {
 		t.Errorf("abl-zerocopy printed %d sizes, want 2", sizes)
 	}
 
-	out := quickOutput(t, "abl-regions")
+	out := quickOutput(t, "abl-cleanup")
+	off := oneRow(t, out, "false", 6) // cleanup, downtime, fork, frees-at, live-bytes, swept
+	on := oneRow(t, out, "true", 6)
+	if diff, fork := parseDur(t, on[1])-parseDur(t, off[1]), parseDur(t, on[2]); fork <= 0 || diff != fork {
+		t.Errorf("cleanup added %v to the restart window, want exactly its fork charge %v", diff, fork)
+	}
+	if on[5] == fmtBytes(0) {
+		t.Errorf("cleanup swept nothing: %q", on)
+	}
+
+	out = quickOutput(t, "abl-regions")
 	pct := map[string]float64{}
 	for _, name := range []string{"analyzer", "crit-section"} {
 		r := oneRow(t, out, name, 4) // placement, crashes, unsafe, rejected%

@@ -65,8 +65,11 @@ func RunTab9(o Options) error {
 		if h == nil {
 			return fmt.Errorf("tab9 %s: no heap after recovery", tc.system)
 		}
+		var cleaned int64
+		if c := sh.h.Runtime().AwaitCleanup(); c != nil {
+			cleaned = c.FreedBytes
+		}
 		preserved := h.Stats().LiveBytes
-		_, cleaned := h.LastSweep()
 		reuse := 100 * float64(preserved) / float64(footprint)
 		fmt.Fprintf(o.Out, "%-18s %12s %12s %12s %7.1f%%\n",
 			tc.system, fmtBytes(footprint), fmtBytes(preserved), fmtBytes(cleaned), reuse)

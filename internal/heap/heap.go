@@ -18,7 +18,7 @@
 //
 // The one exception is the PHOENIX marker. glibc keeps it as a bit in each
 // chunk header; here it is a transient side bitmap owned by the recovering
-// incarnation's Heap, allocated by the first Mark, dropped by Sweep, and
+// incarnation's Heap, allocated by the first Mark, dropped by Collect, and
 // never preserved. Mark state never has to outlive a restart, and keeping it
 // off the heap pages means a cleanup pass leaves the retained pages clean,
 // so the next preserve_exec reuses their cached checksums.
@@ -151,13 +151,8 @@ type Heap struct {
 	// marks is the PHOENIX marker set of the current cleanup: one bit per
 	// markGrain slot of the heap's address span, counted from base. It is
 	// Go memory, not simulated memory, so marking dirties no heap page; the
-	// first Mark allocates it and Sweep drops it.
+	// first Mark allocates it and Collect drops it.
 	marks []uint64
-
-	// lastSweepChunks/Bytes record the most recent Sweep's reclamation for
-	// memory-reuse accounting (Table 9).
-	lastSweepChunks int
-	lastSweepBytes  int64
 }
 
 // New creates a heap whose brk arena starts at base (page aligned) with one
@@ -394,13 +389,16 @@ func (h *Heap) chunkOf(p mem.VAddr, op string) (c mem.VAddr, sizeWord uint64) {
 }
 
 // Free releases the allocation at payload pointer p.
-func (h *Heap) Free(p mem.VAddr) {
+func (h *Heap) Free(p mem.VAddr) { h.free(p) }
+
+// free releases the allocation at p and returns its chunk size.
+func (h *Heap) free(p mem.VAddr) int {
 	c, sizeWord := h.chunkOf(p, "free")
 	size := int(sizeWord &^ flagMask)
 	h.unmark(c)
 	if sizeWord&flagLarge != 0 {
 		h.freeLarge(c, size)
-		return
+		return size
 	}
 	ci := classFor(size)
 	if ci < 0 || classSizes[ci] != size {
@@ -411,6 +409,7 @@ func (h *Heap) Free(p mem.VAddr) {
 	h.as.WritePtr(c+8, h.as.ReadPtr(headAddr))
 	h.as.WritePtr(headAddr, c)
 	h.addLive(-1, -int64(size))
+	return size
 }
 
 // freeLarge unlinks and unmaps a large region given its chunk address.
@@ -491,29 +490,43 @@ func (h *Heap) unmark(c mem.VAddr) {
 	}
 }
 
-// Sweep frees every in-use chunk without the marker and drops the marker
-// set, returning counts — the phx_finish_recovery cleanup (§3.4). It frees
-// during a single walk, in walk order, and writes nothing to retained chunks.
-// The cost of the pass (per-chunk) is returned so the caller can charge the
-// simulated clock.
-func (h *Heap) Sweep() (freedChunks int, freedBytes int64, visited int) {
-	h.Walk(func(payload mem.VAddr, size int, inUse, marked bool) bool {
+// Collect is the walk half of the phx_finish_recovery cleanup (§3.4): it
+// returns the payload of every in-use chunk without the marker, in walk
+// order, with the number of chunks visited, and drops the marker set. It
+// reads the heap and writes nothing, so it can run against a fork of the
+// heap while the heap itself keeps serving; FreeAll frees the result later.
+// A chunk left unmarked by a traversal from the recovery roots is
+// unreachable, and stays so: nothing allocated or freed after Collect can
+// enter the set.
+func (h *Heap) Collect() (garbage []mem.VAddr, visited int) {
+	h.Walk(func(payload mem.VAddr, _ int, inUse, marked bool) bool {
 		visited++
 		if inUse && !marked {
-			h.Free(payload)
-			freedChunks++
-			freedBytes += int64(size)
+			garbage = append(garbage, payload)
 		}
 		return true
 	})
 	h.marks = nil
-	h.lastSweepChunks, h.lastSweepBytes = freedChunks, freedBytes
-	return freedChunks, freedBytes, visited
+	return garbage, visited
 }
 
-// LastSweep returns the most recent Sweep's reclamation counts.
-func (h *Heap) LastSweep() (chunks int, bytes int64) {
-	return h.lastSweepChunks, h.lastSweepBytes
+// FreeAll frees every allocation in garbage, in order, and returns how many
+// chunks and chunk bytes it released. A pointer that is no longer a live
+// chunk aborts (SIGABRT), as Free does.
+func (h *Heap) FreeAll(garbage []mem.VAddr) (chunks int, bytes int64) {
+	for _, p := range garbage {
+		bytes += int64(h.free(p))
+	}
+	return len(garbage), bytes
+}
+
+// Sweep frees every in-use chunk without the marker and drops the marker
+// set: Collect, then FreeAll. The returned visit count is the per-chunk
+// work the walk did.
+func (h *Heap) Sweep() (freedChunks int, freedBytes int64, visited int) {
+	garbage, visited := h.Collect()
+	freedChunks, freedBytes = h.FreeAll(garbage)
+	return freedChunks, freedBytes, visited
 }
 
 // Walk visits every chunk (in-use and free) in the heap. size is the full

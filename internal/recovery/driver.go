@@ -443,6 +443,15 @@ func (h *Harness) ServeRequest(req *workload.Request) (ok, effective bool, err e
 		}
 	}
 	h.Stat.Requests++
+	// A PHOENIX recovery's cleanup frees its garbage at the first request
+	// boundary after the background mark and collect finish: outside the
+	// request's rewind domain, so a discarded request cannot undo the frees,
+	// and inside Run, so an allocator abort is an ordinary crash.
+	if c := h.rt.Cleanup(); c != nil && c.DueBy(h.M.Clock.Now()) {
+		if ci := h.proc.Run(c.Reclaim); ci != nil {
+			return false, false, h.handleFailure(ci)
+		}
+	}
 	if h.Cfg.RewindDomains && h.rewindable() {
 		if err := h.proc.BeginRewindDomain(); err != nil {
 			return false, false, err
@@ -895,8 +904,9 @@ func (h *Harness) hotSwitch() error {
 	return nil
 }
 
-// HandleFailureForREPL exposes the failure-handling path for interactive
-// drivers (cmd/phxkv) that run requests themselves instead of via Step.
+// HandleFailureForREPL exposes the failure-handling path for drivers that
+// crash the process outside ServeRequest: the cluster and shard nodes'
+// kills, and the exploration and campaign engines.
 func (h *Harness) HandleFailureForREPL(ci *kernel.CrashInfo) error {
 	return h.handleFailure(ci)
 }

@@ -45,7 +45,7 @@ func (a *toyApp) Main(rt *core.Runtime) error {
 	}
 	if rt.IsRecoveryMode() {
 		a.counter = rt.RecoveryInfo()
-		rt.FinishRecovery(false)
+		rt.FinishRecovery(nil)
 		return nil
 	}
 	a.counter = h.Alloc(8)
@@ -58,7 +58,7 @@ func (a *toyApp) Main(rt *core.Runtime) error {
 		}
 	}
 	rt.Proc().AS.WriteU64(a.counter, v)
-	rt.FinishRecovery(false)
+	rt.FinishRecovery(nil)
 	return nil
 }
 

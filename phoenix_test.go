@@ -69,9 +69,13 @@ func TestPublicAPIRoundTrip(t *testing.T) {
 	if np.AS.ReadU64(pools.Addr) != 77 {
 		t.Fatal("phxsec static lost across restart")
 	}
-	d2.Mark(nil)
-	h2.Mark(rt2.RecoveryInfo())
-	rt2.FinishRecovery(true)
+	rt2.FinishRecovery(func() {
+		d2.Mark(nil)
+		h2.Mark(rt2.RecoveryInfo())
+	})
+	if c := rt2.AwaitCleanup(); c == nil || c.FreedChunks != 0 {
+		t.Fatalf("cleanup of a heap with no garbage: %+v", c)
+	}
 }
 
 // TestAllocatorComponentSeparation exercises phx_create_allocator: two
