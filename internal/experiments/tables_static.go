@@ -54,7 +54,7 @@ func RunTab4(o Options) error {
 		system, base, mark, cc, clean string
 	}
 	rows := []row{
-		{"kvstore", "Main/PlanRestart/writeInfo", "UnsafeBegin(kv) in set/del (analyzer-derived)", "CrossCheck + RedoLog", "dict.Mark + FinishRecovery(true)"},
+		{"kvstore", "Main/PlanRestart/writeInfo", "UnsafeBegin(kv) in set/del (analyzer-derived)", "CrossCheck + RedoLog", "dict.Mark closure to FinishRecovery"},
 		{"lsmdb", "Main/PlanRestart/writeInfo", "UnsafeBegin(ldb) spanning WAL append + memtable insert", "CrossCheck (WAL replay)", "skiplist.Mark"},
 		{"webcache-varnish", "Main + master-worker handling", "UnsafeBegin(cache) in insert/evict", "N/A", "markAll + refcount reset"},
 		{"webcache-squid", "Main + phxsec section statics", "UnsafeBegin(cache) in insert/evict", "N/A", "markAll"},
