@@ -8,25 +8,26 @@
 // the preserved frames) against every application and requires no torn
 // survivor; "escalation" drives repeated preserved-state corruption through
 // the crash-loop breaker and requires the full detect → escalate →
-// de-escalate cycle; "cluster" drives client traffic through a replicated
-// serving tier over a simulated network while nodes are killed, drained, and
-// partitioned on a schedule, and requires PHOENIX's measured availability to
-// strictly beat a vanilla restart's under identical faults; "shard" drives
-// open-loop traffic through a sharded serving fabric while replicas are
-// killed and shards are live-migrated mid-traffic, and requires PHOENIX to
-// beat vanilla on availability and on the migration cutover window (delta
-// convergence vs stop-and-copy), with zero lost acked writes and zero
-// non-owner serves; "explore" sweeps randomized fault schedules (one per
-// seed) against per-app invariant oracles, shrinking every violation to a
-// minimal replayable artifact; "vet" differentially validates the phxvet
-// static verifier — every application model must verify clean AND stay
-// violation-free under randomized dynamic schedules, and every seeded
-// dangling-store mutant must be flagged statically at the planted position
-// and manifest dynamically; "microreboot" measures the recovery-granularity
-// windows — the simulated unavailability of the same mid-request fault
-// recovered by request rewind, component microreboot, PHOENIX preserve_exec,
-// builtin restart, and vanilla restart — and requires each finer granularity
-// to strictly beat the coarser ones; "concurrency" serves reads off
+// de-escalate cycle; "cluster" drives open-loop traffic through the serving
+// fabric in its one-shard shape, a replica group of three, while replicas
+// are killed, drained, and partitioned on a schedule, and requires
+// PHOENIX's measured availability to strictly beat a vanilla restart's under
+// identical faults; "shard" drives the same traffic through a sharded
+// fabric while replicas are killed and shards are live-migrated
+// mid-traffic, and additionally requires PHOENIX to beat vanilla on the
+// migration cutover window (delta convergence vs stop-and-copy), with zero
+// lost acked writes and zero non-owner serves; "explore" sweeps randomized
+// fault schedules (one per seed) against per-app invariant oracles,
+// shrinking every violation to a minimal replayable artifact; "vet"
+// differentially validates the phxvet static verifier — every application
+// model must verify clean AND stay violation-free under randomized dynamic
+// schedules, and every seeded dangling-store mutant must be flagged
+// statically at the planted position and manifest dynamically;
+// "microreboot" measures the recovery-granularity windows — the simulated
+// unavailability of the same mid-request fault recovered by request rewind,
+// component microreboot, PHOENIX preserve_exec, builtin restart, and
+// vanilla restart — and requires each finer granularity to strictly beat
+// the coarser ones; "concurrency" serves reads off
 // committed MVCC snapshots at 1/4/16 readers across a PHOENIX kill and
 // requires the reader speedup and a clean stale oracle.
 //
@@ -59,7 +60,6 @@ import (
 	"strings"
 
 	"phoenix/internal/apps/registry"
-	"phoenix/internal/cluster"
 	"phoenix/internal/explore"
 	"phoenix/internal/recovery"
 	"phoenix/internal/shard"
@@ -108,20 +108,10 @@ func campaigns() []campaign {
 			})
 		}},
 		{"cluster", base, func(c config) (any, string, error) {
-			systems, err := only(registry.ClusterSystems(c.Seed), func(s cluster.System) string { return s.Name }, c.App, registry.Names())
-			if err != nil {
-				return nil, "", err
-			}
-			res, err := cluster.CheckCluster(systems, cluster.Options{Seed: c.Seed})
-			return res, concat(res, cluster.FmtComparison), err
+			return fabric(c, shard.Options{Seed: c.Seed, Shards: 1, Replicas: 3})
 		}},
 		{"shard", base, func(c config) (any, string, error) {
-			systems, err := only(registry.ShardSystems(c.Seed), func(s shard.System) string { return s.Name }, c.App, registry.ShardNames())
-			if err != nil {
-				return nil, "", err
-			}
-			res, err := shard.CheckShard(systems, shard.Options{Seed: c.Seed})
-			return res, concat(res, shard.FmtComparison), err
+			return fabric(c, shard.Options{Seed: c.Seed, Shards: 4, Replicas: 2, Spares: 2})
 		}},
 		{"explore", sweep(50), func(c config) (any, string, error) {
 			sum, err := explore.CheckExplore(explore.Options{Seeds: c.Seeds, Start: c.Seed, App: c.App, Log: logTo(c.Verbose)})
@@ -216,6 +206,22 @@ func only[T any](items []T, name func(T) string, app string, have []string) ([]T
 		return nil, fmt.Errorf("unknown app %q (have %v)", app, have)
 	}
 	return keep, nil
+}
+
+// fabric runs the serving-fabric campaign in one shape over the systems
+// registry.Systems gives that shape (or the -app one).
+func fabric(c config, shape shard.Options) (any, string, error) {
+	all := registry.Systems(c.Seed, shape.Shards)
+	var names []string
+	for _, s := range all {
+		names = append(names, s.Name)
+	}
+	systems, err := only(all, func(s shard.System) string { return s.Name }, c.App, names)
+	if err != nil {
+		return nil, "", err
+	}
+	res, err := shard.CheckShard(systems, shape)
+	return res, concat(res, shard.FmtComparison), err
 }
 
 // appOutcome is one application's entry in a per-app campaign report.

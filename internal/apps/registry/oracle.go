@@ -6,14 +6,13 @@ package registry
 // *application's* semantics — what durability, staleness, and recovery
 // accounting mean for kvstore are registry knowledge, while explore only
 // knows how to generate schedules and shrink failures. Registry already
-// imports recovery and cluster, so the observation can carry both a
-// single-harness run and a cluster report without a cycle.
+// imports recovery and shard, so the observation can carry both a
+// single-harness run and a fabric report without a cycle.
 
 import (
 	"fmt"
 	"strings"
 
-	"phoenix/internal/cluster"
 	"phoenix/internal/recovery"
 	"phoenix/internal/shard"
 )
@@ -45,8 +44,8 @@ type RecoveryRecord struct {
 }
 
 // Observation is everything an oracle may judge about one schedule run. A
-// single-harness run fills the trace/stats/counters fields; a cluster run
-// fills Cluster and leaves the rest zero.
+// single-harness run fills the trace/stats/counters fields; a fabric run
+// fills Shard and leaves the rest zero.
 type Observation struct {
 	App               string
 	Seed              int64
@@ -73,9 +72,7 @@ type Observation struct {
 	// Terminated carries the driver's terminal error (retry-budget
 	// exhaustion) when the run stopped early; empty otherwise.
 	Terminated string
-	Cluster    *cluster.Report
-	// Shard carries the sharded-fabric report when the schedule ran in shard
-	// mode (kills plus live migrations under open-loop traffic).
+	// Shard carries the fabric report when the schedule ran in shard mode.
 	Shard *shard.Report
 }
 
@@ -89,14 +86,11 @@ type Oracle interface {
 	Check(o *Observation) []string
 }
 
-// OraclesFor returns the invariants applicable to one application in one
-// mode, in deterministic order. The durability oracle only applies to the
-// storage apps: caches evict at will and the compute apps have no
-// key-value semantics.
-func OraclesFor(app string, clusterMode bool) []Oracle {
-	if clusterMode {
-		return []Oracle{clusterOracle{}}
-	}
+// OraclesFor returns the invariants applicable to one application's
+// single-harness runs, in deterministic order. The durability oracle only
+// applies to the storage apps: caches evict at will and the compute apps
+// have no key-value semantics.
+func OraclesFor(app string) []Oracle {
 	out := []Oracle{accountingOracle{}, ladderOracle{}}
 	if app == "kvstore" || app == "lsmdb" {
 		out = append(out, durabilityOracle{})
@@ -358,73 +352,17 @@ func (componentOracle) Check(o *Observation) []string {
 	return v
 }
 
-// --- cluster oracle ---
-
-// clusterOracle checks a cluster run's report for structural consistency:
-// drained nodes start nothing, partitioned nodes answer nothing, windows are
-// well-formed, the request ledger balances, and each node's kernel counters
-// are internally consistent.
-type clusterOracle struct{}
-
-func (clusterOracle) Name() string { return "cluster" }
-
-func (clusterOracle) Check(o *Observation) []string {
-	var v []string
-	add := func(format string, args ...interface{}) { v = append(v, fmt.Sprintf(format, args...)) }
-	r := o.Cluster
-	if r == nil {
-		return []string{"cluster observation carries no report"}
-	}
-	if r.PartitionResponses != 0 {
-		add("%d responses crossed a partition", r.PartitionResponses)
-	}
-	if r.Served+r.Retried+r.Stale+r.Failed > r.Requests {
-		add("request ledger overflows: served=%d retried=%d stale=%d failed=%d of %d",
-			r.Served, r.Retried, r.Stale, r.Failed, r.Requests)
-	}
-	if r.AvailabilityPct < 0 || r.AvailabilityPct > 100 {
-		add("availability %.2f%% outside [0,100]", r.AvailabilityPct)
-	}
-	if r.SnapshotStale != 0 {
-		add("%d snapshot reads observed pages mutated under a frozen MVCC version", r.SnapshotStale)
-	}
-	for _, w := range r.Windows {
-		if w.EndUs < w.StartUs || w.DurUs != w.EndUs-w.StartUs {
-			add("malformed unavailability window on node %d: [%d,%d] dur %d", w.Node, w.StartUs, w.EndUs, w.DurUs)
-		}
-		if w.Node < 0 || w.Node >= r.Replicas {
-			add("window names nonexistent node %d", w.Node)
-		}
-	}
-	for _, nd := range r.Nodes {
-		if nd.StartedDuringDrain != 0 {
-			add("node %d started %d requests while draining", nd.Node, nd.StartedDuringDrain)
-		}
-		c := nd.Counters
-		if c["preserves_committed"] > c["preserves_staged"] {
-			add("node %d: committed preserves (%d) exceed staged (%d)", nd.Node, c["preserves_committed"], c["preserves_staged"])
-		}
-		if c["checksum_mismatches"] != c["integrity_fallbacks"] {
-			add("node %d: checksum mismatches (%d) != integrity fallbacks (%d)", nd.Node, c["checksum_mismatches"], c["integrity_fallbacks"])
-		}
-		if int64(nd.PhoenixRestarts) != c["preserves_committed"] {
-			add("node %d: phoenix restarts (%d) != committed preserves (%d)", nd.Node, nd.PhoenixRestarts, c["preserves_committed"])
-		}
-	}
-	return v
-}
-
-// ShardOracles returns the invariants for shard-mode schedules. One oracle
+// ShardOracles returns the invariants for fabric schedules. One oracle
 // carries the whole contract because every clause judges the same report.
 func ShardOracles() []Oracle { return []Oracle{shardOracle{}} }
 
 // --- shard oracle ---
 
-// shardOracle judges a sharded-fabric run: ownership is single (no request
-// is ever served by a node whose shard placement had already flipped), no
-// acknowledged write is lost across a live migration, the request and move
-// ledgers balance, unavailability windows are well-formed, and per-node
-// kernel counters stay internally consistent.
+// shardOracle judges a fabric run: ownership is single (no request is ever
+// served by a node whose shard placement had already flipped), no
+// acknowledged write is lost across a live migration, no response crosses a
+// partition, the request and move ledgers balance, unavailability windows
+// are well-formed, and per-node kernel counters stay internally consistent.
 type shardOracle struct{}
 
 func (shardOracle) Name() string { return "shard" }
@@ -441,6 +379,9 @@ func (shardOracle) Check(o *Observation) []string {
 	}
 	if r.LostAcked != 0 {
 		add("%d acknowledged writes lost across migration (keys %v)", r.LostAcked, r.LostKeys)
+	}
+	if r.PartitionResponses != 0 {
+		add("%d responses crossed a partition", r.PartitionResponses)
 	}
 	if r.Served+r.Retried+r.Stale+r.Failed > r.Requests {
 		add("request ledger overflows: served=%d retried=%d stale=%d failed=%d of %d",
@@ -485,6 +426,9 @@ func (shardOracle) Check(o *Observation) []string {
 		}
 		if c["checksum_mismatches"] != c["integrity_fallbacks"] {
 			add("node %d: checksum mismatches (%d) != integrity fallbacks (%d)", nd.Node, c["checksum_mismatches"], c["integrity_fallbacks"])
+		}
+		if int64(nd.PhoenixRestarts) != c["preserves_committed"] {
+			add("node %d: phoenix restarts (%d) != committed preserves (%d)", nd.Node, nd.PhoenixRestarts, c["preserves_committed"])
 		}
 	}
 	return v

@@ -7,6 +7,7 @@ package registry
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -15,7 +16,6 @@ import (
 	"phoenix/internal/apps/lsmdb"
 	"phoenix/internal/apps/particle"
 	"phoenix/internal/apps/webcache"
-	"phoenix/internal/cluster"
 	"phoenix/internal/faultinject"
 	"phoenix/internal/recovery"
 	"phoenix/internal/shard"
@@ -23,11 +23,13 @@ import (
 )
 
 // StepGen drives the compute apps (boost, particle) one step per request.
+// The apps ignore keys; each step's key carries its number so a fabric's
+// key-slot routing spreads the steps over a replica group.
 type StepGen struct{ seq uint64 }
 
 func (g *StepGen) Next() *workload.Request {
 	g.seq++
-	return &workload.Request{Seq: g.seq, Op: workload.OpRead, Key: "step"}
+	return &workload.Request{Seq: g.seq, Op: workload.OpRead, Key: fmt.Sprintf("step%d", g.seq)}
 }
 
 // Clone implements workload.Generator; the step stream is seed-independent.
@@ -136,74 +138,20 @@ func ConcurrencySpecs(seed int64) []recovery.ConcurrencySpec {
 	return out
 }
 
-// ClusterProfile returns the client-population profile the cluster campaign
-// drives against the named system. The storage apps get a Zipfian read-heavy
-// keyspace that the warm phase pre-populates (so reads are effective until a
-// restart loses the data); the caches get the same web trace their factory
-// wired as the origin; the compute apps get fewer, slower clients so a
-// node's step count stays inside the factory's iteration budget.
-func ClusterProfile(name string, seed int64) cluster.Profile {
-	switch name {
-	case "kvstore", "lsmdb":
-		const records, valueSize = 64, 64
-		p := cluster.Profile{
-			Proto: workload.NewYCSB(workload.YCSBConfig{
-				Seed: seed, Records: records, ReadFrac: 0.7, InsertFrac: 0.05,
-				ValueSize: valueSize, ZipfianKeys: true,
-			}),
-			// Long enough that a cold reboot (kvstore 300ms, lsmdb 120ms)
-			// completes inside the traffic window: builtin comes back with its
-			// RDB restored while vanilla comes back empty, and the difference
-			// shows up as stale reads and window length instead of both modes
-			// simply staying dark.
-			RunFor: 600 * time.Millisecond,
-		}
-		// Pre-populate the YCSB keyspace on every node: the generator reads
-		// keys it assumes exist.
-		for i := uint64(0); i < records; i++ {
-			key := fmt.Sprintf("user%010d", i)
-			p.Warm = append(p.Warm, &workload.Request{
-				Seq: i + 1, Op: workload.OpInsert, Key: key,
-				Value: workload.Value(key, 1, valueSize),
-			})
-		}
-		return p
-	case "webcache-varnish", "webcache-squid":
-		// Must match the factory's WebConfig: the traffic trace and the
-		// cache's origin fetcher draw from the same URL population.
-		web := workload.NewWeb(workload.WebConfig{Seed: seed, URLs: 100, MeanSize: 2 << 10})
-		// 600ms outlives the 400ms cold boot for the first kill; a returned
-		// vanilla cache refills popular URLs on demand.
-		p := cluster.Profile{Proto: web, RunFor: 600 * time.Millisecond}
-		warm := web.Clone(seed + 7001)
-		for i := 0; i < 300; i++ {
-			p.Warm = append(p.Warm, warm.Next())
-		}
-		return p
-	case "boost", "particle":
-		// One step per request; keep per-node totals inside boost's
-		// MaxIters=256 budget (2 clients/node, ~4ms closed-loop period).
-		return cluster.Profile{
-			Proto:          &StepGen{},
-			ClientsPerNode: 2,
-			Think:          4 * time.Millisecond,
-			Timeout:        40 * time.Millisecond,
-			RunFor:         400 * time.Millisecond,
-		}
-	}
-	panic("registry: no cluster profile for system " + name)
-}
-
 // ShardNames returns the systems the sharded campaign runs: the
 // key-addressed stores. The caches are read-only traffic (the lost-write
 // ledger would audit nothing) and the compute apps have no keyspace to
 // shard.
 func ShardNames() []string { return []string{"kvstore", "lsmdb"} }
 
-// ShardProfile returns the open-loop client profile the shard campaign
-// drives against the named system: a Zipfian read-heavy keyspace large
-// enough that each shard's arc holds real state (so stop-and-copy migration
-// has something to ship), warmed before traffic, with read hedging on.
+// ShardProfile returns the open-loop client profile the fabric campaigns
+// drive against the named system. The stores get a Zipfian read-heavy
+// keyspace large enough that each shard's arc holds real state (so
+// stop-and-copy migration has something to ship), warmed before traffic,
+// with read hedging on. The caches get the same web trace their factory
+// wired as the origin, and the compute apps one step per request, slow
+// enough that a replica's step count stays inside boost's MaxIters=256
+// budget.
 func ShardProfile(name string, seed int64) shard.Profile {
 	switch name {
 	case "kvstore", "lsmdb":
@@ -226,36 +174,49 @@ func ShardProfile(name string, seed int64) shard.Profile {
 			})
 		}
 		return p
+	case "webcache-varnish", "webcache-squid":
+		// Must match the factory's WebConfig: the traffic trace and the
+		// cache's origin fetcher draw from the same URL population.
+		web := workload.NewWeb(workload.WebConfig{Seed: seed, URLs: 100, MeanSize: 2 << 10})
+		// 600ms outlives the 400ms cold boot for the first kill; a returned
+		// vanilla cache refills popular URLs on demand. Arrivals 313µs apart
+		// saturate one replica group; 1ms apart it keeps up.
+		p := shard.Profile{Proto: web, ArrivalMean: time.Millisecond, RunFor: 600 * time.Millisecond}
+		warm := web.Clone(seed + 7001)
+		for i := 0; i < 300; i++ {
+			p.Warm = append(p.Warm, warm.Next())
+		}
+		return p
+	case "boost", "particle":
+		return shard.Profile{
+			Proto:       &StepGen{},
+			ArrivalMean: 1500 * time.Microsecond,
+			Timeout:     40 * time.Millisecond,
+			RunFor:      400 * time.Millisecond,
+		}
 	}
-	panic("registry: no shard profile for system " + name)
+	panic("registry: no fabric profile for system " + name)
 }
 
-// ShardSystems bundles the shardable applications with their campaign
-// profiles, in deterministic name order.
-func ShardSystems(seed int64) []shard.System {
+// Systems bundles the applications a fabric of the given shard count runs,
+// in name order, with their profiles. A sharded fabric runs the
+// key-addressed stores (ShardNames). One shard is the cluster campaign's
+// replica group: it runs every application, and the stores there keep a
+// 600ms traffic window, long enough that a cold reboot (kvstore 300ms,
+// lsmdb 120ms) completes inside it, at arrivals one group can serve.
+func Systems(seed int64, shards int) []shard.System {
+	names := ShardNames()
+	if shards == 1 {
+		names = Names()
+	}
 	factories := Factories(seed)
 	var out []shard.System
-	for _, name := range ShardNames() {
-		out = append(out, shard.System{
-			Name:    name,
-			Factory: factories[name],
-			Profile: ShardProfile(name, seed),
-		})
-	}
-	return out
-}
-
-// ClusterSystems bundles every registered application with its campaign
-// profile, in deterministic name order.
-func ClusterSystems(seed int64) []cluster.System {
-	factories := Factories(seed)
-	var out []cluster.System
-	for _, name := range Names() {
-		out = append(out, cluster.System{
-			Name:    name,
-			Factory: factories[name],
-			Profile: ClusterProfile(name, seed),
-		})
+	for _, name := range names {
+		p := ShardProfile(name, seed)
+		if shards == 1 && slices.Contains(ShardNames(), name) {
+			p.RunFor, p.ArrivalMean = 600*time.Millisecond, 120*time.Microsecond
+		}
+		out = append(out, shard.System{Name: name, Factory: factories[name], Profile: p})
 	}
 	return out
 }

@@ -261,13 +261,13 @@ func TestFigShardSmoke(t *testing.T) {
 }
 
 // TestFigExploreSmoke checks the quick exploration sweep: it draws both
-// single-harness and cluster schedules, and every violating seed is shrunk
+// single-harness and fabric schedules, and every violating seed is shrunk
 // to a minimal schedule.
 func TestFigExploreSmoke(t *testing.T) {
 	out := quickOutput(t, "figexplore")
-	var single, cluster int
+	var single, fabric int
 	modes := oneRow(t, out, "modes:", 3)
-	if _, err := fmt.Sscanf(modes[1]+" "+modes[2], "single=%d cluster=%d", &single, &cluster); err != nil || single == 0 || cluster == 0 {
+	if _, err := fmt.Sscanf(modes[1]+" "+modes[2], "single=%d shard=%d", &single, &fabric); err != nil || single == 0 || fabric == 0 {
 		t.Errorf("sweep did not draw both modes: %q", modes)
 	}
 	for _, f := range rows(out, "seed") {

@@ -1,51 +1,28 @@
 package experiments
 
 import (
-	"fmt"
-
-	"phoenix/internal/apps/registry"
-	"phoenix/internal/cluster"
+	"phoenix/internal/shard"
 )
 
-// RunFigCluster measures availability under traffic at the serving-tier
-// level: for every registered application, a 3-replica cluster of recovery
-// harnesses behind a load balancer serves a closed-loop client population
-// over a simulated network while the identical kill/drain/partition schedule
-// is replayed against PHOENIX, the application's builtin recovery, and a
-// vanilla restart. The figure reports per-mode availability, latency
-// percentiles, total unavailability (kill until the node's first effective
-// read), and failed requests — the cluster-scale version of Figure 10's
-// per-process availability comparison.
+// RunFigCluster measures availability under traffic for one replica group:
+// for every registered application, the serving fabric in its one-shard
+// shape (three replicas, no spares) serves an open-loop client population
+// over a simulated network while the identical kill/drain/partition
+// schedule is replayed against PHOENIX, the application's builtin recovery,
+// and a vanilla restart. The shard-aware router spreads reads over the
+// group by key slot and fans every write out to all three replicas. The
+// figure reports per-mode availability, latency percentiles, total
+// unavailability (kill until the replica's first effective read), and
+// failed requests — the cluster-scale version of Figure 10's per-process
+// availability comparison.
 //
-// The run doubles as the campaign's contract check: CheckCluster asserts the
+// The run doubles as the campaign's contract check: CheckShard asserts the
 // availability ordering, that every PHOENIX kill recovers to effective
-// service, that draining or partitioned nodes serve nothing, and that a
-// same-seed rerun is byte-identical.
+// service, that a kill window closes only on a post-kill effective read,
+// that the drained replica refuses reads, and that no response crosses the
+// partition.
 func RunFigCluster(o Options) error {
-	o.fill()
-	systems := registry.ClusterSystems(o.Seed)
-	if o.Quick {
-		// One storage, one cache, one compute system keeps the quick profile
-		// representative.
-		var keep []cluster.System
-		for _, s := range systems {
-			switch s.Name {
-			case "kvstore", "webcache-varnish", "boost":
-				keep = append(keep, s)
-			}
-		}
-		systems = keep
-	}
-	res, err := cluster.CheckCluster(systems, cluster.Options{Seed: o.Seed})
-	for _, r := range res {
-		fmt.Fprintf(o.Out, "%s\n", cluster.FmtComparison(r))
-		for _, w := range r.Phoenix.Windows {
-			state := "recovered"
-			if !w.Closed {
-				state = "unrecovered at run end"
-			}
-			fmt.Fprintf(o.Out, "  phoenix node %d: unavailable %dµs (%s)\n", w.Node, w.DurUs, state)
-		}
-	}
-	return err
+	// One storage, one cache, one compute system keeps the quick profile
+	// representative.
+	return runFabricFigure(o, shard.Options{Shards: 1, Replicas: 3}, "kvstore", "webcache-varnish", "boost")
 }

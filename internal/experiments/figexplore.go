@@ -8,10 +8,10 @@ import (
 
 // RunFigExplore runs the deterministic exploration campaign: a seed sweep in
 // which every seed expands into a randomized fault schedule (preserve-path
-// faults, bit-flip corruption, node kills, drains, partitions at random
-// simclock instants), runs against a randomly drawn registry application in
-// single-harness or cluster mode, and is judged by the per-app invariant
-// oracles. Violating seeds are shrunk to minimal schedules and each minimal
+// faults, bit-flip corruption, replica kills, drains, partitions at random
+// simclock instants), runs against a randomly drawn registry application on
+// a single harness or on a one-shard serving fabric, and is judged by the
+// invariant oracles. Violating seeds are shrunk to minimal schedules and each minimal
 // artifact is re-verified to replay byte-identically — the search-based
 // complement to the scripted campaigns behind Tables 6-7.
 //

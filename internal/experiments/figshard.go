@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 
 	"phoenix/internal/apps/registry"
 	"phoenix/internal/shard"
@@ -15,27 +16,34 @@ import (
 // recovery, and a vanilla restart. The figure reports per-mode
 // availability, latency percentiles, total unavailability, the migration
 // cutover window, and the per-move delta-round trajectory; the per-shard
-// kill windows show the sharding dividend over the whole-replica clusters
-// of figcluster.
+// kill windows show the sharding dividend over the whole-replica groups of
+// figcluster.
 //
 // The run doubles as the campaign's contract check: CheckShard asserts the
 // availability ordering, that PHOENIX's delta-converged cutover beats the
-// non-preserving modes' stop-and-copy, that no acked write is lost and no
-// request is served by a non-owner, and that a same-seed rerun is
-// byte-identical.
+// non-preserving modes' stop-and-copy, and that no acked write is lost and
+// no request is served by a non-owner.
 func RunFigShard(o Options) error {
+	return runFabricFigure(o, shard.Options{Shards: 4, Replicas: 2, Spares: 2}, "kvstore")
+}
+
+// runFabricFigure runs the fabric campaign in one shape over the systems
+// registry.Systems gives that shape (only the quick ones under Quick) and
+// prints each system's comparison, PHOENIX kill windows and completed moves.
+func runFabricFigure(o Options, shape shard.Options, quick ...string) error {
 	o.fill()
-	systems := registry.ShardSystems(o.Seed)
+	shape.Seed = o.Seed
+	systems := registry.Systems(o.Seed, shape.Shards)
 	if o.Quick {
 		var keep []shard.System
 		for _, s := range systems {
-			if s.Name == "kvstore" {
+			if slices.Contains(quick, s.Name) {
 				keep = append(keep, s)
 			}
 		}
 		systems = keep
 	}
-	res, err := shard.CheckShard(systems, shard.Options{Seed: o.Seed})
+	res, err := shard.CheckShard(systems, shape)
 	for _, r := range res {
 		fmt.Fprintf(o.Out, "%s\n", shard.FmtComparison(r))
 		for _, w := range r.Phoenix.Windows {

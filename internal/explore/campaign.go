@@ -140,8 +140,8 @@ func FmtSummary(s Summary) string {
 			}
 		}
 	}
-	fmt.Fprintf(&b, "  modes: single=%d cluster=%d\n", modes["single"], modes["cluster"])
-	for _, name := range []string{"accounting", "ladder", "durability", "component", "cluster"} {
+	fmt.Fprintf(&b, "  modes: single=%d shard=%d\n", modes["single"], modes["shard"])
+	for _, name := range []string{"accounting", "ladder", "durability", "component", "shard"} {
 		if n := byOracle[name]; n > 0 {
 			fmt.Fprintf(&b, "  oracle %-12s violated by %d seed(s)\n", name, n)
 		}

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"phoenix/internal/apps/registry"
-	"phoenix/internal/cluster"
 	"phoenix/internal/faultinject"
 	"phoenix/internal/kernel"
 	"phoenix/internal/mem"
@@ -17,7 +16,7 @@ import (
 )
 
 // crashVA is the synthetic "kill -9": an address no layout maps (same class
-// as the recovery and cluster campaigns use).
+// as the recovery and fabric campaigns use).
 const crashVA = mem.VAddr(0x2_0000_0000)
 
 // Violation is one oracle failure, attributed to the oracle that found it.
@@ -49,8 +48,6 @@ func Run(sch Schedule) (Outcome, error) {
 		err error
 	)
 	switch sch.Mode {
-	case "cluster":
-		obs, err = runCluster(sch)
 	case "shard":
 		obs, err = runShard(sch)
 	case "single":
@@ -71,17 +68,12 @@ func Run(sch Schedule) (Outcome, error) {
 		Terminated:       obs.Terminated,
 		Violations:       []Violation{},
 	}
-	if obs.Cluster != nil {
-		out.Requests = obs.Cluster.Requests
-		out.Recoveries = obs.Cluster.Kills
-		out.FinalLevel = ""
-	}
 	if obs.Shard != nil {
 		out.Requests = obs.Shard.Requests
 		out.Recoveries = obs.Shard.Kills
 		out.FinalLevel = ""
 	}
-	oracles := registry.OraclesFor(sch.App, sch.Mode == "cluster")
+	oracles := registry.OraclesFor(sch.App)
 	if sch.Mode == "shard" {
 		oracles = registry.ShardOracles()
 	}
@@ -306,94 +298,62 @@ func runSingle(sch Schedule) (*registry.Observation, error) {
 	return obs, nil
 }
 
-// runCluster replays the schedule against a replicated PHOENIX serving tier:
-// kills, drains, and partitions become the cluster fault script, and
-// linkfault events arm the shared network injector before traffic opens.
-func runCluster(sch Schedule) (*registry.Observation, error) {
-	mk, ok := registry.Factories(sch.Seed)[sch.App]
+// shardRunFor overrides the sharded profile's traffic window for explored
+// schedules: long enough that kills, migrations, and ring changes all land
+// inside open-loop load, short enough that a 500-seed sweep stays cheap.
+// GenerateShard draws its event instants against the same window. A
+// one-shard schedule keeps its profile's window (fabricSystem).
+const shardRunFor = 120 * time.Millisecond
+
+// fabricSystem returns the named application's factory and profile on a
+// fabric of the given shard count, with the traffic window explored
+// schedules run for.
+func fabricSystem(seed int64, app string, shards int) (shard.System, bool) {
+	for _, sys := range registry.Systems(seed, shards) {
+		if sys.Name == app {
+			if shards > 1 {
+				sys.Profile.RunFor = shardRunFor
+			}
+			return sys, true
+		}
+	}
+	return shard.System{}, false
+}
+
+// runShard replays the schedule against the serving fabric: kills, drains,
+// partitions, live shard moves, and ring changes become the fabric's
+// script, linkfault events arm the network injector before traffic opens,
+// and the fabric's own oracles (ownership epochs, acked-write ledger,
+// partition crossings) report through the shard observation.
+func runShard(sch Schedule) (*registry.Observation, error) {
+	sys, ok := fabricSystem(sch.Seed, sch.App, sch.Shards)
 	if !ok {
 		return nil, fmt.Errorf("explore: unknown app %q", sch.App)
-	}
-	prof := registry.ClusterProfile(sch.App, sch.Seed)
-	if prof.CheckpointInterval <= 0 {
-		// Mirror the cluster campaign: the harness checkpoint cadence follows
-		// the profile's (filled) persistence cadence.
-		prof.CheckpointInterval = 2 * time.Millisecond
 	}
 	inj := faultinject.New()
 	netsim.RegisterSites(inj)
 
-	var csched cluster.Schedule
-	for _, ev := range sch.Events {
-		at := time.Duration(ev.AtUs) * time.Microsecond
-		dur := time.Duration(ev.DurUs) * time.Microsecond
-		switch ev.Kind {
-		case KindKill:
-			csched.Kills = append(csched.Kills, cluster.Kill{At: at, Node: ev.Node})
-		case KindDrain:
-			csched.Drains = append(csched.Drains, cluster.Window{From: at, To: at + dur, Node: ev.Node})
-		case KindPartition:
-			csched.Partitions = append(csched.Partitions, cluster.Window{From: at, To: at + dur, Node: ev.Node})
-		case KindSnapshotRead:
-			csched.SnapshotReads = append(csched.SnapshotReads, cluster.SnapshotRead{At: at, Node: ev.Node, Readers: ev.Readers})
-		case KindLinkFault:
-			inj.Disarm(ev.Site)
-			inj.ArmAfter(ev.Site, faultinject.OpFailure, ev.Skip)
-			inj.Enable()
-		default:
-			return nil, fmt.Errorf("explore: event %s invalid in cluster mode", ev)
-		}
-	}
-
-	cfg := cluster.Config{
-		System:   sch.App,
-		Replicas: sch.Replicas,
-		Seed:     sch.Seed,
-		Recovery: recovery.Config{Mode: recovery.ModePhoenix, CheckpointInterval: prof.CheckpointInterval},
-		Profile:  prof,
-		Inj:      inj,
-	}
-	rep, err := cluster.Run(cfg, mk, csched)
-	if err != nil {
-		return nil, fmt.Errorf("explore: cluster run: %w", err)
-	}
-	return &registry.Observation{
-		App:     sch.App,
-		Seed:    sch.Seed,
-		Cluster: &rep,
-	}, nil
-}
-
-// shardRunFor overrides the shard profile's traffic window for explored
-// schedules: long enough that kills, migrations, and ring changes all land
-// inside open-loop load, short enough that a 500-seed sweep stays cheap.
-// GenerateShard draws its event instants against the same window.
-const shardRunFor = 120 * time.Millisecond
-
-// runShard replays the schedule against the sharded serving fabric: kills,
-// live shard moves, and ring changes become the fabric's rebalance script,
-// and the fabric's own oracles (ownership epochs, acked-write ledger) report
-// through the shard observation.
-func runShard(sch Schedule) (*registry.Observation, error) {
-	mk, ok := registry.Factories(sch.Seed)[sch.App]
-	if !ok {
-		return nil, fmt.Errorf("explore: unknown app %q", sch.App)
-	}
-	prof := registry.ShardProfile(sch.App, sch.Seed)
-	prof.RunFor = shardRunFor
-
 	var ssched shard.Schedule
 	for _, ev := range sch.Events {
 		at := time.Duration(ev.AtUs) * time.Microsecond
+		window := shard.Window{From: at, To: at + time.Duration(ev.DurUs)*time.Microsecond, Shard: ev.Shard, Replica: ev.Replica}
 		switch ev.Kind {
 		case KindKill:
 			ssched.Kills = append(ssched.Kills, shard.Kill{At: at, Shard: ev.Shard, Replica: ev.Replica})
+		case KindDrain:
+			ssched.Drains = append(ssched.Drains, window)
+		case KindPartition:
+			ssched.Partitions = append(ssched.Partitions, window)
 		case KindShardMove:
 			ssched.Moves = append(ssched.Moves, shard.Move{At: at, Shard: ev.Shard, Replica: ev.Replica})
 		case KindRingChange:
 			ssched.RingChanges = append(ssched.RingChanges, shard.RingChange{At: at, Shard: ev.Shard})
 		case KindSnapshotRead:
 			ssched.SnapshotReads = append(ssched.SnapshotReads, shard.SnapshotRead{At: at, Shard: ev.Shard, Replica: ev.Replica, Readers: ev.Readers})
+		case KindLinkFault:
+			inj.Disarm(ev.Site)
+			inj.ArmAfter(ev.Site, faultinject.OpFailure, ev.Skip)
+			inj.Enable()
 		default:
 			return nil, fmt.Errorf("explore: event %s invalid in shard mode", ev)
 		}
@@ -405,10 +365,11 @@ func runShard(sch Schedule) (*registry.Observation, error) {
 		Replicas: sch.Replicas,
 		Spares:   sch.Spares,
 		Seed:     sch.Seed,
-		Recovery: recovery.Config{Mode: recovery.ModePhoenix, CheckpointInterval: prof.CheckpointInterval},
-		Profile:  prof,
+		Recovery: recovery.Config{Mode: recovery.ModePhoenix, CheckpointInterval: sys.Profile.CheckpointInterval},
+		Profile:  sys.Profile,
+		Inj:      inj,
 	}
-	rep, err := shard.Run(cfg, mk, ssched)
+	rep, err := shard.Run(cfg, sys.Factory, ssched)
 	if err != nil {
 		return nil, fmt.Errorf("explore: shard run: %w", err)
 	}

@@ -28,7 +28,7 @@ func TestGenerateDeterministic(t *testing.T) {
 			t.Fatalf("seed %d: empty schedule explores nothing", seed)
 		}
 	}
-	if modes["single"] == 0 || modes["cluster"] == 0 {
+	if modes["single"] == 0 || modes["shard"] == 0 {
 		t.Fatalf("40 seeds never drew both modes: %v", modes)
 	}
 	if len(apps) < 3 {
@@ -55,7 +55,7 @@ func TestGenerateForcedApp(t *testing.T) {
 // both modes.
 func TestRunDeterministic(t *testing.T) {
 	ran := map[string]bool{}
-	for seed := int64(1); seed <= 12 && (!ran["single"] || !ran["cluster"]); seed++ {
+	for seed := int64(1); seed <= 12 && (!ran["single"] || !ran["shard"]); seed++ {
 		sch := Generate(seed, "")
 		if ran[sch.Mode] {
 			continue

@@ -1,10 +1,11 @@
 // Package explore implements deterministic-simulation testing (DST) for the
 // PHOENIX recovery stack: from a single int64 seed it generates a random
 // fault schedule — preserve-path operation failures, Byzantine bit flips,
-// synthetic process kills, supervisor-calming idle periods, and (in cluster
-// mode) node kills, balancer drains, network partitions, and link faults —
-// runs the schedule against a registry application, and checks the
-// per-application invariant oracles (registry.OraclesFor). A violated oracle
+// synthetic process kills, supervisor-calming idle periods, and (in shard
+// mode, on the serving fabric) replica kills, drains, network partitions,
+// link faults, and live shard moves — runs the schedule against a registry
+// application, and checks the invariant oracles (registry.OraclesFor for a
+// single harness, registry.ShardOracles for the fabric). A violated oracle
 // triggers deterministic shrinking to a minimal failing schedule and a
 // replayable JSON artifact; Replay reproduces the violation byte-for-byte.
 //
@@ -26,22 +27,23 @@ import (
 )
 
 // Event kinds. Single-harness schedules use arm/kill/calm with At as a
-// request index; cluster schedules use kill/drain/partition with AtUs as a
-// cluster-clock instant and linkfault as an up-front arming.
+// request index; shard schedules use kill/drain/partition/shardmove with
+// AtUs as a fabric-clock instant against a (Shard, Replica) slot, and
+// linkfault as an up-front arming.
 const (
 	// KindArm arms one preserve-path fault site (Site, Skip) just before
 	// request At; the fault strikes the next recovery that reaches the site.
 	KindArm = "arm"
-	// KindKill crashes the process (single) or one node (cluster).
+	// KindKill crashes the process (single) or one replica (shard).
 	KindKill = "kill"
 	// KindCalm advances the simulated clock by DurUs before request At, long
 	// enough for the supervisor's stable period to de-escalate the ladder.
 	KindCalm = "calm"
 	// KindDrain and KindPartition open a [AtUs, AtUs+DurUs) window against
-	// Node (cluster only).
+	// replica (Shard, Replica) (shard mode only).
 	KindDrain     = "drain"
 	KindPartition = "partition"
-	// KindLinkFault arms one netsim.link.* site with Skip (cluster only).
+	// KindLinkFault arms one netsim.link.* site with Skip (shard mode only).
 	KindLinkFault = "linkfault"
 	// KindComponentKill arms a one-shot crash attributed to the component
 	// named by Site, just before request At. The crash fires mid-request —
@@ -58,10 +60,10 @@ const (
 	// only). Shard-mode kills reuse KindKill with (Shard, Replica) targets.
 	KindShardMove  = "shardmove"
 	KindRingChange = "ringchange"
-	// KindSnapshotRead runs one concurrent-read batch at AtUs against Node
-	// (cluster mode) or (Shard, Replica) (shard mode): the target commits an
-	// MVCC snapshot and serves the default batch size off it at Readers
-	// fan-out. The stale-snapshot oracle must stay at zero.
+	// KindSnapshotRead runs one concurrent-read batch at AtUs against
+	// (Shard, Replica) (shard mode): the target commits an MVCC snapshot and
+	// serves the default batch size off it at Readers fan-out. The
+	// stale-snapshot oracle must stay at zero.
 	KindSnapshotRead = "snapshotread"
 )
 
@@ -73,9 +75,8 @@ type Event struct {
 	AtUs  int64  `json:"at_us,omitempty"`
 	Site  string `json:"site,omitempty"`
 	Skip  int    `json:"skip,omitempty"`
-	Node  int    `json:"node,omitempty"`
 	DurUs int64  `json:"dur_us,omitempty"`
-	// Shard/Replica target shard-mode kills and moves.
+	// Shard/Replica target shard-mode events.
 	Shard   int `json:"shard,omitempty"`
 	Replica int `json:"replica,omitempty"`
 	// Readers is the snapshot-read fan-out (snapshotread only).
@@ -88,7 +89,7 @@ func (e Event) String() string {
 		return fmt.Sprintf("arm(%s+%d)@%d", e.Site, e.Skip, e.At)
 	case KindKill:
 		if e.AtUs > 0 {
-			return fmt.Sprintf("kill(node%d)@%dµs", e.Node, e.AtUs)
+			return fmt.Sprintf("kill(%d/%d)@%dµs", e.Shard, e.Replica, e.AtUs)
 		}
 		return fmt.Sprintf("kill@%d", e.At)
 	case KindShardMove:
@@ -98,7 +99,7 @@ func (e Event) String() string {
 	case KindCalm:
 		return fmt.Sprintf("calm(%dµs)@%d", e.DurUs, e.At)
 	case KindDrain, KindPartition:
-		return fmt.Sprintf("%s(node%d)@[%d,%d)µs", e.Kind, e.Node, e.AtUs, e.AtUs+e.DurUs)
+		return fmt.Sprintf("%s(%d/%d)@[%d,%d)µs", e.Kind, e.Shard, e.Replica, e.AtUs, e.AtUs+e.DurUs)
 	case KindLinkFault:
 		return fmt.Sprintf("linkfault(%s+%d)", e.Site, e.Skip)
 	case KindComponentKill:
@@ -106,31 +107,27 @@ func (e Event) String() string {
 	case KindDomainFault:
 		return fmt.Sprintf("domainfault(%s)@%d", e.Site, e.At)
 	case KindSnapshotRead:
-		if e.Shard > 0 || e.Replica > 0 {
-			return fmt.Sprintf("snapshotread(%d/%d x%d)@%dµs", e.Shard, e.Replica, e.Readers, e.AtUs)
-		}
-		return fmt.Sprintf("snapshotread(node%d x%d)@%dµs", e.Node, e.Readers, e.AtUs)
+		return fmt.Sprintf("snapshotread(%d/%d x%d)@%dµs", e.Shard, e.Replica, e.Readers, e.AtUs)
 	}
 	return e.Kind
 }
 
 // Schedule is one generated fault script: the search space element a seed
 // maps to and the unit shrinking minimizes. Mode "single" drives one
-// recovery.Harness request by request; mode "cluster" replays the events
-// against a replicated serving tier.
+// recovery.Harness request by request; mode "shard" replays the events
+// against the serving fabric.
 type Schedule struct {
 	Seed int64  `json:"seed"`
 	App  string `json:"app"`
 	Mode string `json:"mode"`
 	// Steps is the single-mode request count.
 	Steps int `json:"steps,omitempty"`
-	// Replicas is the cluster-mode node count, or the shard-mode replicas
-	// per shard.
+	// Shards, Replicas and Spares shape the shard-mode fabric: Shards
+	// replica groups of Replicas each, plus a cold spare pool migrations
+	// draw from.
 	Replicas int `json:"replicas,omitempty"`
-	// Shards and Spares shape the shard-mode fabric: Shards replica groups
-	// plus a warm spare pool migrations draw from.
-	Shards int `json:"shards,omitempty"`
-	Spares int `json:"spares,omitempty"`
+	Shards   int `json:"shards,omitempty"`
+	Spares   int `json:"spares,omitempty"`
 	// DisableChecksums runs the harness with post-commit integrity
 	// verification off — the configuration under which an injected bit flip
 	// commits silently, which the accounting oracle must flag.
@@ -187,9 +184,6 @@ func sortEvents(evs []Event) {
 		}
 		if a.Site != b.Site {
 			return a.Site < b.Site
-		}
-		if a.Node != b.Node {
-			return a.Node < b.Node
 		}
 		if a.Shard != b.Shard {
 			return a.Shard < b.Shard
@@ -327,40 +321,41 @@ func generateSingle(rng *rand.Rand, seed int64, app string) Schedule {
 	return sch
 }
 
+// generateCluster draws a one-shard fabric schedule: a replica group of
+// three with no spares, under kills, a drain, a partition, link faults and
+// snapshot reads.
 func generateCluster(rng *rand.Rand, seed int64, app string) Schedule {
-	sch := Schedule{Seed: seed, App: app, Mode: "cluster", Replicas: 3}
-	runUs := registry.ClusterProfile(app, seed).RunFor.Microseconds()
-	if runUs == 0 {
-		runUs = (150 * time.Millisecond).Microseconds()
-	}
-	// At most one kill per node: a second kill on the same node at these time
-	// scales lands inside the PHOENIX grace window and only measures the
-	// fallback path (mirrors cluster.DefaultSchedule's rationale).
+	sch := Schedule{Seed: seed, App: app, Mode: "shard", Shards: 1, Replicas: 3}
+	sys, _ := fabricSystem(seed, app, sch.Shards)
+	runUs := sys.Profile.RunFor.Microseconds()
+	// At most one kill per replica: a second kill on the same replica at
+	// these time scales lands inside the PHOENIX grace window and only
+	// measures the fallback path (shard.DefaultSchedule's rationale).
 	order := rng.Perm(sch.Replicas)
 	kills := 1 + rng.Intn(2)
 	for i := 0; i < kills; i++ {
 		sch.Events = append(sch.Events, Event{
-			Kind: KindKill,
-			Node: order[i],
-			AtUs: runUs/10 + rng.Int63n(runUs*7/10),
+			Kind:    KindKill,
+			Replica: order[i],
+			AtUs:    runUs/10 + rng.Int63n(runUs*7/10),
 		})
 	}
 	if rng.Intn(2) == 0 {
 		from := runUs/10 + rng.Int63n(runUs/2)
 		sch.Events = append(sch.Events, Event{
-			Kind:  KindDrain,
-			Node:  order[sch.Replicas-1],
-			AtUs:  from,
-			DurUs: runUs/20 + rng.Int63n(runUs/5),
+			Kind:    KindDrain,
+			Replica: order[sch.Replicas-1],
+			AtUs:    from,
+			DurUs:   runUs/20 + rng.Int63n(runUs/5),
 		})
 	}
 	if rng.Intn(2) == 0 {
 		from := runUs/10 + rng.Int63n(runUs/2)
 		sch.Events = append(sch.Events, Event{
-			Kind:  KindPartition,
-			Node:  order[0],
-			AtUs:  from,
-			DurUs: runUs/20 + rng.Int63n(runUs/5),
+			Kind:    KindPartition,
+			Replica: order[0],
+			AtUs:    from,
+			DurUs:   runUs/20 + rng.Int63n(runUs/5),
 		})
 	}
 	linkSites := []string{netsim.SiteLinkDrop, netsim.SiteLinkDup, netsim.SiteLinkDelay}
@@ -378,7 +373,7 @@ func generateCluster(rng *rand.Rand, seed int64, app string) Schedule {
 	for i := 0; i < snaps; i++ {
 		sch.Events = append(sch.Events, Event{
 			Kind:    KindSnapshotRead,
-			Node:    rng.Intn(sch.Replicas),
+			Replica: rng.Intn(sch.Replicas),
 			AtUs:    runUs/10 + rng.Int63n(runUs*7/10),
 			Readers: snapshotFanouts[rng.Intn(len(snapshotFanouts))],
 		})

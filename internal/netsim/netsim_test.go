@@ -190,7 +190,7 @@ func TestRegisterSitesSharedInjector(t *testing.T) {
 }
 
 // BenchmarkSendDeliver measures one send-advance-deliver round trip through
-// the fabric, the hot path of every cluster run.
+// the fabric, the hot path of every serving-fabric run.
 func BenchmarkSendDeliver(b *testing.B) {
 	clk := simclock.New()
 	net := New(clk, LinkConfig{Latency: 100 * time.Microsecond, Jitter: 50 * time.Microsecond}, 1, nil)

@@ -24,7 +24,7 @@ import (
 // and same-seed runs marshal byte-identically.
 
 // concurrencyCrashVA is an unmapped address outside every app's layout;
-// reading it is the synthetic mid-run kill (same class the cluster and
+// reading it is the synthetic mid-run kill (same class the fabric and
 // explore campaigns use).
 const concurrencyCrashVA = mem.VAddr(0x2_0000_0000)
 

@@ -905,7 +905,7 @@ func (h *Harness) hotSwitch() error {
 }
 
 // HandleFailureForREPL exposes the failure-handling path for drivers that
-// crash the process outside ServeRequest: the cluster and shard nodes'
+// crash the process outside ServeRequest: the serving fabric's replica
 // kills, and the exploration and campaign engines.
 func (h *Harness) HandleFailureForREPL(ci *kernel.CrashInfo) error {
 	return h.handleFailure(ci)

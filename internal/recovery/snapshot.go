@@ -124,9 +124,9 @@ func (h *Harness) ServeSnapshotReads(reqs []*workload.Request, readers int) (eff
 	return effective, stale, nil
 }
 
-// SnapshotReadBatch is the scheduled action the cluster and shard tiers
-// drive: commit a fresh version, then serve count in-distribution reads off
-// it at the given fan-out. Write ops drawn from the generator are demoted to
+// SnapshotReadBatch is the scheduled action the serving fabric drives:
+// commit a fresh version, then serve count in-distribution reads off it at
+// the given fan-out. Write ops drawn from the generator are demoted to
 // reads of the same key, so the batch probes live keys without mutating.
 func (h *Harness) SnapshotReadBatch(count, readers int) (effective, stale int, err error) {
 	if count <= 0 {

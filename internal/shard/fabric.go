@@ -39,6 +39,9 @@ type Fabric struct {
 	windows []*windowRec
 	openW   []*windowRec // per-node open kill window
 
+	// partitioned is the node a partition currently isolates (-1 = none).
+	partitioned int
+
 	migrations  []*migration
 	activeShard map[int]*migration
 	activeSrc   map[int]*migration
@@ -78,6 +81,9 @@ func (f *Fabric) phoenixMode() bool { return f.cfg.Recovery.Mode == recovery.Mod
 // the schedule and returns its report.
 func Run(cfg Config, mk recovery.AppFactory, sched Schedule) (Report, error) {
 	cfg.fill()
+	if len(sched.Partitions) > 0 && len(sched.Moves)+len(sched.RingChanges) > 0 {
+		return Report{}, fmt.Errorf("shard: a schedule with partitions cannot also move shards: a dropped dispatch would hold the frozen shard forever")
+	}
 	clk := simclock.New()
 	f := &Fabric{
 		cfg:         cfg,
@@ -89,6 +95,7 @@ func Run(cfg Config, mk recovery.AppFactory, sched Schedule) (Report, error) {
 		acked:       make(map[string]bool),
 		migrated:    make([]bool, cfg.Shards),
 		shardKills:  make([]int, cfg.Shards),
+		partitioned: -1,
 	}
 	f.router = newRouter(f)
 	f.openW = make([]*windowRec, cfg.Shards*cfg.Replicas+cfg.Spares)
@@ -138,35 +145,59 @@ func Run(cfg Config, mk recovery.AppFactory, sched Schedule) (Report, error) {
 	f.router.start()
 	f.fe.start()
 
+	slot := func(what string, s, r int) error {
+		if s < 0 || s >= cfg.Shards || r < 0 || r >= cfg.Replicas {
+			return fmt.Errorf("shard: %s targets (%d,%d) outside %dx%d", what, s, r, cfg.Shards, cfg.Replicas)
+		}
+		return nil
+	}
+	owner := func(s, r int) *node { return f.nodes[f.router.placement[s][r]] }
 	for _, k := range sched.Kills {
 		k := k
-		if k.Shard < 0 || k.Shard >= cfg.Shards || k.Replica < 0 || k.Replica >= cfg.Replicas {
-			return Report{}, fmt.Errorf("shard: kill targets (%d,%d) outside %dx%d", k.Shard, k.Replica, cfg.Shards, cfg.Replicas)
+		if err := slot("kill", k.Shard, k.Replica); err != nil {
+			return Report{}, err
 		}
 		clk.AfterFunc(k.At, func() { f.killReplica(k.Shard, k.Replica) })
 	}
 	for _, mv := range sched.Moves {
 		mv := mv
-		if mv.Shard < 0 || mv.Shard >= cfg.Shards || mv.Replica < 0 || mv.Replica >= cfg.Replicas {
-			return Report{}, fmt.Errorf("shard: move targets (%d,%d) outside %dx%d", mv.Shard, mv.Replica, cfg.Shards, cfg.Replicas)
+		if err := slot("move", mv.Shard, mv.Replica); err != nil {
+			return Report{}, err
 		}
 		clk.AfterFunc(mv.At, func() { f.startMove(mv.Shard, mv.Replica, "move") })
 	}
 	for _, rc := range sched.RingChanges {
 		rc := rc
-		if rc.Shard < 0 || rc.Shard >= cfg.Shards {
-			return Report{}, fmt.Errorf("shard: ring change targets shard %d outside %d", rc.Shard, cfg.Shards)
+		if err := slot("ring change", rc.Shard, 0); err != nil {
+			return Report{}, err
 		}
 		clk.AfterFunc(rc.At, func() { f.ringChange(rc.Shard) })
 	}
 	for _, sr := range sched.SnapshotReads {
 		sr := sr
-		if sr.Shard < 0 || sr.Shard >= cfg.Shards || sr.Replica < 0 || sr.Replica >= cfg.Replicas {
-			return Report{}, fmt.Errorf("shard: snapshot read targets (%d,%d) outside %dx%d", sr.Shard, sr.Replica, cfg.Shards, cfg.Replicas)
+		if err := slot("snapshot read", sr.Shard, sr.Replica); err != nil {
+			return Report{}, err
 		}
-		clk.AfterFunc(sr.At, func() {
-			f.nodes[f.router.placement[sr.Shard][sr.Replica]].snapshotRead(sr.Count, sr.Readers)
+		clk.AfterFunc(sr.At, func() { owner(sr.Shard, sr.Replica).snapshotRead(sr.Count, sr.Readers) })
+	}
+	for _, w := range sched.Drains {
+		w := w
+		if err := slot("drain", w.Shard, w.Replica); err != nil {
+			return Report{}, err
+		}
+		clk.AfterFunc(w.From, func() {
+			nd := owner(w.Shard, w.Replica)
+			nd.drainStart()
+			clk.AfterFunc(w.To-w.From, nd.drainEnd)
 		})
+	}
+	for _, w := range sched.Partitions {
+		w := w
+		if err := slot("partition", w.Shard, w.Replica); err != nil {
+			return Report{}, err
+		}
+		clk.AfterFunc(w.From, func() { f.partition(owner(w.Shard, w.Replica)) })
+		clk.AfterFunc(w.To, f.heal)
 	}
 
 	clk.Advance(cfg.Profile.RunFor + cfg.Profile.Settle)
@@ -193,6 +224,24 @@ func (f *Fabric) ringChange(s int) {
 	f.ringGen++
 	f.router.slotRot[s]++
 	f.startMove(s, 0, "ring-change")
+}
+
+// partition isolates one node from the router, the frontend and every other
+// node; the fabric drops messages in flight across the cut.
+func (f *Fabric) partition(nd *node) {
+	rest := []netsim.NodeID{routerID, feID}
+	for _, other := range f.nodes {
+		if other != nd {
+			rest = append(rest, other.id)
+		}
+	}
+	f.net.Partition(rest, []netsim.NodeID{nd.id})
+	f.partitioned = nd.idx
+}
+
+func (f *Fabric) heal() {
+	f.net.Heal()
+	f.partitioned = -1
 }
 
 func (f *Fabric) openKillWindow(nd *node) {

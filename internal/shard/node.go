@@ -17,6 +17,9 @@ const (
 	// the only legal migration destinations.
 	stateSpare nodeState = iota
 	stateServing
+	// stateDraining is out of the read rotation: no probe acks, every read
+	// refused, fanned-out writes still applied.
+	stateDraining
 	stateDown
 	// stateRetired is a migration source after cutover: its process is
 	// dead (single-owner invariant) and it serves nothing ever again.
@@ -29,6 +32,8 @@ func (s nodeState) String() string {
 		return "spare"
 	case stateServing:
 		return "serving"
+	case stateDraining:
+		return "draining"
 	case stateDown:
 		return "down"
 	case stateRetired:
@@ -59,6 +64,7 @@ type node struct {
 	// accounting
 	accepted          int
 	refused           int
+	drainRefusals     int
 	kills             int
 	recoveryTotal     time.Duration
 	snapshotReads     int
@@ -71,8 +77,8 @@ func (nd *node) handle(m netsim.Message) {
 	case dispatchEnv:
 		nd.onRequest(env)
 	case probeEnv:
-		// Only a serving owner acks; spares, retired, and down nodes go
-		// dark so the router routes reads around them.
+		// Only a serving owner acks; spares, retired, draining and down
+		// nodes go dark so the router routes reads around them.
 		if nd.state == stateServing {
 			nd.f.net.Send(nd.id, routerID, ackEnv{Node: nd.idx})
 		}
@@ -88,24 +94,38 @@ func (nd *node) respond(env dispatchEnv, ok, eff, refused bool) respEnv {
 }
 
 func (nd *node) onRequest(env dispatchEnv) {
-	if nd.state != stateServing {
-		nd.refused++
-		nd.f.net.Send(nd.id, routerID, nd.respond(env, false, false, true))
+	if nd.state == stateServing || (nd.state == stateDraining && isWrite(env.Req.Op)) {
+		nd.accepted++
+		nd.queue = append(nd.queue, env)
+		nd.startNext()
 		return
 	}
-	nd.accepted++
-	nd.queue = append(nd.queue, env)
-	nd.startNext()
+	nd.refuse(env)
+}
+
+// refuse answers a dispatch the node will not serve with a fast, explicit
+// refusal the client retries; a draining node counts it against the drain.
+func (nd *node) refuse(env dispatchEnv) {
+	nd.refused++
+	if nd.state == stateDraining {
+		nd.drainRefusals++
+	}
+	nd.f.net.Send(nd.id, routerID, nd.respond(env, false, false, true))
 }
 
 // startNext dispatches the queue head: the harness computes the outcome and
 // service duration on the node's machine clock, and the response lands that
-// far in the fabric's future (single-server queueing).
+// far in the fabric's future (single-server queueing). A draining node
+// holds only writes, so starting a read there fails the run.
 func (nd *node) startNext() {
-	if nd.busy || nd.state != stateServing || len(nd.queue) == 0 {
+	if nd.busy || (nd.state != stateServing && nd.state != stateDraining) || len(nd.queue) == 0 {
 		return
 	}
 	env := nd.queue[0]
+	if nd.state == stateDraining && !isWrite(env.Req.Op) {
+		nd.f.fail(fmt.Errorf("shard: node %d started a read while draining", nd.idx))
+		return
+	}
 	nd.queue = nd.queue[1:]
 	nd.busy = true
 
@@ -136,12 +156,10 @@ func (nd *node) syncClock() {
 // kill crashes the node's process at fabric time and drives the harness's
 // real recovery path; the node is down for exactly the simulated recovery
 // duration. A migration sourcing from this node aborts first — its buffered
-// baseline dies with the process.
+// baseline dies with the process. A kill that finds the node anywhere but
+// serving (recovering, draining or retired) is a no-op.
 func (nd *node) kill() {
-	if nd.state != stateServing && nd.state != stateDown {
-		return
-	}
-	if nd.state == stateDown {
+	if nd.state != stateServing {
 		return
 	}
 	nd.f.abortMigrationsFrom(nd.idx, "source killed")
@@ -222,4 +240,31 @@ func (nd *node) retire() {
 	if len(nd.queue) != 0 {
 		nd.f.fail(fmt.Errorf("shard: node %d retired with %d queued requests", nd.idx, len(nd.queue)))
 	}
+}
+
+// drainStart takes a serving node out of the read rotation: the in-flight
+// request finishes, queued reads are refused, queued and arriving writes
+// still apply, and probes go unanswered so the router reads around it.
+func (nd *node) drainStart() {
+	if nd.state != stateServing {
+		return
+	}
+	nd.state = stateDraining
+	var writes []dispatchEnv
+	for _, env := range nd.queue {
+		if isWrite(env.Req.Op) {
+			writes = append(writes, env)
+		} else {
+			nd.refuse(env)
+		}
+	}
+	nd.queue = writes
+}
+
+func (nd *node) drainEnd() {
+	if nd.state != stateDraining {
+		return
+	}
+	nd.state = stateServing
+	nd.startNext()
 }

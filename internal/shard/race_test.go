@@ -1,14 +1,15 @@
 package shard_test
 
-// Race-hammer for the sharded fabric: each run is single-threaded by design
-// (one simclock drives the router, the open-loop frontend, node recovery,
-// and the migration state machines), so the concurrency hazard worth hunting
-// is shared package state — a stray global in the ring, router, kernel
+// Race-hammer for the fabric: each run is single-threaded by design (one
+// simclock drives the router, the open-loop frontend, node recovery, and
+// the migration state machines), so the concurrency hazard worth hunting is
+// shared package state — a stray global in the ring, router, kernel
 // migration, or app layers that two independent fabrics would stomp. This
-// test runs full sharded runs concurrently under -race with kills, moves,
-// and ring changes all active, requires same-seed runs to stay
-// byte-identical even while racing each other, and checks no goroutine
-// outlives the runs.
+// test runs full fabrics concurrently under -race in both shapes: sharded
+// runs with kills, moves, and ring changes, and one-shard runs with a kill,
+// a drain, a partition, and a snapshot read. It requires same-seed runs to
+// stay byte-identical even while racing each other, and checks no
+// goroutine outlives the runs.
 
 import (
 	"bytes"
@@ -21,7 +22,7 @@ import (
 	"phoenix/internal/shard"
 )
 
-func hammerOnce(t *testing.T, seed int64) shard.Report {
+func hammerOnce(t *testing.T, seed int64, group bool) shard.Report {
 	t.Helper()
 	cfg, mk, _ := smokeConfig(seed, recovery.ModePhoenix)
 	d := cfg.Profile.RunFor
@@ -35,6 +36,16 @@ func hammerOnce(t *testing.T, seed int64) shard.Report {
 		Moves:       []shard.Move{{At: d * 2 / 5, Shard: 3, Replica: 1}},
 		RingChanges: []shard.RingChange{{At: d * 3 / 5, Shard: 1}},
 	}
+	if group {
+		cfg.Shards, cfg.Replicas, cfg.Spares = 1, 3, 0
+		cfg.Profile.ArrivalMean = 120 * time.Microsecond
+		sched = shard.Schedule{
+			Kills:         []shard.Kill{{At: d / 4, Replica: 0}},
+			Drains:        []shard.Window{{From: d * 2 / 5, To: d * 3 / 5, Replica: 2}},
+			Partitions:    []shard.Window{{From: d * 3 / 4, To: d * 9 / 10, Replica: 1}},
+			SnapshotReads: []shard.SnapshotRead{{At: d / 2, Replica: 1, Readers: 4}},
+		}
+	}
 	rep, err := shard.Run(cfg, mk, sched)
 	if err != nil {
 		t.Errorf("seed %d: %v", seed, err)
@@ -46,17 +57,18 @@ func hammerOnce(t *testing.T, seed int64) shard.Report {
 func TestShardRaceHammer(t *testing.T) {
 	before := runtime.NumGoroutine()
 
-	// 3 seeds × 2 concurrent runs each: the duplicate pairs double as a
-	// determinism check under contention.
-	const seedCount, dup = 3, 2
-	reports := make([]shard.Report, seedCount*dup)
+	// 3 seeds × 2 shapes × 2 concurrent runs each: the duplicate pairs
+	// double as a determinism check under contention.
+	const seedCount, shapes, dup = 3, 2, 2
+	const runs = seedCount * shapes
+	reports := make([]shard.Report, runs*dup)
 	var wg sync.WaitGroup
 	for i := range reports {
 		i := i
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			reports[i] = hammerOnce(t, int64(i%seedCount)+1)
+			reports[i] = hammerOnce(t, int64(i%seedCount)+1, i%runs >= seedCount)
 		}()
 	}
 	wg.Wait()
@@ -64,8 +76,9 @@ func TestShardRaceHammer(t *testing.T) {
 		return
 	}
 
-	for s := 0; s < seedCount; s++ {
-		a, b := reports[s], reports[s+seedCount]
+	for i := 0; i < runs; i++ {
+		seed := i%seedCount + 1
+		a, b := reports[i], reports[i+runs]
 		ja, err := a.JSON()
 		if err != nil {
 			t.Fatal(err)
@@ -75,16 +88,25 @@ func TestShardRaceHammer(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(ja, jb) {
-			t.Fatalf("seed %d: concurrent same-seed runs diverged:\n%s\n%s", s+1, ja, jb)
+			t.Fatalf("seed %d: concurrent same-seed runs diverged:\n%s\n%s", seed, ja, jb)
 		}
-		if a.Kills != 3 || a.Requests == 0 {
-			t.Fatalf("seed %d: hammer run exercised nothing: %s", s+1, a)
+		if a.Requests == 0 || a.NonOwnerServes != 0 || a.LostAcked != 0 {
+			t.Fatalf("seed %d: hammer run served nothing or broke an oracle: %s", seed, a)
 		}
-		if a.MovesCompleted == 0 {
-			t.Fatalf("seed %d: no move completed under the hammer schedule: %s", s+1, a)
+		if i < seedCount {
+			if a.Kills != 3 || a.MovesCompleted == 0 {
+				t.Fatalf("seed %d: sharded hammer run killed or moved nothing: %s", seed, a)
+			}
+			continue
 		}
-		if a.NonOwnerServes != 0 || a.LostAcked != 0 {
-			t.Fatalf("seed %d: oracle violation under the hammer schedule: %s", s+1, a)
+		if a.Kills != 1 || a.Unrecovered != 0 || a.DrainRefusals == 0 || a.SnapshotReads == 0 ||
+			a.PartitionResponses != 0 || a.NetPartitionDrops == 0 || a.SnapshotStale != 0 {
+			t.Fatalf("seed %d: one-shard hammer run missed its kill, drain, partition or snapshot read: %s\n%s", seed, a, ja)
+		}
+		for _, nd := range a.Nodes {
+			if nd.Accepted == 0 {
+				t.Fatalf("seed %d: replica %d accepted nothing: %s", seed, nd.Replica, ja)
+			}
 		}
 	}
 

@@ -129,6 +129,11 @@ type Report struct {
 	LedgerChecked  int      `json:"ledger_checked"`
 	LostAcked      int      `json:"lost_acked"`
 	LostKeys       []string `json:"lost_keys,omitempty"`
+	// DrainRefusals counts the reads draining replicas refused.
+	// PartitionResponses is an oracle: non-refused responses that reached
+	// the router from a partitioned node. It must stay zero.
+	DrainRefusals      int `json:"drain_refusals"`
+	PartitionResponses int `json:"partition_responses"`
 
 	// Snapshot-read accounting (scheduled concurrent-read batches off MVCC
 	// versions). SnapshotStale is an oracle: it must stay zero.
@@ -193,6 +198,8 @@ func (f *Fabric) report(sched Schedule) Report {
 		LedgerChecked:  f.ledgerChecked,
 		LostAcked:      f.lostAcked,
 		LostKeys:       f.lostKeys,
+
+		PartitionResponses: f.router.partitionResponses,
 
 		NetSent:           f.net.Stat.Sent,
 		NetDelivered:      f.net.Stat.Delivered,
@@ -265,6 +272,7 @@ func (f *Fabric) report(sched Schedule) Report {
 	}
 
 	for _, nd := range f.nodes {
+		rep.DrainRefusals += nd.drainRefusals
 		rep.SnapshotReads += nd.snapshotReads
 		rep.SnapshotEffective += nd.snapshotEffective
 		rep.SnapshotStale += nd.snapshotStale

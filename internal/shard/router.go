@@ -12,9 +12,10 @@ import (
 // every node, spreads reads across a shard's replica group by key slot, fans
 // writes out to the whole group, and holds a shard's traffic while its
 // migration cuts over. Retries and hedges never leave the shard's replica
-// group. It also runs two of the campaign's oracles inline: the non-owner
-// check (a non-refused response computed under a stale ownership epoch) and
-// the per-node kill-window bookkeeping.
+// group. It also runs three of the campaign's oracles inline: the non-owner
+// check (a non-refused response computed under a stale ownership epoch), the
+// partition check (a non-refused response from a partitioned node), and the
+// per-node kill-window bookkeeping.
 type router struct {
 	f *Fabric
 
@@ -41,6 +42,9 @@ type router struct {
 	wpends map[wkey]*wagg
 
 	nonOwnerServes int
+	// partitionResponses counts non-refused responses from the partitioned
+	// node. The fabric cuts them, so the count must stay zero.
+	partitionResponses int
 }
 
 type wkey struct {
@@ -179,6 +183,9 @@ func (r *router) onResponse(env respEnv) {
 	// request served by a node that no longer owned the shard.
 	if !env.Refused && env.Epoch != r.epoch[env.Shard] {
 		r.nonOwnerServes++
+	}
+	if !env.Refused && env.Node == r.f.partitioned {
+		r.partitionResponses++
 	}
 
 	// An effective read from a killed node proves it serves real state

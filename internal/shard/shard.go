@@ -1,7 +1,8 @@
-// Package shard is the sharded serving fabric: a consistent-hash key ring
-// over per-shard replica groups of recovery harnesses, fronted by a
-// shard-aware router, driven by an open-loop client population over a
-// netsim fabric.
+// Package shard is the serving fabric: a consistent-hash key ring over
+// per-shard replica groups of recovery harnesses, fronted by a shard-aware
+// router, driven by an open-loop client population over a netsim fabric. A
+// replicated cluster is the fabric's one-shard shape: one replica group, no
+// spares.
 //
 // The piece that makes it more than "many clusters side by side" is live
 // shard migration: moving a shard to another node transfers its preserved
@@ -35,7 +36,8 @@ const feID = netsim.NodeID("fe")
 func nodeID(i int) netsim.NodeID { return netsim.NodeID(fmt.Sprintf("node%d", i)) }
 
 // crashVA is an unmapped address outside every app's layout; reading it is
-// the synthetic kill vector (same as the cluster campaign's).
+// the synthetic kill vector (the same address class the recovery campaigns
+// use).
 const crashVA = 0x2_0000_0000
 
 // Profile shapes the client population and traffic window.
@@ -105,8 +107,7 @@ type Config struct {
 	// Shards is the shard count (default 4); Replicas the replica-group
 	// size per shard (default 2); Spares the pool of cold standby nodes
 	// migrations move into (0 is valid — every move is then skipped as
-	// "no spare available"; the campaign defaults it to 2). Total node
-	// count is Shards*Replicas+Spares.
+	// "no spare available"). Total node count is Shards*Replicas+Spares.
 	Shards   int
 	Replicas int
 	Spares   int
@@ -213,31 +214,62 @@ type SnapshotRead struct {
 	Readers int
 }
 
+// Window is a [From, To) interval applied to one shard replica, resolved
+// to whichever node owns the slot when the window opens.
+type Window struct {
+	From, To time.Duration
+	Shard    int
+	Replica  int
+}
+
 // Schedule is the fault-and-rebalance script one run executes; the same
 // schedule replays against every recovery mode under comparison.
+//
+// A drain takes its replica out of the read rotation: it stops acking
+// probes and refuses every read, but keeps applying fanned-out writes. A
+// partition cuts its replica's node off from the router, the frontend and
+// every other node. A write to that replica group cannot collect every ack,
+// so the group's writes fail for the whole window. Run rejects partitions
+// together with moves or ring changes: a dispatch the partition drops would
+// hold a frozen shard forever.
 type Schedule struct {
 	Kills         []Kill
 	Moves         []Move
 	RingChanges   []RingChange
 	SnapshotReads []SnapshotRead
+	Drains        []Window
+	Partitions    []Window
 }
 
-// DefaultSchedule kills two shards' primaries around the first half of the
-// traffic window, live-moves a third shard's secondary mid-traffic, and
-// runs a ring change on a fourth shard late — so every mode sees kills and
-// rebalances interleaved with open-loop load.
-func DefaultSchedule(p Profile, shards, replicas int) Schedule {
+// DefaultSchedule is the campaigns' one schedule builder. Kill i, at 25% and
+// 50% of the traffic window, hits slot (i mod shards, ⌊i/shards⌋ mod
+// replicas); the second kill is scheduled only when it lands on another
+// slot, since a second kill inside the PHOENIX grace window measures the
+// fallback path instead. With spares, a shard's secondary live-moves at 35%
+// and a ring change relocates a primary at 65%. With more than two
+// replicas, the last replica of shard 0 drains over 55–70% and is
+// partitioned over 78–90%; Run rejects that partition beside moves, so a
+// shape with both spares and more than two replicas needs its own schedule.
+func DefaultSchedule(p Profile, shards, replicas, spares int) Schedule {
 	d := p.RunFor
-	s := Schedule{Kills: []Kill{{At: d / 4, Shard: 0, Replica: 0}}}
-	if shards > 1 {
-		s.Kills = append(s.Kills, Kill{At: d / 2, Shard: 1 % shards, Replica: 0})
+	var s Schedule
+	for i, at := range []time.Duration{d / 4, d / 2} {
+		if i < shards*replicas {
+			s.Kills = append(s.Kills, Kill{At: at, Shard: i % shards, Replica: i / shards % replicas})
+		}
 	}
-	mv := Move{At: d * 35 / 100, Shard: 2 % shards}
-	if replicas > 1 {
-		mv.Replica = 1
+	if spares > 0 {
+		mv := Move{At: d * 35 / 100, Shard: 2 % shards}
+		if replicas > 1 {
+			mv.Replica = 1
+		}
+		s.Moves = []Move{mv}
+		s.RingChanges = []RingChange{{At: d * 65 / 100, Shard: 3 % shards}}
 	}
-	s.Moves = []Move{mv}
-	s.RingChanges = []RingChange{{At: d * 65 / 100, Shard: 3 % shards}}
+	if last := replicas - 1; replicas > 2 {
+		s.Drains = []Window{{From: d * 55 / 100, To: d * 70 / 100, Replica: last}}
+		s.Partitions = []Window{{From: d * 78 / 100, To: d * 90 / 100, Replica: last}}
+	}
 	return s
 }
 

@@ -21,7 +21,7 @@ func smokeConfig(seed int64, mode recovery.Mode) (shard.Config, recovery.AppFact
 		Recovery: recovery.Config{Mode: mode, CheckpointInterval: 2 * time.Millisecond},
 		Profile:  prof,
 	}
-	sched := shard.DefaultSchedule(cfg.Profile, cfg.Shards, cfg.Replicas)
+	sched := shard.DefaultSchedule(cfg.Profile, cfg.Shards, cfg.Replicas, cfg.Spares)
 	return cfg, registry.Factories(seed)["kvstore"], sched
 }
 

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"phoenix/internal/apps/kvstore"
-	"phoenix/internal/cluster"
 	"phoenix/internal/faultinject"
 	"phoenix/internal/recovery"
 	"phoenix/internal/shard"
@@ -15,8 +14,8 @@ import (
 
 // TestPerShardKillWindowSmallerThanWholeReplica is the sharding dividend:
 // the same application, seed, and dataset, killed at the same instant under
-// PHOENIX, must reopen faster when the victim owns one shard's arc than
-// when it owns the whole replicated keyspace. The state-dependent parts of
+// PHOENIX, must reopen faster when the victim owns one shard's arc of a
+// 4×2 fabric than when it owns the whole keyspace of a 1×2 one. The state-dependent parts of
 // recovery — the preserve scan and checksum walk over the heap, the
 // mark-and-sweep cleanup over live records — scale with what the node
 // holds, and a 4-shard fabric gives each node a quarter of it. The dataset
@@ -55,42 +54,31 @@ func TestPerShardKillWindowSmallerThanWholeReplica(t *testing.T) {
 	})
 	rcfg := recovery.Config{Mode: recovery.ModePhoenix, CheckpointInterval: 2 * time.Millisecond}
 
-	// Whole-replica tier: every node warms (and on a kill, preserves) all
-	// records.
-	crep, err := cluster.Run(cluster.Config{
-		System:   "kvstore",
-		Replicas: replicas,
-		Seed:     seed,
-		Recovery: rcfg,
-		Profile:  cluster.Profile{Proto: proto, Warm: warm, RunFor: runFor},
-	}, mk, cluster.Schedule{Kills: []cluster.Kill{{At: killAt, Node: 0}}})
-	if err != nil {
-		t.Fatal(err)
+	run := func(shards int) shard.Report {
+		t.Helper()
+		rep, err := shard.Run(shard.Config{
+			System:   "kvstore",
+			Shards:   shards,
+			Replicas: replicas,
+			Seed:     seed,
+			Recovery: rcfg,
+			Profile:  shard.Profile{Proto: proto, Warm: warm, RunFor: runFor},
+		}, mk, shard.Schedule{Kills: []shard.Kill{{At: killAt, Shard: 0, Replica: 0}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rep.Windows) != 1 || !rep.Windows[0].Closed {
+			t.Fatalf("%d-shard run: want one closed kill window, got %+v", shards, rep.Windows)
+		}
+		return rep
 	}
-
-	// Sharded fabric: node 0 (shard 0, replica 0) warms only shard 0's arc.
-	srep, err := shard.Run(shard.Config{
-		System:   "kvstore",
-		Shards:   shards,
-		Replicas: replicas,
-		Seed:     seed,
-		Recovery: rcfg,
-		Profile:  shard.Profile{Proto: proto, Warm: warm, RunFor: runFor},
-	}, mk, shard.Schedule{Kills: []shard.Kill{{At: killAt, Shard: 0, Replica: 0}}})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if len(crep.Windows) != 1 || !crep.Windows[0].Closed {
-		t.Fatalf("cluster run: want one closed kill window, got %+v", crep.Windows)
-	}
-	if len(srep.Windows) != 1 || !srep.Windows[0].Closed {
-		t.Fatalf("shard run: want one closed kill window, got %+v", srep.Windows)
-	}
-	cw, sw := crep.Windows[0], srep.Windows[0]
-	t.Logf("whole-replica window %dµs, per-shard window %dµs", cw.DurUs, sw.DurUs)
-	if sw.DurUs >= cw.DurUs {
+	// Node 0 (shard 0, replica 0) warms, and on the kill preserves, every
+	// record in the one-shard fabric but only shard 0's arc in the 4-shard
+	// one.
+	whole, sharded := run(1).Windows[0], run(shards).Windows[0]
+	t.Logf("whole-replica window %dµs, per-shard window %dµs", whole.DurUs, sharded.DurUs)
+	if sharded.DurUs >= whole.DurUs {
 		t.Fatalf("per-shard kill window %dµs not smaller than whole-replica window %dµs",
-			sw.DurUs, cw.DurUs)
+			sharded.DurUs, whole.DurUs)
 	}
 }

@@ -63,8 +63,8 @@ type Generator interface {
 	// the start of its stream and re-seeded with seed: two clones with the
 	// same seed emit identical streams, and (for seeded generators) clones
 	// with distinct seeds emit distinct streams. It clones the generator as
-	// configured, not its current cursor — each simulated client in a
-	// cluster run gets its own clone and replays from request one.
+	// configured, not its current cursor — each fabric frontend gets its
+	// own clone and replays from request one.
 	Clone(seed int64) Generator
 }
 
