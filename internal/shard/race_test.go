@@ -1,15 +1,15 @@
 package shard_test
 
-// Race-hammer for the fabric: each run is single-threaded by design (one
+// Race-hammers for the fabric: each run is single-threaded by design (one
 // simclock drives the router, the open-loop frontend, node recovery, and
 // the migration state machines), so the concurrency hazard worth hunting is
 // shared package state — a stray global in the ring, router, kernel
-// migration, or app layers that two independent fabrics would stomp. This
-// test runs full fabrics concurrently under -race in both shapes: sharded
-// runs with kills, moves, and ring changes, and one-shard runs with a kill,
-// a drain, a partition, and a snapshot read. It requires same-seed runs to
-// stay byte-identical even while racing each other, and checks no
-// goroutine outlives the runs.
+// migration, or app layers that two independent fabrics would stomp. Each
+// test runs full fabrics of one shape concurrently under -race:
+// TestShardRaceHammer sharded runs with kills, moves, and ring changes,
+// TestClusterRaceHammer one-shard runs with a kill, a drain, a partition,
+// and a snapshot read. Both require same-seed runs to stay byte-identical
+// even while racing each other, and check no goroutine outlives the runs.
 
 import (
 	"bytes"
@@ -54,21 +54,23 @@ func hammerOnce(t *testing.T, seed int64, group bool) shard.Report {
 	return rep
 }
 
-func TestShardRaceHammer(t *testing.T) {
+// raceHammer runs three seeds of one shape twice each, all concurrently,
+// byte-compares the same-seed pairs, hands each seed's report and JSON to
+// check, and then fails on any goroutine the runs left behind.
+func raceHammer(t *testing.T, group bool, check func(seed int64, rep shard.Report, js []byte)) {
 	before := runtime.NumGoroutine()
 
-	// 3 seeds × 2 shapes × 2 concurrent runs each: the duplicate pairs
-	// double as a determinism check under contention.
-	const seedCount, shapes, dup = 3, 2, 2
-	const runs = seedCount * shapes
-	reports := make([]shard.Report, runs*dup)
+	// 3 seeds × 2 concurrent runs each: the duplicate pairs double as a
+	// determinism check under contention.
+	const seedCount, dup = 3, 2
+	reports := make([]shard.Report, seedCount*dup)
 	var wg sync.WaitGroup
 	for i := range reports {
 		i := i
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			reports[i] = hammerOnce(t, int64(i%seedCount)+1, i%runs >= seedCount)
+			reports[i] = hammerOnce(t, int64(i%seedCount)+1, group)
 		}()
 	}
 	wg.Wait()
@@ -76,9 +78,9 @@ func TestShardRaceHammer(t *testing.T) {
 		return
 	}
 
-	for i := 0; i < runs; i++ {
-		seed := i%seedCount + 1
-		a, b := reports[i], reports[i+runs]
+	for s := 0; s < seedCount; s++ {
+		seed := int64(s) + 1
+		a, b := reports[s], reports[s+seedCount]
 		ja, err := a.JSON()
 		if err != nil {
 			t.Fatal(err)
@@ -93,21 +95,7 @@ func TestShardRaceHammer(t *testing.T) {
 		if a.Requests == 0 || a.NonOwnerServes != 0 || a.LostAcked != 0 {
 			t.Fatalf("seed %d: hammer run served nothing or broke an oracle: %s", seed, a)
 		}
-		if i < seedCount {
-			if a.Kills != 3 || a.MovesCompleted == 0 {
-				t.Fatalf("seed %d: sharded hammer run killed or moved nothing: %s", seed, a)
-			}
-			continue
-		}
-		if a.Kills != 1 || a.Unrecovered != 0 || a.DrainRefusals == 0 || a.SnapshotReads == 0 ||
-			a.PartitionResponses != 0 || a.NetPartitionDrops == 0 || a.SnapshotStale != 0 {
-			t.Fatalf("seed %d: one-shard hammer run missed its kill, drain, partition or snapshot read: %s\n%s", seed, a, ja)
-		}
-		for _, nd := range a.Nodes {
-			if nd.Accepted == 0 {
-				t.Fatalf("seed %d: replica %d accepted nothing: %s", seed, nd.Replica, ja)
-			}
-		}
+		check(seed, a, ja)
 	}
 
 	// Goroutine-leak check: nothing the runs started may outlive them. A few
@@ -124,4 +112,26 @@ func TestShardRaceHammer(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
+}
+
+func TestShardRaceHammer(t *testing.T) {
+	raceHammer(t, false, func(seed int64, a shard.Report, _ []byte) {
+		if a.Kills != 3 || a.MovesCompleted == 0 {
+			t.Fatalf("seed %d: sharded hammer run killed or moved nothing: %s", seed, a)
+		}
+	})
+}
+
+func TestClusterRaceHammer(t *testing.T) {
+	raceHammer(t, true, func(seed int64, a shard.Report, ja []byte) {
+		if a.Kills != 1 || a.Unrecovered != 0 || a.DrainRefusals == 0 || a.SnapshotReads == 0 ||
+			a.PartitionResponses != 0 || a.NetPartitionDrops == 0 || a.SnapshotStale != 0 {
+			t.Fatalf("seed %d: one-shard hammer run missed its kill, drain, partition or snapshot read: %s\n%s", seed, a, ja)
+		}
+		for _, nd := range a.Nodes {
+			if nd.Accepted == 0 {
+				t.Fatalf("seed %d: replica %d accepted nothing: %s", seed, nd.Replica, ja)
+			}
+		}
+	})
 }
