@@ -315,8 +315,9 @@ func (m Model) MigrateCutover(scannedPages, hashedPages, shippedPages int) time.
 }
 
 // SnapshotCommit returns the modelled duration of committing one MVCC
-// snapshot version with changedPages pages copied fresh (the rest shared
-// with the predecessor version).
+// snapshot version with changedPages pages changed since the predecessor
+// version, each charged one page copy (the rest are shared with the
+// predecessor).
 func (m Model) SnapshotCommit(changedPages int) time.Duration {
 	return m.SnapshotCommitFixed + time.Duration(changedPages)*m.SnapshotCopyPerPage
 }

@@ -19,17 +19,21 @@ import (
 // A hazard is a statement that can change bytes reachable from a Frame's
 // Data field:
 //
-//   - an indexed assignment whose base is f.Data (or a local derived from it
-//     in the same function);
-//   - copy() with such a buffer as destination;
+//   - an in-place write into the buffer f.Data (or a local derived from it
+//     in the same function): an indexed store or op-assignment, ++/--,
+//     copy() with the buffer as destination, or clear();
 //   - assignment to the Data field itself.
 //
-// A function containing hazards must also contain sanction evidence that it
-// participates in tracking: a call to the materialize/write/stamp funnels,
-// an explicit assignment to a Dirty or Gen field, or construction of a
-// Frame composite literal with an explicit Dirty field (the snapshot paths
-// that copy tracking state wholesale). Evidence is per-function — the
-// funnels themselves carry their own evidence, so the rule bottoms out.
+// A function containing hazards must also contain sanction evidence. An
+// in-place write needs a call to the materialize or write funnels: a frame
+// buffer may be shared copy-on-write with frozen copies (snapshot views,
+// clones, fork copies), and only materialize copies it before the first
+// mutation, so marking the frame dirty or stamping it does not make an
+// in-place write safe. A Data replacement installs a new buffer and needs
+// only tracking evidence: a materialize/write/stamp call, an explicit
+// assignment to a Dirty or Gen field, or a Frame composite literal with an
+// explicit Dirty field. Evidence is per-function — the funnels themselves
+// carry their own evidence, so the rule bottoms out.
 //
 // Caveat (documented in DESIGN.md): the derived-buffer taint is local and
 // syntactic; a Data slice smuggled through a field, channel, or call
@@ -116,9 +120,10 @@ func dirtyBitInFunc(r *Repo, pkg *Pkg, fd *ast.FuncDecl) []Diagnostic {
 	info := pkg.Info
 
 	// Pass 1: local taint (vars bound to a Frame's Data buffer) and sanction
-	// evidence.
+	// evidence: tracking (dirty bit or stamp maintained) and copy-on-write
+	// (a materialize/write call, which also tracks).
 	tainted := map[types.Object]bool{}
-	evidence := false
+	evidence, cow := false, false
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		switch node := n.(type) {
 		case *ast.AssignStmt:
@@ -155,7 +160,9 @@ func dirtyBitInFunc(r *Repo, pkg *Pkg, fd *ast.FuncDecl) []Diagnostic {
 		case *ast.CallExpr:
 			if fn := calleeOf(info, node); fn != nil && fn.Pkg() == pkg.Types {
 				switch fn.Name() {
-				case "materialize", "write", "stamp":
+				case "materialize", "write":
+					evidence, cow = true, true
+				case "stamp":
 					evidence = true
 				}
 			}
@@ -186,6 +193,13 @@ func dirtyBitInFunc(r *Repo, pkg *Pkg, fd *ast.FuncDecl) []Diagnostic {
 		}
 		add(pos, fmt.Sprintf("%s %s without materialize/dirty-marking evidence; delta checksums will skip the change", fd.Name.Name, what))
 	}
+	inPlace := func(pos token.Pos, what string) {
+		if evidence && !cow {
+			add(pos, fmt.Sprintf("%s %s in place without a materialize/write call; a buffer shared copy-on-write would change under its frozen copies", fd.Name.Name, what))
+			return
+		}
+		hazard(pos, what)
+	}
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		switch node := n.(type) {
 		case *ast.AssignStmt:
@@ -193,7 +207,7 @@ func dirtyBitInFunc(r *Repo, pkg *Pkg, fd *ast.FuncDecl) []Diagnostic {
 				switch t := ast.Unparen(lhs).(type) {
 				case *ast.IndexExpr:
 					if isFrameBuf(t.X) {
-						hazard(lhs.Pos(), "writes into a frame-backed buffer")
+						inPlace(lhs.Pos(), "writes into a frame-backed buffer")
 					}
 				case *ast.SelectorExpr:
 					if t.Sel.Name == "Data" && isFrameType(info.TypeOf(t.X)) {
@@ -201,11 +215,18 @@ func dirtyBitInFunc(r *Repo, pkg *Pkg, fd *ast.FuncDecl) []Diagnostic {
 					}
 				}
 			}
+		case *ast.IncDecStmt:
+			if t, ok := ast.Unparen(node.X).(*ast.IndexExpr); ok && isFrameBuf(t.X) {
+				inPlace(node.X.Pos(), "writes into a frame-backed buffer")
+			}
 		case *ast.CallExpr:
 			if id, ok := ast.Unparen(node.Fun).(*ast.Ident); ok {
-				if _, isBuiltin := info.Uses[id].(*types.Builtin); isBuiltin && id.Name == "copy" && len(node.Args) == 2 {
-					if isFrameBuf(node.Args[0]) {
-						hazard(node.Pos(), "copies into a frame-backed buffer")
+				if _, isBuiltin := info.Uses[id].(*types.Builtin); isBuiltin && len(node.Args) > 0 && isFrameBuf(node.Args[0]) {
+					switch {
+					case id.Name == "copy" && len(node.Args) == 2:
+						inPlace(node.Pos(), "copies into a frame-backed buffer")
+					case id.Name == "clear":
+						inPlace(node.Pos(), "clears a frame-backed buffer")
 					}
 				}
 			}

@@ -29,6 +29,8 @@ var golden = []Diagnostic{
 	{"dirty-bit", "internal/mem/mem.go", 69, 2, "PokeRaw writes into a frame-backed buffer without materialize/dirty-marking evidence; delta checksums will skip the change"},
 	{"dirty-bit", "internal/mem/mem.go", 76, 2, "BlastCopy copies into a frame-backed buffer without materialize/dirty-marking evidence; delta checksums will skip the change"},
 	{"dirty-bit", "internal/mem/mem.go", 82, 2, "SwapData replaces a frame's Data buffer without materialize/dirty-marking evidence; delta checksums will skip the change"},
+	{"dirty-bit", "internal/mem/mem.go", 97, 2, "ZeroRaw clears a frame-backed buffer in place without a materialize/write call; a buffer shared copy-on-write would change under its frozen copies"},
+	{"dirty-bit", "internal/mem/mem.go", 106, 2, "BumpRaw writes into a frame-backed buffer without materialize/dirty-marking evidence; delta checksums will skip the change"},
 	{"snapshot-purity", "internal/snapreader/snapreader.go", 19, 3, "reader closure of GlobalWriter.OpenSnapshotReader writes package-level state served; snapshot readers must be pure"},
 	{"snapshot-purity", "internal/snapreader/snapreader.go", 31, 3, "reader closure of ReceiverWriter.OpenSnapshotReader writes captured variable r; snapshot readers must be pure"},
 	{"snapshot-purity", "internal/snapreader/snapreader.go", 42, 3, "reader closure of CaptureWriter.OpenSnapshotReader writes captured variable count; snapshot readers must be pure"},

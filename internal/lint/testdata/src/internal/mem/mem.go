@@ -81,3 +81,27 @@ func (a *AddressSpace) SwapData(page uint64, buf []byte) {
 	f := a.frames[page]
 	f.Data = buf
 }
+
+// stamp assigns a fresh write generation: tracking evidence, but it copies
+// nothing.
+func (a *AddressSpace) stamp(f *Frame) {
+	a.gen++
+	f.Gen = a.gen
+}
+
+// ZeroRaw is the stale-evidence mutant: it marks the frame dirty and stamps
+// it, yet clears the buffer in place, so a buffer shared copy-on-write with
+// a frozen copy changes under that copy.
+func (a *AddressSpace) ZeroRaw(page uint64) {
+	f := a.frames[page]
+	clear(f.Data)
+	f.Dirty = true
+	a.stamp(f)
+}
+
+// BumpRaw is the increment mutant: a read-modify-write of a frame byte with
+// no evidence anywhere in the function.
+func (a *AddressSpace) BumpRaw(addr uint64) {
+	f := a.frames[addr/PageSize]
+	f.Data[addr%PageSize]++
+}

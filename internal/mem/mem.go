@@ -98,6 +98,17 @@ func (k Kind) String() string {
 // lives), and cleared only by the preservation machinery after a verified
 // commit. Because the bit lives on the frame, it travels with the frame
 // through MovePages/UnmovePages and is duplicated by CopyPages/Clone.
+//
+// shared is the frame's copy-on-write bit: Data may also be the buffer of
+// another frame — a snapshot version's, a clone's or a fork copy's — so the
+// next write must copy it first (materialize). Frozen copies alias the
+// buffer instead of duplicating it; the copy moves to the first write of
+// each page afterwards. A bit rather than a count: the bit may outlive the
+// last other holder of the buffer, which costs at most one needless copy,
+// while a count would need atomics on the write path because snapshot
+// versions are released from reader goroutines. It sits in the padding
+// after Dirty, so a Frame stays 40 bytes.
+//
 // Gen is the frame's write-generation stamp: the value of the owning
 // address space's monotonic write counter at the frame's last content
 // mutation (writes, Zero, FlipBit, rewind-domain discard restores, and
@@ -109,17 +120,33 @@ func (k Kind) String() string {
 // counter starts at zero and is bumped before every stamp, so a frame's
 // stamp is never 0; 0 is free to mean "no frame".
 type Frame struct {
-	Data  []byte
-	Dirty bool
-	Gen   uint64
+	Data   []byte
+	Dirty  bool
+	shared bool
+	Gen    uint64
 }
 
+// materialize returns f's buffer ready for mutation and sets the soft-dirty
+// bit: it allocates a zero page for a frame without data, and copies a
+// shared buffer so the write stays private to f — the copy-on-write fault.
 func (f *Frame) materialize() []byte {
 	f.Dirty = true
 	if f.Data == nil {
 		f.Data = make([]byte, PageSize)
+	} else if f.shared {
+		f.Data = append([]byte(nil), f.Data...)
 	}
+	f.shared = false
 	return f.Data
+}
+
+// fork returns a separate frame with f's tracking state and f's buffer,
+// shared copy-on-write: both frames carry the share bit, so whichever
+// writes the page first copies it. It copies no bytes. The frozen-copy
+// paths (Commit, Clone, CopyPages) build their frames with it.
+func (f *Frame) fork() *Frame {
+	f.shared = f.Data != nil
+	return &Frame{Data: f.Data, Dirty: f.Dirty, shared: f.shared, Gen: f.Gen}
 }
 
 // Mapping describes one contiguous mapped region.
@@ -504,10 +531,10 @@ func (as *AddressSpace) zeroPage(f *Frame, addr VAddr, n int) int {
 	n = min(n, PageSize-o)
 	if f != nil && f.Data != nil {
 		as.touch(PageOf(addr), f)
-		clear(f.Data[o : o+n])
-		f.Dirty = true
 		as.stamp(f)
-		if allZero(f.Data) {
+		d := f.materialize()
+		clear(d[o : o+n])
+		if allZero(d) {
 			f.Data = nil
 		}
 	}
@@ -658,34 +685,38 @@ func (as *AddressSpace) UnmovePages(src *AddressSpace, start VAddr, pages int) {
 	as.mappings, as.starts = as.mappings[:n], as.starts[:n]
 }
 
-// CopyPages copies the content of [start, start+pages*PageSize) from as into
-// dst, creating a single mapping there. Unlike MovePages it duplicates the
-// data (used by fork-style snapshots and partial-page preservation).
+// CopyPages forks [start, start+pages*PageSize) of as into dst, creating a
+// single mapping there. Unlike MovePages the source keeps its frames: each
+// page gets a fresh frame in dst that shares the source's buffer
+// copy-on-write, so the fork copies no bytes and whichever side writes a
+// page first copies it (the cross-check fork of §3.6). It returns how many
+// resident pages the fork shares.
 func (as *AddressSpace) CopyPages(dst *AddressSpace, start VAddr, pages int, kind Kind, name string) (int, error) {
 	nm, err := dst.Map(start, pages, kind, name)
 	if err != nil {
 		return 0, err
 	}
-	copied := 0
+	shared := 0
 	as.walk(start, pages, func(p PageNum, pte **Frame) {
 		f := *pte
 		if f == nil {
 			return
 		}
-		nf := &Frame{Dirty: f.Dirty} // snapshot preserves tracking state, it is not a write
-		dst.stamp(nf)                // but the generation is per-space: re-stamp on arrival
-		if f.Data != nil {
-			nf.Data = append([]byte(nil), f.Data...)
-			copied++
+		nf := f.fork() // the fork preserves tracking state, it is not a write
+		dst.stamp(nf)  // but the generation is per-space: re-stamp on arrival
+		if nf.Data != nil {
+			shared++
 		}
 		nm.ptes[p-PageOf(start)] = nf
 	})
-	return copied, nil
+	return shared, nil
 }
 
-// Clone returns a deep copy of the address space: mappings, page tables and
-// frame contents are duplicated so the copy is fully independent. Used by
-// CRIU-style full-process snapshots.
+// Clone returns a copy of the address space: mappings, page tables and
+// frames are duplicated, and each frame shares its buffer with the
+// original copy-on-write, so the copy is fully independent yet copies no
+// page bytes up front. Used by CRIU-style full-process snapshots and
+// restores.
 func (as *AddressSpace) Clone() *AddressSpace {
 	cp := &AddressSpace{
 		ASLRBase: as.ASLRBase,
@@ -694,14 +725,9 @@ func (as *AddressSpace) Clone() *AddressSpace {
 	for _, m := range as.mappings {
 		nm := &Mapping{Start: m.Start, Pages: m.Pages, Kind: m.Kind, Name: m.Name, ptes: make([]*Frame, len(m.ptes))}
 		for i, f := range m.ptes {
-			if f == nil {
-				continue
+			if f != nil {
+				nm.ptes[i] = f.fork()
 			}
-			nf := &Frame{Dirty: f.Dirty, Gen: f.Gen}
-			if f.Data != nil {
-				nf.Data = append([]byte(nil), f.Data...)
-			}
-			nm.ptes[i] = nf
 		}
 		cp.insert(nm)
 	}

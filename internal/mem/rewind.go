@@ -152,7 +152,9 @@ func (as *AddressSpace) DiscardDomain() (int, error) {
 // touch snapshots page p, whose frame is f (nil when it has none), into the
 // open domain's undo log before its first mutation. Every write path calls
 // it ahead of the write; it is a no-op when no domain is open or the page was
-// already captured.
+// already captured. The pre-image is a private copy, never a shared alias:
+// the write that follows would copy an aliased buffer anyway, and a discard
+// hands the pre-image back to the live frame.
 func (as *AddressSpace) touch(p PageNum, f *Frame) {
 	if as.domain == nil {
 		return

@@ -10,13 +10,16 @@ import (
 // advances the next version (after gostore's llrb/bogn snapshot lifecycle).
 //
 // Commit freezes the current contents into a SnapshotVersion whose view is a
-// plain *AddressSpace built from *fresh* Frame copies — never aliases of the
-// live frames — so later writes, PreserveExec page moves, or rewind-domain
-// restores on the live space can not tear a published snapshot. Pages whose
-// write-generation stamp is unchanged since the previous version share that
-// version's frozen frame instead of being re-copied, so commit cost is
-// proportional to the pages written since the last commit, not to the whole
-// space.
+// plain *AddressSpace with its own page tables and its own Frames — never
+// the live frames — so PreserveExec page moves or rewind-domain restores on
+// the live space can not tear a published snapshot. A view frame shares the
+// live page buffer copy-on-write: the commit copies no bytes, and the live
+// space copies each page at its next write (Frame.materialize), so a
+// retained version costs only the pages written since it was taken. Pages
+// whose write-generation stamp is unchanged since the previous version share
+// that version's frozen frame instead of getting a new one, so commit cost
+// is proportional to the pages written since the last commit, not to the
+// whole space.
 //
 // Open returns the latest committed version in O(1) (a refcount bump under
 // the store mutex; the mutex handoff is also the happens-before edge that
@@ -29,7 +32,7 @@ import (
 // space, per-page generation stamps only ever increase, which is what makes
 // share-by-generation sound; after a restart or migration installs a new
 // address space the caller must create a fresh store (the first Commit then
-// does a full copy).
+// builds a frame for every page).
 type SnapshotStore struct {
 	mu sync.Mutex
 	as *AddressSpace
@@ -109,10 +112,9 @@ func (s *SnapshotStore) Commit() *SnapshotVersion {
 			}
 			v.changed++
 			if f.Data != nil {
-				nm.ptes[i] = &Frame{
-					Data: append([]byte(nil), f.Data...),
-					Gen:  f.Gen,
-				}
+				// The view takes the live buffer; the live frame copies it
+				// at its next write.
+				nm.ptes[i] = f.fork()
 			}
 			// Non-resident pages get no frame: the view reads them as zeros,
 			// exactly like the live space.
@@ -205,8 +207,9 @@ func (s *SnapshotStore) RetiredVersions() int {
 }
 
 // RetainedPages counts the distinct frozen frames held across all live
-// versions — the real memory cost of the version set (shared frames count
-// once).
+// versions (frames shared between versions count once). It bounds the page
+// memory the version set pins, not measures it: a frozen frame's buffer is
+// also the live space's until the live page is next written.
 func (s *SnapshotStore) RetainedPages() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -227,14 +230,19 @@ func (v *SnapshotVersion) Seq() uint64 { return v.seq }
 // MaxGen is the highest write-generation stamp visible at commit time.
 func (v *SnapshotVersion) MaxGen() uint64 { return v.maxGen }
 
-// Changed is the number of pages this commit copied fresh (its incremental
-// cost; the rest were shared with the predecessor).
+// Changed is the number of pages whose stamp moved since the predecessor
+// version, each given a new frozen frame (the rest share the predecessor's).
+// It is the commit's charged incremental cost: the live space copies these
+// pages at their first write after the commit.
 func (v *SnapshotVersion) Changed() int { return v.changed }
 
 // CheckFrozen is the stale-snapshot oracle: every frame in the frozen view
 // must carry a generation stamp no newer than the version's commit horizon.
 // A violation means a live frame leaked into the view (a post-snapshot write
-// became visible to readers).
+// became visible to readers). A write through a shared page buffer moves no
+// view stamp, so the oracle cannot see one: materialize's copy guards that,
+// checked by the dirty-bit lint, FuzzFrameShareInterleave and the -race
+// battery.
 func (v *SnapshotVersion) CheckFrozen() error {
 	view := v.view
 	if view == nil {

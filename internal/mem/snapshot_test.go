@@ -141,13 +141,18 @@ func TestSnapshotConcurrentReaders(t *testing.T) {
 	}
 	commit(1)
 
-	var wg sync.WaitGroup
+	// The writer starts only once every reader is running, so its writes
+	// land while readers hold versions that share buffers with the live
+	// pages: a write that skips the copy-on-write copy is a reported race.
+	var wg, ready sync.WaitGroup
 	stop := make(chan struct{})
 	errs := make(chan error, 16)
 	for r := 0; r < 4; r++ {
 		wg.Add(1)
+		ready.Add(1)
 		go func() {
 			defer wg.Done()
+			ready.Done()
 			for {
 				select {
 				case <-stop:
@@ -167,6 +172,7 @@ func TestSnapshotConcurrentReaders(t *testing.T) {
 			}
 		}()
 	}
+	ready.Wait()
 	for n := uint64(2); n < 200; n++ {
 		commit(n)
 	}

@@ -108,7 +108,8 @@ type ConcurrencyOutcome struct {
 	// Stale is the stale-snapshot oracle across every batch: nonzero means a
 	// reader observed a frozen page mutated under it.
 	Stale int `json:"stale"`
-	// Pages is the app's preserved footprint (the first commit's full copy).
+	// Pages is the app's preserved footprint (the first commit's changed
+	// pages: every page with a frame).
 	// PreserveSerialNs and PreserveParallelNs are the modelled staging
 	// latencies of an incremental preserve at the ModelPages reference
 	// footprint, serial vs spread across Workers.
@@ -195,8 +196,8 @@ func checkOneConcurrency(spec ConcurrencySpec, cfg ConcurrencyConfig) (Concurren
 		batch[i] = readReq(i)
 	}
 
-	// The first commit copies the whole preserved footprint — recorded as the
-	// app's real page cost of entering the MVCC regime.
+	// The first commit counts the whole preserved footprint as changed —
+	// recorded as the app's page cost of entering the MVCC regime.
 	pages, err := h.SnapshotCommit()
 	if err != nil {
 		return o, fmt.Errorf("%s: first commit: %w", spec.Name, err)

@@ -12,7 +12,8 @@ import (
 	"phoenix/internal/mem"
 )
 
-// CRIUImage is a full-process checkpoint: a deep copy of the address space
+// CRIUImage is a full-process checkpoint: a clone of the address space, its
+// page buffers shared copy-on-write with the dumped process (mem.Clone),
 // plus accounting of how many bytes the on-disk image occupies. In
 // incremental mode an image may be a delta on top of a parent chain: Bytes is
 // what *this* snapshot wrote, ChainBytes the cumulative chain a restore must
@@ -84,6 +85,7 @@ func CRIUSnapshotIncremental(p *kernel.Process, prev *CRIUImage) *CRIUImage {
 func CRIURestore(m *kernel.Machine, old *kernel.Process, img *CRIUImage) *kernel.Process {
 	m.Clock.Advance(m.Model.DiskRead(img.ChainBytes))
 	old.Kill()
-	// Restore from a fresh clone so the cached image can be restored again.
+	// Restore into a clone so the cached image can be restored again: the
+	// restored process's writes copy its pages, never the image's.
 	return m.Restore(old.Image, img.AS.Clone())
 }

@@ -1,6 +1,7 @@
 package recovery
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 	"time"
@@ -68,6 +69,45 @@ func TestCRIUSnapshotIncrementalDeltas(t *testing.T) {
 	}
 	if got := np.AS.ReadU64(region + 5*mem.PageSize); got != 6 {
 		t.Fatalf("restored untouched page reads %#x, want baseline content", got)
+	}
+}
+
+// TestCRIUImageRestoresTwice: an image shares its pages with the live process
+// and with every process restored from it, copy-on-write. Writes by the live
+// process after the dump, and by the first restored process, must leave the
+// image intact, so a second restore reads exactly what the first did.
+func TestCRIUImageRestoresTwice(t *testing.T) {
+	const region = mem.VAddr(0x2000_0000)
+	const pages = 8
+	m := kernel.NewMachine(1)
+	p, _ := m.Spawn(nil)
+	if _, err := p.AS.Map(region, pages, mem.KindCustom, "state"); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < pages; i++ {
+		p.AS.WriteU64(region+mem.VAddr(i)*mem.PageSize, uint64(i)+1)
+	}
+	img := CRIUSnapshot(p)
+	want := p.AS.ReadBytes(region, pages*mem.PageSize)
+	scribble := func(as *mem.AddressSpace, v uint64) {
+		for i := 0; i < pages; i++ {
+			as.WriteU64(region+mem.VAddr(i)*mem.PageSize+8, v)
+			as.FlipBit(region+mem.VAddr(i)*mem.PageSize, 0)
+		}
+	}
+
+	scribble(p.AS, 0xDEAD) // the live process writes every dumped page
+	first := CRIURestore(m, p, img)
+	if got := first.AS.ReadBytes(region, pages*mem.PageSize); !bytes.Equal(got, want) {
+		t.Fatal("first restore differs from the dumped image")
+	}
+	scribble(first.AS, 0xBEEF) // so does the first restored process
+	second := CRIURestore(m, first, img)
+	if got := second.AS.ReadBytes(region, pages*mem.PageSize); !bytes.Equal(got, want) {
+		t.Fatal("second restore differs from the first: a write reached the image")
+	}
+	if got := first.AS.ReadU64(region + 8); got != 0xBEEF {
+		t.Fatalf("first restored process reads %#x, want its own write", got)
 	}
 }
 

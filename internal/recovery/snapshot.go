@@ -55,7 +55,7 @@ func (r *SnapshotReader) Close() { r.store.Release(r.v) }
 // snapshotStore returns the store bound to the live process's address space,
 // creating it when none exists yet or when a restart/migration installed a
 // new space (versions of the dead incarnation die with it — the first commit
-// on the new space is a full copy).
+// on the new space counts every page as changed).
 func (h *Harness) snapshotStore() *mem.SnapshotStore {
 	if h.snapStore == nil || h.snapStore.Space() != h.proc.AS {
 		h.snapStore = mem.NewSnapshotStore(h.proc.AS)

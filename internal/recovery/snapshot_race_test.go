@@ -22,8 +22,9 @@ import (
 // and serve off the frozen view while the writer keeps mutating the live
 // address space, committing new versions, and — mid-battery — dying and
 // riding a PHOENIX restart. Run under -race this exercises the whole
-// published-immutability contract (fresh frame copies at commit, mutex
-// handoff in Open, pure reader closures); the oracles check that every read
+// published-immutability contract (views share page buffers with the live
+// space until the live page's next write copies them, mutex handoff in
+// Open, pure reader closures); the oracles check that every read
 // of a campaign key is effective on every version and that CheckFrozen stays
 // clean even with writes and a preserve_exec restart landing under held
 // versions.
