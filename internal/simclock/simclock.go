@@ -17,7 +17,10 @@ import (
 // Clock is a deterministic virtual clock. It is not safe for concurrent use;
 // the simulation is single-threaded by design (see DESIGN.md).
 type Clock struct {
-	now     time.Duration
+	now time.Duration
+	// timers is a binary min-heap of the pending timers ordered by
+	// (deadline, seq): the root is the next to fire, and equal deadlines
+	// fire in registration order.
 	timers  []*Timer
 	seq     uint64 // tie-break for timers with equal deadline
 	offline bool
@@ -46,11 +49,8 @@ func (c *Clock) Advance(d time.Duration) {
 		c.now = target
 		return
 	}
-	for {
-		t := c.nextDue(target)
-		if t == nil {
-			break
-		}
+	for len(c.timers) > 0 && c.timers[0].deadline <= target {
+		t := c.timers[0]
 		c.now = t.deadline
 		c.remove(t)
 		t.fired = true
@@ -69,27 +69,64 @@ func (c *Clock) AdvanceTo(ts time.Duration) {
 	}
 }
 
-// nextDue returns the earliest pending timer with deadline <= target.
-func (c *Clock) nextDue(target time.Duration) *Timer {
-	var best *Timer
-	for _, t := range c.timers {
-		if t.deadline > target {
-			continue
-		}
-		if best == nil || t.deadline < best.deadline ||
-			(t.deadline == best.deadline && t.seq < best.seq) {
-			best = t
-		}
-	}
-	return best
+// before orders the heap: earlier deadline first, then registration order.
+func (a *Timer) before(b *Timer) bool {
+	return a.deadline < b.deadline || (a.deadline == b.deadline && a.seq < b.seq)
 }
 
+func (c *Clock) push(t *Timer) {
+	t.index = len(c.timers)
+	c.timers = append(c.timers, t)
+	c.up(t.index)
+}
+
+// remove takes a pending timer out of the heap by its index.
 func (c *Clock) remove(t *Timer) {
-	for i, x := range c.timers {
-		if x == t {
-			c.timers = append(c.timers[:i], c.timers[i+1:]...)
+	i, last := t.index, len(c.timers)-1
+	if i != last {
+		c.swap(i, last)
+	}
+	c.timers[last] = nil
+	c.timers = c.timers[:last]
+	t.index = -1
+	if i != last && !c.down(i) {
+		c.up(i)
+	}
+}
+
+func (c *Clock) swap(i, j int) {
+	h := c.timers
+	h[i], h[j] = h[j], h[i]
+	h[i].index, h[j].index = i, j
+}
+
+func (c *Clock) up(i int) {
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !c.timers[i].before(c.timers[parent]) {
 			return
 		}
+		c.swap(i, parent)
+		i = parent
+	}
+}
+
+// down sifts the timer at i toward the leaves and reports whether it moved.
+func (c *Clock) down(i int) bool {
+	start, n := i, len(c.timers)
+	for {
+		least, l, r := i, 2*i+1, 2*i+2
+		if l < n && c.timers[l].before(c.timers[least]) {
+			least = l
+		}
+		if r < n && c.timers[r].before(c.timers[least]) {
+			least = r
+		}
+		if least == i {
+			return i != start
+		}
+		c.swap(i, least)
+		i = least
 	}
 }
 
@@ -120,6 +157,7 @@ type Timer struct {
 	fired    bool
 	stopped  bool
 	seq      uint64
+	index    int // position in the clock's heap while pending
 }
 
 // AfterFunc registers fn to run when the clock passes the current time plus d.
@@ -130,7 +168,7 @@ func (c *Clock) AfterFunc(d time.Duration, fn func()) *Timer {
 	}
 	c.seq++
 	t := &Timer{deadline: c.now + d, fn: fn, seq: c.seq}
-	c.timers = append(c.timers, t)
+	c.push(t)
 	return t
 }
 
