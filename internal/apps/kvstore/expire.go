@@ -89,17 +89,12 @@ func (kv *KV) activeExpireCycle(budget int) {
 	}
 }
 
-// expiresSnapshot serialises the expires dict for the RDB image.
-func (kv *KV) expiresSnapshot() []byte {
-	var buf []byte
+// appendExpires serialises the expires dict onto the RDB image.
+func (kv *KV) appendExpires(buf []byte) []byte {
 	kv.expires.Iterate(func(key []byte, dl uint64) bool {
-		var l [4]byte
-		binary.LittleEndian.PutUint32(l[:], uint32(len(key)))
-		buf = append(buf, l[:]...)
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(key)))
 		buf = append(buf, key...)
-		var d [8]byte
-		binary.LittleEndian.PutUint64(d[:], dl)
-		buf = append(buf, d[:]...)
+		buf = binary.LittleEndian.AppendUint64(buf, dl)
 		return true
 	})
 	return buf

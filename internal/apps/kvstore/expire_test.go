@@ -1,11 +1,14 @@
 package kvstore
 
 import (
+	"bytes"
+	"encoding/binary"
 	"testing"
 	"time"
 
 	"phoenix/internal/core"
 	"phoenix/internal/kernel"
+	"phoenix/internal/mem"
 	"phoenix/internal/recovery"
 	"phoenix/internal/workload"
 )
@@ -125,6 +128,97 @@ func TestTTLSurvivesRDBRoundTrip(t *testing.T) {
 	if _, ok := kv.TTL("k2"); ok {
 		t.Fatal("phantom TTL after reload")
 	}
+}
+
+// TestCheckpointRoundTripsEveryKeyAndTTL checkpoints a store of mixed value
+// sizes, some with TTLs, after it outgrew its first image; checks the image
+// byte for byte against a record-at-a-time encoding; then takes a builtin
+// restart through the harness and reads back every key, value and deadline.
+func TestCheckpointRoundTripsEveryKeyAndTTL(t *testing.T) {
+	h, kv := boot(t, Config{}, recovery.ModeBuiltin, recovery.Config{CheckpointInterval: time.Hour}, 37)
+	keys := loadKeys(300)
+	kv.Load(keys, 16)
+	kv.Checkpoint()
+	// Empty, small and page-spanning values, so the next image is larger
+	// than the one it is sized from.
+	for i, k := range keys {
+		kv.Handle(&workload.Request{Op: workload.OpInsert, Key: k, Value: workload.Value(k, 2, i*37%9000)})
+	}
+	for i, k := range keys[:100] {
+		kv.Expire(k, time.Duration(i+1)*time.Minute)
+	}
+	before := kv.Dump()
+	deadlines := map[string]time.Duration{}
+	for _, k := range keys {
+		if ttl, ok := kv.TTL(k); ok {
+			deadlines[k] = h.M.Clock.Now() + ttl
+		}
+	}
+	kv.Checkpoint()
+	img, ok := h.M.Disk.ReadFile(rdbFile)
+	if !ok {
+		t.Fatal("checkpoint wrote no image")
+	}
+	if want := recordAtATimeImage(kv); !bytes.Equal(img, want) {
+		t.Fatalf("image is %d bytes, a record-at-a-time encoding %d; first difference at byte %d",
+			len(img), len(want), firstDiff(img, want))
+	}
+
+	ci := h.Proc().Run(func() { h.Proc().AS.ReadU64(0x2_0000_0000) })
+	if ci == nil {
+		t.Fatal("synthetic crash did not register")
+	}
+	if err := h.HandleFailureForREPL(ci); err != nil {
+		t.Fatal(err)
+	}
+	if h.Stat.OtherRestarts != 1 || kv.Stats().RDBLoads != 1 {
+		t.Fatalf("want one builtin restart from the image, got %+v, %d loads", h.Stat, kv.Stats().RDBLoads)
+	}
+	after := kv.Dump()
+	if len(after) != len(before) {
+		t.Fatalf("restart read back %d keys, want %d", len(after), len(before))
+	}
+	for k, v := range before {
+		if after[k] != v {
+			t.Fatalf("key %s: %d bytes after restart, %d before", k, len(after[k]), len(v))
+		}
+		ttl, ok := kv.TTL(k)
+		if dl, had := deadlines[k]; ok != had || (had && h.M.Clock.Now()+ttl != dl) {
+			t.Fatalf("key %s: deadline %v (ttl %v, %v) after restart, want %v (%v)", k, h.M.Clock.Now()+ttl, ttl, ok, dl, had)
+		}
+	}
+}
+
+// recordAtATimeImage encodes the RDB image the way Checkpoint did before it
+// wrote into one buffer: every record and expiry copied out separately, then
+// concatenated behind the header.
+func recordAtATimeImage(kv *KV) []byte {
+	var recs, exps []byte
+	var count uint64
+	field := func(buf, b []byte) []byte {
+		return append(binary.LittleEndian.AppendUint32(buf, uint32(len(b))), b...)
+	}
+	kv.dict.Iterate(func(key []byte, val uint64) bool {
+		recs = field(field(recs, key), kv.ctx.BlobBytes(mem.VAddr(val)))
+		count++
+		return true
+	})
+	kv.expires.Iterate(func(key []byte, dl uint64) bool {
+		exps = binary.LittleEndian.AppendUint64(field(exps, key), dl)
+		return true
+	})
+	img := binary.LittleEndian.AppendUint64(nil, count)
+	img = append(img, recs...)
+	return append(binary.LittleEndian.AppendUint32(img, uint32(len(exps))), exps...)
+}
+
+func firstDiff(a, b []byte) int {
+	for i := range min(len(a), len(b)) {
+		if a[i] != b[i] {
+			return i
+		}
+	}
+	return min(len(a), len(b))
 }
 
 // newRuntimeForTest mirrors the driver's runtime creation.

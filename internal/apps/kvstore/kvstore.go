@@ -445,22 +445,24 @@ func (kv *KV) Checkpoint() {
 	m.Clock.Advance(time.Duration(pages) * m.Model.ForkPerPage)
 	// Child serializes and writes concurrently.
 	m.Clock.RunOffline(func() {
-		var buf []byte
+		// One buffer, sized from the previous image: the header's record
+		// count and the expiry block's length are patched in place once
+		// the walks have produced them.
+		img := make([]byte, 8, max(m.Disk.Size(rdbFile), 12))
 		var count uint64
 		kv.dict.Iterate(func(key []byte, val uint64) bool {
-			v := kv.ctx.BlobBytes(mem.VAddr(val))
-			buf = appendRecord(buf, key, v)
+			v := mem.VAddr(val)
+			img = binary.LittleEndian.AppendUint32(img, uint32(len(key)))
+			img = append(img, key...)
+			img = binary.LittleEndian.AppendUint32(img, uint32(kv.ctx.BlobLen(v)))
+			img = kv.ctx.AppendBlob(img, v)
 			count++
 			return true
 		})
-		hdr := make([]byte, 8)
-		binary.LittleEndian.PutUint64(hdr, count)
-		img := append(hdr, buf...)
-		exp := kv.expiresSnapshot()
-		var el [4]byte
-		binary.LittleEndian.PutUint32(el[:], uint32(len(exp)))
-		img = append(img, el[:]...)
-		img = append(img, exp...)
+		binary.LittleEndian.PutUint64(img, count)
+		el := len(img)
+		img = kv.appendExpires(append(img, 0, 0, 0, 0))
+		binary.LittleEndian.PutUint32(img[el:], uint32(len(img)-el-4))
 		m.Clock.Advance(time.Duration(len(img)) * m.Model.MarshalPerByte)
 		m.Disk.WriteFile(rdbFile, img)
 	})
@@ -500,16 +502,6 @@ func (kv *KV) loadRDB() {
 type Record struct {
 	Key string
 	Val []byte
-}
-
-func appendRecord(buf []byte, key, val []byte) []byte {
-	var lk [4]byte
-	binary.LittleEndian.PutUint32(lk[:], uint32(len(key)))
-	buf = append(buf, lk[:]...)
-	buf = append(buf, key...)
-	binary.LittleEndian.PutUint32(lk[:], uint32(len(val)))
-	buf = append(buf, lk[:]...)
-	return append(buf, val...)
 }
 
 // DecodeRDB parses a snapshot image's key-value records.

@@ -1,6 +1,10 @@
 package simds
 
-import "phoenix/internal/mem"
+import (
+	"slices"
+
+	"phoenix/internal/mem"
+)
 
 // Blob layout: [u32 length][payload bytes]. Blobs are the unit of string and
 // value storage inside simulated memory.
@@ -25,6 +29,15 @@ func (c *Ctx) BlobLen(p mem.VAddr) int {
 func (c *Ctx) BlobBytes(p mem.VAddr) []byte {
 	n := c.BlobLen(p)
 	return c.AS.ReadBytes(p+blobHdr, n)
+}
+
+// AppendBlob appends the blob's payload to dst, reading it from simulated
+// memory straight into dst's tail.
+func (c *Ctx) AppendBlob(dst []byte, p mem.VAddr) []byte {
+	n := c.BlobLen(p)
+	dst = slices.Grow(dst, n)
+	c.AS.ReadAt(p+blobHdr, dst[len(dst):len(dst)+n])
+	return dst[:len(dst)+n]
 }
 
 // BlobEqual reports whether the blob's payload equals data without copying.
