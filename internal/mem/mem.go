@@ -144,9 +144,9 @@ func (f *Frame) materialize() []byte {
 // shared copy-on-write: both frames carry the share bit, so whichever
 // writes the page first copies it. It copies no bytes. The frozen-copy
 // paths (Commit, Clone, CopyPages) build their frames with it.
-func (f *Frame) fork() *Frame {
+func (f *Frame) fork() Frame {
 	f.shared = f.Data != nil
-	return &Frame{Data: f.Data, Dirty: f.Dirty, shared: f.shared, Gen: f.Gen}
+	return Frame{Data: f.Data, Dirty: f.Dirty, shared: f.shared, Gen: f.Gen}
 }
 
 // Mapping describes one contiguous mapped region.
@@ -702,7 +702,12 @@ func (as *AddressSpace) CopyPages(dst *AddressSpace, start VAddr, pages int, kin
 		if f == nil {
 			return
 		}
-		nf := f.fork() // the fork preserves tracking state, it is not a write
+		// One frame at a time, not a slab: dst is a live space whose
+		// pages may later move out one by one (MovePages), and a slab
+		// would keep every frame of the mapping, with its buffer, alive
+		// while any one of them survives.
+		nf := new(Frame)
+		*nf = f.fork() // the fork preserves tracking state, it is not a write
 		dst.stamp(nf)  // but the generation is per-space: re-stamp on arrival
 		if nf.Data != nil {
 			shared++
@@ -716,20 +721,34 @@ func (as *AddressSpace) CopyPages(dst *AddressSpace, start VAddr, pages int, kin
 // frames are duplicated, and each frame shares its buffer with the
 // original copy-on-write, so the copy is fully independent yet copies no
 // page bytes up front. Used by CRIU-style full-process snapshots and
-// restores.
+// restores. A clone's frames are born together, so each mapping's come
+// from one slab.
 func (as *AddressSpace) Clone() *AddressSpace {
 	cp := &AddressSpace{
+		mappings: make([]*Mapping, 0, len(as.mappings)),
+		starts:   make([]VAddr, 0, len(as.starts)),
 		ASLRBase: as.ASLRBase,
 		writeGen: as.writeGen, // faithful snapshot: stamps stay valid as a set
 	}
 	for _, m := range as.mappings {
 		nm := &Mapping{Start: m.Start, Pages: m.Pages, Kind: m.Kind, Name: m.Name, ptes: make([]*Frame, len(m.ptes))}
-		for i, f := range m.ptes {
+		n := 0
+		for _, f := range m.ptes {
 			if f != nil {
-				nm.ptes[i] = f.fork()
+				n++
 			}
 		}
-		cp.insert(nm)
+		slab := make([]Frame, n)
+		for i, f := range m.ptes {
+			if f != nil {
+				slab[0] = f.fork()
+				nm.ptes[i] = &slab[0]
+				slab = slab[1:]
+			}
+		}
+		// as.mappings is sorted, so appending keeps cp sorted.
+		cp.mappings = append(cp.mappings, nm)
+		cp.starts = append(cp.starts, nm.Start)
 	}
 	return cp
 }

@@ -153,6 +153,31 @@ func TestCloneAndCopyPagesShareBuffers(t *testing.T) {
 	}
 }
 
+// TestCloneAllocsOneSlabPerMapping pins Clone's allocations: the space and
+// its two mapping indexes, then per mapping its header, its page table and
+// one slab for all its frames, however many pages are resident.
+func TestCloneAllocsOneSlabPerMapping(t *testing.T) {
+	as := NewAddressSpace()
+	for i, pages := range []int{64, 8, 4} {
+		if _, err := as.Map(snapBase+VAddr(i)<<24, pages, KindCustom, "m"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	clone := func() { as.Clone() }
+	if got := testing.AllocsPerRun(20, clone); got != 3+2*3 {
+		t.Fatalf("clone of three mappings without frames made %v allocations, want 9", got)
+	}
+	for p := range 64 {
+		as.WriteU64(snapBase+VAddr(p)*PageSize, 1)
+	}
+	for p := range 3 {
+		as.WriteU64(snapBase+1<<24+VAddr(p)*PageSize, 1)
+	}
+	if got := testing.AllocsPerRun(20, clone); got != 3+3*2+2 {
+		t.Fatalf("clone of 67 frames in two of three mappings made %v allocations, want 11", got)
+	}
+}
+
 // FuzzFrameShareInterleave interleaves writes, zeroes, bit flips, snapshot
 // commits, opens and releases, clones (and clones of clones), CopyPages
 // forks, MovePages/UnmovePages round trips and rewind domains over a small

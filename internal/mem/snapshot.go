@@ -113,8 +113,12 @@ func (s *SnapshotStore) Commit() *SnapshotVersion {
 			v.changed++
 			if f.Data != nil {
 				// The view takes the live buffer; the live frame copies it
-				// at its next write.
-				nm.ptes[i] = f.fork()
+				// at its next write. One frame at a time, not a slab: later
+				// versions keep sharing this version's unchanged frames
+				// after it retires, so a slab would keep its superseded
+				// frames and their buffers alive and raise the heap.
+				nf := f.fork()
+				nm.ptes[i] = &nf
 			}
 			// Non-resident pages get no frame: the view reads them as zeros,
 			// exactly like the live space.
