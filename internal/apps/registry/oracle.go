@@ -395,8 +395,9 @@ func (shardOracle) Check(o *Observation) []string {
 	}
 	nodes := r.Shards*r.Replicas + r.Spares
 	for _, w := range r.Windows {
-		if w.EndUs < w.StartUs || w.DurUs != w.EndUs-w.StartUs {
-			add("malformed kill window on node %d: [%d,%d] dur %d", w.Node, w.StartUs, w.EndUs, w.DurUs)
+		if w.ServedUs < w.StartUs || w.ReadmitUs < w.ServedUs || w.EndUs < w.ReadmitUs || w.DurUs != w.EndUs-w.StartUs {
+			add("malformed kill window on node %d: start %d, served %d, readmitted %d, end %d, dur %d",
+				w.Node, w.StartUs, w.ServedUs, w.ReadmitUs, w.EndUs, w.DurUs)
 		}
 		if w.Node < 0 || w.Node >= nodes || w.Shard < 0 || w.Shard >= r.Shards {
 			add("kill window names nonexistent slot: node %d shard %d", w.Node, w.Shard)

@@ -12,14 +12,16 @@ import (
 // and a vanilla restart. The shard-aware router spreads reads over the
 // group by key slot and fans every write out to all three replicas. The
 // figure reports per-mode availability, latency percentiles, total
-// unavailability (kill until the replica's first effective read), and
-// failed requests — the cluster-scale version of Figure 10's per-process
-// availability comparison.
+// unavailability (kill until the replica's first effective read) split
+// into recovery, readmission and first read, and failed requests — the
+// cluster-scale version of Figure 10's per-process availability
+// comparison.
 //
 // The run doubles as the campaign's contract check: CheckShard asserts the
 // availability ordering, that every PHOENIX kill recovers to effective
-// service, that a kill window closes only on a post-kill effective read,
-// that the drained replica refuses reads, and that no response crosses the
+// service and is readmitted one delivery after the node serves again, that
+// a kill window closes only on a post-kill effective read, that the
+// drained replica refuses reads, and that no response crosses the
 // partition.
 func RunFigCluster(o Options) error {
 	// One storage, one cache, one compute system keeps the quick profile

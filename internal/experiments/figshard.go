@@ -14,10 +14,10 @@ import (
 // schedule — replica kills, a live shard migration, and a ring change, all
 // mid-traffic — is replayed against PHOENIX, the application's builtin
 // recovery, and a vanilla restart. The figure reports per-mode
-// availability, latency percentiles, total unavailability, the migration
-// cutover window, and the per-move delta-round trajectory; the per-shard
-// kill windows show the sharding dividend over the whole-replica groups of
-// figcluster.
+// availability, latency percentiles, total unavailability split into
+// recovery, readmission and first read, the migration cutover window, and
+// the per-move delta-round trajectory; the per-shard kill windows show the
+// sharding dividend over the whole-replica groups of figcluster.
 //
 // The run doubles as the campaign's contract check: CheckShard asserts the
 // availability ordering, that PHOENIX's delta-converged cutover beats the
@@ -51,8 +51,9 @@ func runFabricFigure(o Options, shape shard.Options, quick ...string) error {
 			if !w.Closed {
 				state = "unrecovered at run end"
 			}
-			fmt.Fprintf(o.Out, "  phoenix shard %d/%d (node %d): unavailable %dµs (%s)\n",
-				w.Shard, w.Replica, w.Node, w.DurUs, state)
+			rc, ra, fr := w.Split()
+			fmt.Fprintf(o.Out, "  phoenix shard %d/%d (node %d): unavailable %dµs = recovery %dµs + readmission %dµs + first read %dµs, rung %s (%s)\n",
+				w.Shard, w.Replica, w.Node, w.DurUs, rc, ra, fr, w.Rung, state)
 		}
 		for _, mv := range r.Phoenix.MoveReports {
 			if !mv.Completed {

@@ -3,6 +3,7 @@ package shard
 import (
 	"bytes"
 	"fmt"
+	"slices"
 
 	"phoenix/internal/recovery"
 )
@@ -101,6 +102,19 @@ func checkSystem(sys System, o Options) (Result, error) {
 	case p.Unrecovered > 0:
 		return res, fmt.Errorf("PHOENIX left %d kill(s) unrecovered to effective service", p.Unrecovered)
 	}
+	// The campaign runs without link faults, so every up notice lands: a
+	// recovered PHOENIX node is readmitted one fabric delivery after it
+	// serves again, with no probe wait, and rejoins sooner than a node
+	// that rebuilt its state.
+	delivery := (cfg.Link.Latency + cfg.Link.Jitter).Microseconds()
+	for _, w := range p.Windows {
+		if _, readmit, _ := w.Split(); readmit > delivery {
+			return res, fmt.Errorf("PHOENIX node %d was readmitted %dµs after it served again, later than one fabric delivery (%dµs)", w.Node, readmit, delivery)
+		}
+	}
+	if pr, br, vr := medianRejoinUs(p), medianRejoinUs(b), medianRejoinUs(v); pr >= br || pr >= vr {
+		return res, fmt.Errorf("PHOENIX median rejoin (kill to readmission) %dµs not below builtin %dµs and vanilla %dµs", pr, br, vr)
+	}
 	if len(sched.Moves) > 0 {
 		switch {
 		case p.MovesCompleted == 0:
@@ -124,6 +138,20 @@ func checkSystem(sys System, o Options) (Result, error) {
 		}
 	}
 	return res, nil
+}
+
+// medianRejoinUs is the median over a run's kill windows of the time from
+// the kill until the router readmitted the node.
+func medianRejoinUs(rep Report) int64 {
+	var rejoin []int64
+	for _, w := range rep.Windows {
+		rejoin = append(rejoin, w.ReadmitUs-w.StartUs)
+	}
+	if len(rejoin) == 0 {
+		return 0
+	}
+	slices.Sort(rejoin)
+	return rejoin[(len(rejoin)-1)/2]
 }
 
 // checkReport holds one mode's run to the clauses every mode shares.
@@ -154,18 +182,25 @@ func checkReport(rep Report, sched Schedule) error {
 }
 
 // FmtComparison renders one result as the availability table the campaign
-// and the figcluster and figshard experiments print.
+// and the figcluster and figshard experiments print. Each mode's total
+// unavailability is split into recovery, readmission and first read, summed
+// over its kill windows.
 func FmtComparison(res Result) string {
 	var buf bytes.Buffer
 	fmt.Fprintf(&buf, "%s (shards=%d×%d, clients=%d, kills=%d, moves=%d)\n",
 		res.System, res.Phoenix.Shards, res.Phoenix.Replicas, res.Phoenix.Population,
 		res.Phoenix.Kills, res.Phoenix.Moves+res.Phoenix.RingChanges)
-	fmt.Fprintf(&buf, "  %-8s %10s %8s %8s %8s %12s %10s %6s\n",
-		"mode", "avail", "p50", "p99", "p999", "unavail", "cutover", "fail")
+	fmt.Fprintf(&buf, "  %-8s %10s %8s %8s %8s %12s %11s %9s %10s %10s %6s\n",
+		"mode", "avail", "p50", "p99", "p999", "unavail", "recovery", "readmit", "1st read", "cutover", "fail")
 	for _, rep := range []Report{res.Phoenix, res.Builtin, res.Vanilla} {
-		fmt.Fprintf(&buf, "  %-8s %9.3f%% %7dµs %7dµs %7dµs %11dµs %9dµs %6d\n",
+		var recovery, readmit, firstRead int64
+		for _, w := range rep.Windows {
+			rc, ra, fr := w.Split()
+			recovery, readmit, firstRead = recovery+rc, readmit+ra, firstRead+fr
+		}
+		fmt.Fprintf(&buf, "  %-8s %9.3f%% %7dµs %7dµs %7dµs %11dµs %10dµs %8dµs %9dµs %9dµs %6d\n",
 			rep.Mode, rep.AvailabilityPct, rep.P50Us, rep.P99Us, rep.P999Us,
-			rep.UnavailTotalUs, rep.MigrateCutoverUs, rep.Failed)
+			rep.UnavailTotalUs, recovery, readmit, firstRead, rep.MigrateCutoverUs, rep.Failed)
 	}
 	return buf.String()
 }

@@ -61,12 +61,20 @@ type Fabric struct {
 }
 
 // windowRec is one per-replica kill window: kill time until the killed
-// node's first effective read reaches the router.
+// node's first effective read reaches the router. servedAt (the node serves
+// again) and readmitAt (the router readmits it) split it into recovery,
+// readmission and first read; both are -1 until they happen, and a second
+// kill inside the window restarts the split at its epoch.
 type windowRec struct {
 	shard, replica, node int
-	killEpoch            int
-	start, end           time.Duration
-	closed               bool
+	// killEpoch is the kill count at the kill that opened the window,
+	// epoch the count at the newest kill inside it.
+	killEpoch, epoch    int
+	start, end          time.Duration
+	servedAt, readmitAt time.Duration
+	// rungs names each kill's recovery, in order.
+	rungs  []string
+	closed bool
 }
 
 func (f *Fabric) fail(err error) {
@@ -80,9 +88,19 @@ func (f *Fabric) phoenixMode() bool { return f.cfg.Recovery.Mode == recovery.Mod
 // Run executes one sharded fabric under one recovery configuration against
 // the schedule and returns its report.
 func Run(cfg Config, mk recovery.AppFactory, sched Schedule) (Report, error) {
+	f, err := newFabric(cfg, mk, sched)
+	if err != nil {
+		return Report{}, err
+	}
+	return f.run(sched)
+}
+
+// newFabric boots and warms the fabric's nodes and puts the probes, the
+// arrivals and the schedule on its clock, without advancing it.
+func newFabric(cfg Config, mk recovery.AppFactory, sched Schedule) (*Fabric, error) {
 	cfg.fill()
 	if len(sched.Partitions) > 0 && len(sched.Moves)+len(sched.RingChanges) > 0 {
-		return Report{}, fmt.Errorf("shard: a schedule with partitions cannot also move shards: a dropped dispatch would hold the frozen shard forever")
+		return nil, fmt.Errorf("shard: a schedule with partitions cannot also move shards: a dropped dispatch would hold the frozen shard forever")
 	}
 	clk := simclock.New()
 	f := &Fabric{
@@ -121,11 +139,11 @@ func Run(cfg Config, mk recovery.AppFactory, sched Schedule) (Report, error) {
 			nd.shard = i / cfg.Replicas
 			nd.replica = i % cfg.Replicas
 			if err := h.Boot(); err != nil {
-				return Report{}, fmt.Errorf("shard: node %d boot: %w", i, err)
+				return nil, fmt.Errorf("shard: node %d boot: %w", i, err)
 			}
 			for _, wr := range warmByShard[nd.shard] {
 				if _, _, err := h.ServeRequest(wr); err != nil {
-					return Report{}, fmt.Errorf("shard: node %d warm: %w", i, err)
+					return nil, fmt.Errorf("shard: node %d warm: %w", i, err)
 				}
 			}
 			nd.state = stateServing
@@ -155,35 +173,35 @@ func Run(cfg Config, mk recovery.AppFactory, sched Schedule) (Report, error) {
 	for _, k := range sched.Kills {
 		k := k
 		if err := slot("kill", k.Shard, k.Replica); err != nil {
-			return Report{}, err
+			return nil, err
 		}
 		clk.AfterFunc(k.At, func() { f.killReplica(k.Shard, k.Replica) })
 	}
 	for _, mv := range sched.Moves {
 		mv := mv
 		if err := slot("move", mv.Shard, mv.Replica); err != nil {
-			return Report{}, err
+			return nil, err
 		}
 		clk.AfterFunc(mv.At, func() { f.startMove(mv.Shard, mv.Replica, "move") })
 	}
 	for _, rc := range sched.RingChanges {
 		rc := rc
 		if err := slot("ring change", rc.Shard, 0); err != nil {
-			return Report{}, err
+			return nil, err
 		}
 		clk.AfterFunc(rc.At, func() { f.ringChange(rc.Shard) })
 	}
 	for _, sr := range sched.SnapshotReads {
 		sr := sr
 		if err := slot("snapshot read", sr.Shard, sr.Replica); err != nil {
-			return Report{}, err
+			return nil, err
 		}
 		clk.AfterFunc(sr.At, func() { owner(sr.Shard, sr.Replica).snapshotRead(sr.Count, sr.Readers) })
 	}
 	for _, w := range sched.Drains {
 		w := w
 		if err := slot("drain", w.Shard, w.Replica); err != nil {
-			return Report{}, err
+			return nil, err
 		}
 		clk.AfterFunc(w.From, func() {
 			nd := owner(w.Shard, w.Replica)
@@ -194,13 +212,19 @@ func Run(cfg Config, mk recovery.AppFactory, sched Schedule) (Report, error) {
 	for _, w := range sched.Partitions {
 		w := w
 		if err := slot("partition", w.Shard, w.Replica); err != nil {
-			return Report{}, err
+			return nil, err
 		}
 		clk.AfterFunc(w.From, func() { f.partition(owner(w.Shard, w.Replica)) })
 		clk.AfterFunc(w.To, f.heal)
 	}
 
-	clk.Advance(cfg.Profile.RunFor + cfg.Profile.Settle)
+	return f, nil
+}
+
+// run advances the clock through the traffic window and the settle, audits
+// the ledger and reports.
+func (f *Fabric) run(sched Schedule) (Report, error) {
+	f.clk.Advance(f.cfg.Profile.RunFor + f.cfg.Profile.Settle)
 	if f.firstErr != nil {
 		return Report{}, f.firstErr
 	}
@@ -244,13 +268,17 @@ func (f *Fabric) heal() {
 	f.partitioned = -1
 }
 
-func (f *Fabric) openKillWindow(nd *node) {
-	if f.openW[nd.idx] != nil || nd.shard < 0 {
-		return
+// openKillWindow opens the killed node's window, or keeps the one an
+// earlier kill left open and restarts its recovery split at this kill.
+func (f *Fabric) openKillWindow(nd *node) *windowRec {
+	w := f.openW[nd.idx]
+	if w == nil {
+		w = &windowRec{shard: nd.shard, replica: nd.replica, node: nd.idx, killEpoch: nd.kills, start: f.clk.Now()}
+		f.windows = append(f.windows, w)
+		f.openW[nd.idx] = w
 	}
-	w := &windowRec{shard: nd.shard, replica: nd.replica, node: nd.idx, killEpoch: nd.kills, start: f.clk.Now()}
-	f.windows = append(f.windows, w)
-	f.openW[nd.idx] = w
+	w.epoch, w.servedAt, w.readmitAt = nd.kills, -1, -1
+	return w
 }
 
 // ledgerWrite records an acknowledged effective write. The ack condition is

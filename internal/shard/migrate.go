@@ -222,6 +222,7 @@ func (m *migration) finish() {
 	dst := f.nodes[m.dstNode]
 	dst.state = stateServing
 	dst.shard, dst.replica = m.shard, m.replica
+	dst.ack()
 
 	delete(f.activeShard, m.shard)
 	m.frozen = false

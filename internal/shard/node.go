@@ -2,6 +2,7 @@ package shard
 
 import (
 	"fmt"
+	"strings"
 	"time"
 
 	"phoenix/internal/netsim"
@@ -80,9 +81,16 @@ func (nd *node) handle(m netsim.Message) {
 		// Only a serving owner acks; spares, retired, draining and down
 		// nodes go dark so the router routes reads around them.
 		if nd.state == stateServing {
-			nd.f.net.Send(nd.id, routerID, ackEnv{Node: nd.idx})
+			nd.ack()
 		}
 	}
+}
+
+// ack answers a probe. Sent unasked when the node serves again (after a
+// recovery, a cutover that made it an owner, or a drain), it is the up
+// notice: the router readmits the node when it lands.
+func (nd *node) ack() {
+	nd.f.net.Send(nd.id, routerID, ackEnv{Node: nd.idx, Epoch: nd.kills})
 }
 
 func (nd *node) respond(env dispatchEnv, ok, eff, refused bool) respEnv {
@@ -156,8 +164,10 @@ func (nd *node) syncClock() {
 // kill crashes the node's process at fabric time and drives the harness's
 // real recovery path; the node is down for exactly the simulated recovery
 // duration. A migration sourcing from this node aborts first — its buffered
-// baseline dies with the process. A kill that finds the node anywhere but
-// serving (recovering, draining or retired) is a no-op.
+// baseline dies with the process. The host sends the router a down notice
+// before recovery starts, and the node sends an up notice when it serves
+// again. A kill that finds the node anywhere but serving (recovering,
+// draining or retired) is a no-op.
 func (nd *node) kill() {
 	if nd.state != stateServing {
 		return
@@ -165,6 +175,7 @@ func (nd *node) kill() {
 	nd.f.abortMigrationsFrom(nd.idx, "source killed")
 	nd.state = stateDown
 	nd.kills++
+	nd.f.net.Send(nd.id, routerID, downEnv{Node: nd.idx, Epoch: nd.kills})
 	// Queued requests and the in-flight one vanish with the process and
 	// will never produce responses; the router's in-flight ledger must
 	// forget them or a frozen shard would never drain. (Requests still on
@@ -179,7 +190,7 @@ func (nd *node) kill() {
 	nd.f.router.forgetInflight(nd.idx, lost)
 	nd.queue = nil
 
-	nd.f.openKillWindow(nd)
+	w := nd.f.openKillWindow(nd)
 
 	nd.syncClock()
 	before := nd.h.M.Clock.Now()
@@ -188,18 +199,42 @@ func (nd *node) kill() {
 		nd.f.fail(fmt.Errorf("shard: node %d synthetic crash did not register", nd.idx))
 		return
 	}
+	stat := nd.h.Stat
 	if err := nd.h.HandleFailureForREPL(ci); err != nil {
 		nd.f.fail(fmt.Errorf("shard: node %d recovery: %w", nd.idx, err))
 		return
 	}
+	w.rungs = append(w.rungs, rungOf(stat, nd.h.Stat, nd.h.Cfg.Mode))
 	rec := nd.h.M.Clock.Now() - before
 	nd.recoveryTotal += rec
 	nd.f.clk.AfterFunc(rec, func() {
 		if nd.state == stateDown {
 			nd.state = stateServing
+			w.servedAt = nd.f.clk.Now()
+			nd.ack()
 			nd.startNext()
 		}
 	})
+}
+
+// rungOf names the recovery a kill took from the harness counters it moved:
+// a sub-process rung, a PHOENIX restart, a PHOENIX fallback to the default
+// recovery, or the mode's own restart (builtin, vanilla, criu).
+func rungOf(before, after recovery.Stats, mode recovery.Mode) string {
+	fallbacks := func(s recovery.Stats) int {
+		return s.UnsafeFallbacks + s.GraceFallbacks + s.CrossFallbacks + s.RecoveryFaultFallbacks + s.IntegrityFallbacks
+	}
+	switch {
+	case after.Rewinds > before.Rewinds:
+		return "rewind"
+	case after.Microreboots > before.Microreboots:
+		return "microreboot"
+	case after.PhoenixRestarts > before.PhoenixRestarts:
+		return "phoenix"
+	case fallbacks(after) > fallbacks(before):
+		return "fallback"
+	}
+	return strings.ToLower(mode.String())
 }
 
 // snapshotRead executes one scheduled concurrent-read batch: commit an MVCC
@@ -266,5 +301,6 @@ func (nd *node) drainEnd() {
 		return
 	}
 	nd.state = stateServing
+	nd.ack()
 	nd.startNext()
 }

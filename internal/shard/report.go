@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"sort"
+	"strings"
 	"time"
 )
 
@@ -31,15 +32,35 @@ type NodeReport struct {
 	Counters map[string]int64 `json:"counters"`
 }
 
-// WindowReport is one per-replica kill unavailability window.
+// WindowReport is one per-replica kill unavailability window: from the kill
+// (StartUs) until the node's first effective read after it reaches the
+// router (EndUs). ServedUs is when the node served again and ReadmitUs when
+// the router readmitted it (the first ack of the node's newest kill epoch
+// landed), so the window splits into recovery, readmission and first read
+// (WindowReport.Split). Rung names the recovery the kill took, read from the
+// harness counters; a second kill inside the window appends its own
+// ("phoenix+fallback") and restarts the split. A window still open at run
+// end ends there, as do its unreached ServedUs and ReadmitUs.
 type WindowReport struct {
-	Shard   int   `json:"shard"`
-	Replica int   `json:"replica"`
-	Node    int   `json:"node"`
-	StartUs int64 `json:"start_us"`
-	EndUs   int64 `json:"end_us"`
-	DurUs   int64 `json:"dur_us"`
-	Closed  bool  `json:"closed"`
+	Shard     int    `json:"shard"`
+	Replica   int    `json:"replica"`
+	Node      int    `json:"node"`
+	StartUs   int64  `json:"start_us"`
+	ServedUs  int64  `json:"served_us"`
+	ReadmitUs int64  `json:"readmit_us"`
+	EndUs     int64  `json:"end_us"`
+	DurUs     int64  `json:"dur_us"`
+	Rung      string `json:"rung"`
+	Closed    bool   `json:"closed"`
+}
+
+// Split returns the window's recovery (kill until the node serves again),
+// readmission (until the router readmits it) and first read (the rest of
+// DurUs).
+func (w WindowReport) Split() (recoveryUs, readmitUs, firstReadUs int64) {
+	recoveryUs = w.ServedUs - w.StartUs
+	readmitUs = w.ReadmitUs - w.ServedUs
+	return recoveryUs, readmitUs, w.DurUs - recoveryUs - readmitUs
 }
 
 // RoundReport is one migration delta round.
@@ -222,12 +243,21 @@ func (f *Fabric) report(sched Schedule) Report {
 			w.end = end
 			rep.Unrecovered++
 		}
+		if w.servedAt < 0 {
+			w.servedAt = w.end
+		}
+		if w.readmitAt < 0 {
+			w.readmitAt = w.end
+		}
 		wr := WindowReport{
 			Shard: w.shard, Replica: w.replica, Node: w.node,
-			StartUs: w.start.Microseconds(),
-			EndUs:   w.end.Microseconds(),
-			DurUs:   (w.end - w.start).Microseconds(),
-			Closed:  w.closed,
+			StartUs:   w.start.Microseconds(),
+			ServedUs:  w.servedAt.Microseconds(),
+			ReadmitUs: w.readmitAt.Microseconds(),
+			EndUs:     w.end.Microseconds(),
+			DurUs:     (w.end - w.start).Microseconds(),
+			Rung:      strings.Join(w.rungs, "+"),
+			Closed:    w.closed,
 		}
 		rep.UnavailTotalUs += wr.DurUs
 		rep.Windows = append(rep.Windows, wr)

@@ -8,14 +8,15 @@ import (
 )
 
 // router is the shard-aware front tier: it maps keys to shards through the
-// ring, shards to nodes through the (mutable) placement table, health-probes
-// every node, spreads reads across a shard's replica group by key slot, fans
-// writes out to the whole group, and holds a shard's traffic while its
-// migration cuts over. Retries and hedges never leave the shard's replica
-// group. It also runs three of the campaign's oracles inline: the non-owner
-// check (a non-refused response computed under a stale ownership epoch), the
-// partition check (a non-refused response from a partitioned node), and the
-// per-node kill-window bookkeeping.
+// ring, shards to nodes through the (mutable) placement table, keeps each
+// node's membership from its notices and probe acks, spreads reads across a
+// shard's replica group by key slot, fans writes out to the whole group,
+// and holds a shard's traffic while its migration cuts over. Retries and
+// hedges never leave the shard's replica group. It also runs three of the
+// campaign's oracles inline: the non-owner check (a non-refused response
+// computed under a stale ownership epoch), the partition check (a
+// non-refused response from a partitioned node), and the per-node
+// kill-window bookkeeping.
 type router struct {
 	f *Fabric
 
@@ -29,7 +30,7 @@ type router struct {
 	// slotRot rotates a shard's read affinity; ring changes bump it.
 	slotRot []int
 
-	lastAck []time.Duration
+	members membership
 
 	frozen  []bool
 	freezeQ [][]reqEnv
@@ -65,7 +66,7 @@ func newRouter(f *Fabric) *router {
 		slotRot:  make([]int, cfg.Shards),
 		frozen:   make([]bool, cfg.Shards),
 		freezeQ:  make([][]reqEnv, cfg.Shards),
-		lastAck:  make([]time.Duration, cfg.Shards*cfg.Replicas+cfg.Spares),
+		members:  newMembership(cfg.Shards*cfg.Replicas + cfg.Spares),
 		inflight: make([]int, cfg.Shards*cfg.Replicas+cfg.Spares),
 		wpends:   make(map[wkey]*wagg),
 	}
@@ -79,6 +80,44 @@ func newRouter(f *Fabric) *router {
 	return r
 }
 
+// membership is the router's view of which nodes are up. Nodes announce
+// their own crash and return over the fabric: a killed node's host sends a
+// down notice before recovery starts, and a node that serves again sends an
+// unsolicited ack, the up notice, so the router readmits it when that ack
+// lands instead of at the next probe. Acks and down notices carry the
+// node's kill epoch (its kill count), and a node is down exactly when its
+// newest down notice has a higher epoch than its newest ack: an ack still
+// on the wire at the kill cannot readmit a dead node, and a down notice
+// delayed past the recovery cannot evict a recovered one.
+//
+// Probes stay the only detector of silent failures (partitions, notices
+// lost to link faults) and of drain starts: a node whose acks stop for
+// longer than ProbeStale is unhealthy whatever its epochs say.
+type membership struct {
+	lastAck   []time.Duration
+	ackEpoch  []int
+	downEpoch []int
+}
+
+func newMembership(nodes int) membership {
+	return membership{
+		lastAck:   make([]time.Duration, nodes),
+		ackEpoch:  make([]int, nodes),
+		downEpoch: make([]int, nodes),
+	}
+}
+
+func (m *membership) ack(node, epoch int, now time.Duration) {
+	m.lastAck[node] = now
+	m.ackEpoch[node] = max(m.ackEpoch[node], epoch)
+}
+
+func (m *membership) noteDown(node, epoch int) {
+	m.downEpoch[node] = max(m.downEpoch[node], epoch)
+}
+
+func (m *membership) down(node int) bool { return m.downEpoch[node] > m.ackEpoch[node] }
+
 func (r *router) start() { r.probe() }
 
 func (r *router) probe() {
@@ -89,7 +128,7 @@ func (r *router) probe() {
 }
 
 func (r *router) healthy(nodeIdx int) bool {
-	return r.f.clk.Now()-r.lastAck[nodeIdx] <= r.f.cfg.ProbeStale
+	return !r.members.down(nodeIdx) && r.f.clk.Now()-r.members.lastAck[nodeIdx] <= r.f.cfg.ProbeStale
 }
 
 func (r *router) handle(m netsim.Message) {
@@ -99,7 +138,13 @@ func (r *router) handle(m netsim.Message) {
 	case respEnv:
 		r.onResponse(env)
 	case ackEnv:
-		r.lastAck[env.Node] = r.f.clk.Now()
+		r.members.ack(env.Node, env.Epoch, r.f.clk.Now())
+		// The first ack of the node's newest kill epoch readmits it.
+		if w := r.f.openW[env.Node]; w != nil && w.readmitAt < 0 && env.Epoch >= w.epoch {
+			w.readmitAt = r.f.clk.Now()
+		}
+	case downEnv:
+		r.members.noteDown(env.Node, env.Epoch)
 	}
 }
 
@@ -194,6 +239,11 @@ func (r *router) onResponse(env respEnv) {
 	isRead := env.Op == workload.OpRead || env.Op == workload.OpWebGet
 	if w := r.f.openW[env.Node]; w != nil && !env.Refused && env.Effective && isRead && env.KillEpoch >= w.killEpoch {
 		w.end = r.f.clk.Now()
+		if w.readmitAt < 0 {
+			// The router reached the node before any ack of its epoch did:
+			// a read it sent while no replica of the group was healthy.
+			w.readmitAt = w.end
+		}
 		w.closed = true
 		r.f.openW[env.Node] = nil
 	}

@@ -329,4 +329,10 @@ type clientRespEnv struct {
 
 type probeEnv struct{}
 
-type ackEnv struct{ Node int }
+// ackEnv travels node → router: a probe ack, or the up notice a node sends
+// unasked when it serves again. Epoch is the node's kill count.
+type ackEnv struct{ Node, Epoch int }
+
+// downEnv travels node → router: the down notice a killed node's host sends
+// before recovery starts, carrying the node's kill count after the kill.
+type downEnv struct{ Node, Epoch int }
