@@ -445,10 +445,12 @@ func (kv *KV) Checkpoint() {
 	m.Clock.Advance(time.Duration(pages) * m.Model.ForkPerPage)
 	// Child serializes and writes concurrently.
 	m.Clock.RunOffline(func() {
-		// One buffer, sized from the previous image: the header's record
-		// count and the expiry block's length are patched in place once
-		// the walks have produced them.
-		img := make([]byte, 8, max(m.Disk.Size(rdbFile), 12))
+		// One buffer, sized from the previous image with an eighth to
+		// spare so a store that grew since is not copied again: the
+		// header's record count and the expiry block's length are
+		// patched in place once the walks have produced them.
+		prev := max(m.Disk.Size(rdbFile), 0)
+		img := make([]byte, 8, prev+prev/8+12)
 		var count uint64
 		kv.dict.Iterate(func(key []byte, val uint64) bool {
 			v := mem.VAddr(val)
