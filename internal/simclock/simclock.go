@@ -75,14 +75,14 @@ func (a *Timer) before(b *Timer) bool {
 }
 
 func (c *Clock) push(t *Timer) {
-	t.index = len(c.timers)
+	t.index = int32(len(c.timers))
 	c.timers = append(c.timers, t)
-	c.up(t.index)
+	c.up(int(t.index))
 }
 
 // remove takes a pending timer out of the heap by its index.
 func (c *Clock) remove(t *Timer) {
-	i, last := t.index, len(c.timers)-1
+	i, last := int(t.index), len(c.timers)-1
 	if i != last {
 		c.swap(i, last)
 	}
@@ -97,7 +97,7 @@ func (c *Clock) remove(t *Timer) {
 func (c *Clock) swap(i, j int) {
 	h := c.timers
 	h[i], h[j] = h[j], h[i]
-	h[i].index, h[j].index = i, j
+	h[i].index, h[j].index = int32(i), int32(j)
 }
 
 func (c *Clock) up(i int) {
@@ -154,10 +154,12 @@ func (c *Clock) RunOffline(fn func()) time.Duration {
 type Timer struct {
 	deadline time.Duration
 	fn       func()
-	fired    bool
-	stopped  bool
 	seq      uint64
-	index    int // position in the clock's heap while pending
+	// index is the timer's position in the clock's heap while pending; an
+	// int32 beside the two flags keeps a Timer at 32 bytes.
+	index   int32
+	fired   bool
+	stopped bool
 }
 
 // AfterFunc registers fn to run when the clock passes the current time plus d.
