@@ -308,7 +308,7 @@ func FuzzMembershipOrder(f *testing.F) {
 		}
 
 		fab := &Fabric{cfg: Config{ProbeStale: 5 * time.Millisecond}, clk: simclock.New(), openW: make([]*windowRec, 1)}
-		fab.router = &router{f: fab, members: newMembership(1)}
+		fab.router = &router{f: fab, members: make([]member, 1)}
 		maxAck, maxDown, lastAck, acked := 0, 0, time.Duration(0), false
 		var delivered []notice
 		deliver := func(n notice) {
@@ -323,7 +323,7 @@ func FuzzMembershipOrder(f *testing.F) {
 			delivered = append(delivered, n)
 			wantDown := maxDown > maxAck
 			wantHealthy := !wantDown && acked && fab.clk.Now()-lastAck <= fab.cfg.ProbeStale
-			if got := fab.router.members.down(0); got != wantDown {
+			if got := fab.router.members[0].down(); got != wantDown {
 				t.Fatalf("after %v: down=%v, want %v (newest down epoch %d, newest ack epoch %d)", delivered, got, wantDown, maxDown, maxAck)
 			}
 			if got := fab.router.healthy(0); got != wantHealthy {
@@ -347,7 +347,7 @@ func FuzzMembershipOrder(f *testing.F) {
 		for _, n := range pending {
 			deliver(n)
 		}
-		if want := kills > 0 && ended; fab.router.members.down(0) != want {
+		if want := kills > 0 && ended; fab.router.members[0].down() != want {
 			t.Fatalf("history %v delivered as %v leaves the node down=%v, want %v", history, delivered, !want, want)
 		}
 	})

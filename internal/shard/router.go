@@ -30,7 +30,7 @@ type router struct {
 	// slotRot rotates a shard's read affinity; ring changes bump it.
 	slotRot []int
 
-	members membership
+	members []member
 
 	frozen  []bool
 	freezeQ [][]reqEnv
@@ -66,7 +66,7 @@ func newRouter(f *Fabric) *router {
 		slotRot:  make([]int, cfg.Shards),
 		frozen:   make([]bool, cfg.Shards),
 		freezeQ:  make([][]reqEnv, cfg.Shards),
-		members:  newMembership(cfg.Shards*cfg.Replicas + cfg.Spares),
+		members:  make([]member, cfg.Shards*cfg.Replicas+cfg.Spares),
 		inflight: make([]int, cfg.Shards*cfg.Replicas+cfg.Spares),
 		wpends:   make(map[wkey]*wagg),
 	}
@@ -80,43 +80,32 @@ func newRouter(f *Fabric) *router {
 	return r
 }
 
-// membership is the router's view of which nodes are up. Nodes announce
-// their own crash and return over the fabric: a killed node's host sends a
-// down notice before recovery starts, and a node that serves again sends an
-// unsolicited ack, the up notice, so the router readmits it when that ack
-// lands instead of at the next probe. Acks and down notices carry the
-// node's kill epoch (its kill count), and a node is down exactly when its
-// newest down notice has a higher epoch than its newest ack: an ack still
-// on the wire at the kill cannot readmit a dead node, and a down notice
-// delayed past the recovery cannot evict a recovered one.
+// member is the router's view of one node. Nodes announce their own crash
+// and return over the fabric: a killed node's host sends a down notice
+// before recovery starts, and a node that serves again sends an unsolicited
+// ack, the up notice, so the router readmits it when that ack lands instead
+// of at the next probe. Acks and down notices carry the node's kill epoch
+// (its kill count), and a node is down exactly when its newest down notice
+// has a higher epoch than its newest ack: an ack still on the wire at the
+// kill cannot readmit a dead node, and a down notice delayed past the
+// recovery cannot evict a recovered one.
 //
 // Probes stay the only detector of silent failures (partitions, notices
 // lost to link faults) and of drain starts: a node whose acks stop for
 // longer than ProbeStale is unhealthy whatever its epochs say.
-type membership struct {
-	lastAck   []time.Duration
-	ackEpoch  []int
-	downEpoch []int
+type member struct {
+	lastAck             time.Duration
+	ackEpoch, downEpoch int
 }
 
-func newMembership(nodes int) membership {
-	return membership{
-		lastAck:   make([]time.Duration, nodes),
-		ackEpoch:  make([]int, nodes),
-		downEpoch: make([]int, nodes),
-	}
+func (m *member) ack(epoch int, now time.Duration) {
+	m.lastAck = now
+	m.ackEpoch = max(m.ackEpoch, epoch)
 }
 
-func (m *membership) ack(node, epoch int, now time.Duration) {
-	m.lastAck[node] = now
-	m.ackEpoch[node] = max(m.ackEpoch[node], epoch)
-}
+func (m *member) noteDown(epoch int) { m.downEpoch = max(m.downEpoch, epoch) }
 
-func (m *membership) noteDown(node, epoch int) {
-	m.downEpoch[node] = max(m.downEpoch[node], epoch)
-}
-
-func (m *membership) down(node int) bool { return m.downEpoch[node] > m.ackEpoch[node] }
+func (m *member) down() bool { return m.downEpoch > m.ackEpoch }
 
 func (r *router) start() { r.probe() }
 
@@ -128,7 +117,8 @@ func (r *router) probe() {
 }
 
 func (r *router) healthy(nodeIdx int) bool {
-	return !r.members.down(nodeIdx) && r.f.clk.Now()-r.members.lastAck[nodeIdx] <= r.f.cfg.ProbeStale
+	m := &r.members[nodeIdx]
+	return !m.down() && r.f.clk.Now()-m.lastAck <= r.f.cfg.ProbeStale
 }
 
 func (r *router) handle(m netsim.Message) {
@@ -138,13 +128,13 @@ func (r *router) handle(m netsim.Message) {
 	case respEnv:
 		r.onResponse(env)
 	case ackEnv:
-		r.members.ack(env.Node, env.Epoch, r.f.clk.Now())
+		r.members[env.Node].ack(env.Epoch, r.f.clk.Now())
 		// The first ack of the node's newest kill epoch readmits it.
 		if w := r.f.openW[env.Node]; w != nil && w.readmitAt < 0 && env.Epoch >= w.epoch {
 			w.readmitAt = r.f.clk.Now()
 		}
 	case downEnv:
-		r.members.noteDown(env.Node, env.Epoch)
+		r.members[env.Node].noteDown(env.Epoch)
 	}
 }
 
