@@ -37,9 +37,11 @@ func NewDisk(clock *simclock.Clock, model costmodel.Model) *Disk {
 }
 
 // WriteFile replaces the file's content, charging sequential-write time.
+// The disk takes ownership of data: it stores the slice without copying, so
+// the caller must not touch it afterwards.
 func (d *Disk) WriteFile(name string, data []byte) {
 	d.clock.Advance(d.model.DiskWrite(int64(len(data))))
-	d.files[name] = &File{Name: name, Data: append([]byte(nil), data...)}
+	d.files[name] = &File{Name: name, Data: data}
 	d.bytesWritten += int64(len(data))
 	d.ops++
 }

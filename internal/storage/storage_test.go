@@ -29,6 +29,16 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	}
 }
 
+// TestWriteFileKeepsSlice pins that the disk takes the written slice as is: a
+// write allocates only its File, never a copy of the data.
+func TestWriteFileKeepsSlice(t *testing.T) {
+	_, d := newDisk()
+	data := make([]byte, 1<<20)
+	if allocs := testing.AllocsPerRun(10, func() { d.WriteFile("f", data) }); allocs != 1 {
+		t.Fatalf("WriteFile allocated %v times per call, want 1 (its File)", allocs)
+	}
+}
+
 func TestWriteChargesTime(t *testing.T) {
 	clk, d := newDisk()
 	model := costmodel.Default()
