@@ -157,8 +157,7 @@ func TestCleanupReclaimSurvivesRewind(t *testing.T) {
 
 	// A crash outside any request has no domain to discard, so the ladder
 	// falls through the rewind rung to a PHOENIX restart.
-	ci := h.Proc().Run(func() { h.Proc().AS.ReadU64(mem.NullPtr + 8) })
-	if err := h.HandleFailureForREPL(ci); err != nil {
+	if err := h.Kill(); err != nil {
 		t.Fatal(err)
 	}
 	c := pendingCleanup(t, h)

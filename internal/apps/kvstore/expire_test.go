@@ -164,11 +164,7 @@ func TestCheckpointRoundTripsEveryKeyAndTTL(t *testing.T) {
 			len(img), len(want), firstDiff(img, want))
 	}
 
-	ci := h.Proc().Run(func() { h.Proc().AS.ReadU64(0x2_0000_0000) })
-	if ci == nil {
-		t.Fatal("synthetic crash did not register")
-	}
-	if err := h.HandleFailureForREPL(ci); err != nil {
+	if err := h.Kill(); err != nil {
 		t.Fatal(err)
 	}
 	if h.Stat.OtherRestarts != 1 || kv.Stats().RDBLoads != 1 {

@@ -9,15 +9,10 @@ import (
 	"phoenix/internal/apps/registry"
 	"phoenix/internal/faultinject"
 	"phoenix/internal/kernel"
-	"phoenix/internal/mem"
 	"phoenix/internal/netsim"
 	"phoenix/internal/recovery"
 	"phoenix/internal/shard"
 )
-
-// crashVA is the synthetic "kill -9": an address no layout maps (same class
-// as the recovery and fabric campaigns use).
-const crashVA = mem.VAddr(0x2_0000_0000)
 
 // Violation is one oracle failure, attributed to the oracle that found it.
 type Violation struct {
@@ -241,12 +236,8 @@ func runSingle(sch Schedule) (*registry.Observation, error) {
 				}
 				ba.ArmBug(ev.Site)
 			case KindKill:
-				ci := h.Proc().Run(func() { h.Proc().AS.ReadU64(crashVA) })
-				if ci == nil {
-					return nil, fmt.Errorf("explore: synthetic crash did not register")
-				}
 				before := h.Stat
-				stop, err := terminal(h.HandleFailureForREPL(ci))
+				stop, err := terminal(h.Kill())
 				if err != nil {
 					return nil, fmt.Errorf("explore: recovery surfaced a simulator error: %w", err)
 				}

@@ -6,7 +6,6 @@ import (
 	"phoenix/internal/core"
 	"phoenix/internal/faultinject"
 	"phoenix/internal/kernel"
-	"phoenix/internal/mem"
 	"phoenix/internal/workload"
 )
 
@@ -94,10 +93,6 @@ type ProbeOutcome struct {
 	MatchedFallback bool `json:"matched_fallback"`
 }
 
-// crashAddr is an address no layout maps: far above every image (which sit
-// near the builder bases) and far below the ASLR slide floor (1<<45).
-const crashAddr = mem.VAddr(0x2_0000_0000)
-
 // CheckAtomicity runs the crash-consistency protocol for one application.
 // It returns the per-probe outcomes and the first violation found:
 // a simulator error escaping recovery, a fired fault without a counted
@@ -126,11 +121,7 @@ func CheckAtomicity(mk AppFactory, cfg AtomicityConfig) ([]ProbeOutcome, error) 
 		if arm != nil {
 			armFault(inj, *arm)
 		}
-		ci := h.Proc().Run(func() { h.Proc().AS.ReadU64(crashAddr) })
-		if ci == nil {
-			return nil, nil, fmt.Errorf("synthetic crash did not register")
-		}
-		if err := h.HandleFailureForREPL(ci); err != nil {
+		if err := h.Kill(); err != nil {
 			return nil, nil, fmt.Errorf("recovery surfaced a simulator error: %w", err)
 		}
 		if err := h.RunRequests(cfg.Settle); err != nil {

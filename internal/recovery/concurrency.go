@@ -7,7 +7,6 @@ import (
 
 	"phoenix/internal/faultinject"
 	"phoenix/internal/kernel"
-	"phoenix/internal/mem"
 	"phoenix/internal/workload"
 )
 
@@ -22,11 +21,6 @@ import (
 // staging must beat the serial walk on the app's preserved footprint. All
 // timing flows through the simulated clock, so outcomes are deterministic
 // and same-seed runs marshal byte-identically.
-
-// concurrencyCrashVA is an unmapped address outside every app's layout;
-// reading it is the synthetic mid-run kill (same class the fabric and
-// explore campaigns use).
-const concurrencyCrashVA = mem.VAddr(0x2_0000_0000)
 
 // concurrencyReaders is the fan-out ladder the campaign measures.
 var concurrencyReaders = []int{1, 4, 16}
@@ -247,11 +241,7 @@ func checkOneConcurrency(spec ConcurrencySpec, cfg ConcurrencyConfig) (Concurren
 	// Mid-run PHOENIX kill: the process dies between ladder points, recovery
 	// preserves the pages, and the next batch must serve off a snapshot store
 	// rebuilt against the restarted address space.
-	ci := h.Proc().Run(func() { h.Proc().AS.ReadU64(concurrencyCrashVA) })
-	if ci == nil {
-		return o, fmt.Errorf("%s: synthetic crash did not register", spec.Name)
-	}
-	if err := h.HandleFailureForREPL(ci); err != nil {
+	if err := h.Kill(); err != nil {
 		return o, fmt.Errorf("%s: recovery: %w", spec.Name, err)
 	}
 	o.PhoenixRestarts = h.Stat.PhoenixRestarts

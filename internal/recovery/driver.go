@@ -904,10 +904,19 @@ func (h *Harness) hotSwitch() error {
 	return nil
 }
 
-// HandleFailureForREPL exposes the failure-handling path for drivers that
-// crash the process outside ServeRequest: the serving fabric's replica
-// kills, and the exploration and campaign engines.
-func (h *Harness) HandleFailureForREPL(ci *kernel.CrashInfo) error {
+// killVA is an address no layout maps: far above every image (which sit
+// near the builder bases) and far below the ASLR slide floor (1<<45).
+const killVA = mem.VAddr(0x2_0000_0000)
+
+// Kill is the synthetic kill -9 for drivers that crash the process outside
+// ServeRequest: the serving fabric's replica kills, the exploration engine
+// and the recovery campaigns. It reads killVA inside the process, checks
+// that the crash registered, and recovers through the failure path.
+func (h *Harness) Kill() error {
+	ci := h.Proc().Run(func() { h.Proc().AS.ReadU64(killVA) })
+	if ci == nil {
+		return errors.New("synthetic crash did not register")
+	}
 	return h.handleFailure(ci)
 }
 

@@ -304,14 +304,12 @@ func TestRunUntil(t *testing.T) {
 	}
 }
 
-func TestHandleFailureForREPL(t *testing.T) {
+// TestKill crashes the process outside a request: the kill registers, and the
+// PHOENIX restart keeps the preserved counter.
+func TestKill(t *testing.T) {
 	h, app := harness(t, Config{Mode: ModePhoenix})
 	h.RunRequests(10)
-	ci := h.Proc().Run(func() { h.Proc().AS.ReadU64(0xBAD000) })
-	if ci == nil {
-		t.Fatal("no crash")
-	}
-	if err := h.HandleFailureForREPL(ci); err != nil {
+	if err := h.Kill(); err != nil {
 		t.Fatal(err)
 	}
 	if h.Stat.PhoenixRestarts != 1 {

@@ -124,13 +124,9 @@ func CheckEscalation(mk AppFactory, cfg EscalationConfig) (EscalationOutcome, er
 	}
 
 	crashOnce := func() error {
-		ci := h.Proc().Run(func() { h.Proc().AS.ReadU64(crashAddr) })
-		if ci == nil {
-			return fmt.Errorf("synthetic crash did not register")
-		}
 		// A supervision error here (budget exhaustion) is a campaign failure:
 		// no run may crash-loop past its budget.
-		if err := h.HandleFailureForREPL(ci); err != nil {
+		if err := h.Kill(); err != nil {
 			return fmt.Errorf("cycle %d: %w", out.Cycles, err)
 		}
 		return nil

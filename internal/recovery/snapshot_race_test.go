@@ -11,7 +11,6 @@ import (
 	"phoenix/internal/apps/lsmdb"
 	"phoenix/internal/apps/webcache"
 	"phoenix/internal/kernel"
-	"phoenix/internal/mem"
 	"phoenix/internal/recovery"
 	"phoenix/internal/workload"
 )
@@ -28,10 +27,6 @@ import (
 // of a campaign key is effective on every version and that CheckFrozen stays
 // clean even with writes and a preserve_exec restart landing under held
 // versions.
-
-// raceCrashVA is an unmapped address outside every app's layout (same class
-// the concurrency campaign uses).
-const raceCrashVA = mem.VAddr(0x2_0000_0000)
 
 type raceTarget struct {
 	h     *recovery.Harness
@@ -81,11 +76,7 @@ func hammerSnapshots(t *testing.T, tgt raceTarget) {
 		if round == rounds/2 {
 			// Mid-stream the process dies and preserve_exec restarts it while
 			// the readers above still serve off the pre-restart version.
-			ci := h.Proc().Run(func() { h.Proc().AS.ReadU64(raceCrashVA) })
-			if ci == nil {
-				t.Fatal("synthetic crash did not register")
-			}
-			if err := h.HandleFailureForREPL(ci); err != nil {
+			if err := h.Kill(); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -194,13 +194,8 @@ func (nd *node) kill() {
 
 	nd.syncClock()
 	before := nd.h.M.Clock.Now()
-	ci := nd.h.Proc().Run(func() { nd.h.Proc().AS.ReadU64(crashVA) })
-	if ci == nil {
-		nd.f.fail(fmt.Errorf("shard: node %d synthetic crash did not register", nd.idx))
-		return
-	}
 	stat := nd.h.Stat
-	if err := nd.h.HandleFailureForREPL(ci); err != nil {
+	if err := nd.h.Kill(); err != nil {
 		nd.f.fail(fmt.Errorf("shard: node %d recovery: %w", nd.idx, err))
 		return
 	}

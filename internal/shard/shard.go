@@ -35,11 +35,6 @@ const feID = netsim.NodeID("fe")
 
 func nodeID(i int) netsim.NodeID { return netsim.NodeID(fmt.Sprintf("node%d", i)) }
 
-// crashVA is an unmapped address outside every app's layout; reading it is
-// the synthetic kill vector (the same address class the recovery campaigns
-// use).
-const crashVA = 0x2_0000_0000
-
 // Profile shapes the client population and traffic window.
 type Profile struct {
 	// Proto is the request-stream template; the frontend clones it with a
