@@ -24,7 +24,7 @@ func benchExperiment(b *testing.B, id string) {
 		b.Fatalf("unknown experiment %s", id)
 	}
 	for i := 0; i < b.N; i++ {
-		if err := e.Run(experiments.Options{Quick: true, Seed: int64(i + 1), Out: io.Discard}); err != nil {
+		if _, err := e.Run(experiments.Options{Quick: true, Seed: int64(i + 1), Out: io.Discard}); err != nil {
 			b.Fatal(err)
 		}
 	}

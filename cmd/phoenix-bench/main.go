@@ -1,7 +1,11 @@
 // Command phoenix-bench regenerates the paper's evaluation tables and
-// figures, the design-choice ablations, and the preserve-path trajectory
-// (see DESIGN.md's per-experiment index and EXPERIMENTS.md for the
-// paper-vs-measured comparison).
+// figures, runs the fault-injection campaigns, the design-choice ablations,
+// and the preserve-path trajectory (see DESIGN.md's per-experiment index and
+// EXPERIMENTS.md for the paper-vs-measured comparison). A campaign's
+// contract violation exits non-zero. -json prints, instead of the text, one
+// line of deterministic JSON per selected entry that has a structured
+// report: the campaigns' -quick reports equal their goldens under
+// internal/experiments/testdata/golden.
 //
 // Usage:
 //
@@ -9,11 +13,14 @@
 //	phoenix-bench -run fig10,tab7 # selected experiments
 //	phoenix-bench -quick          # reduced scale (CI-sized)
 //	phoenix-bench -list           # list experiment IDs
+//	phoenix-bench -run figcluster -app kvstore -json
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"time"
@@ -23,10 +30,12 @@ import (
 
 func main() {
 	var (
-		run   = flag.String("run", "", "comma-separated experiment IDs (default: all)")
-		quick = flag.Bool("quick", false, "reduced workload sizes")
-		seed  = flag.Int64("seed", 1, "deterministic seed")
-		list  = flag.Bool("list", false, "list experiments and exit")
+		run     = flag.String("run", "", "comma-separated experiment IDs (default: all)")
+		quick   = flag.Bool("quick", false, "reduced workload sizes")
+		seed    = flag.Int64("seed", 1, "deterministic seed")
+		list    = flag.Bool("list", false, "list experiments and exit")
+		app     = flag.String("app", "", "restrict the per-application entries to one application (default: all)")
+		jsonOut = flag.Bool("json", false, "print each selected entry's report as one line of JSON instead of its text")
 	)
 	flag.Parse()
 
@@ -42,16 +51,29 @@ func main() {
 		fmt.Fprintf(os.Stderr, "phoenix-bench: %v\n", err)
 		os.Exit(2)
 	}
+	opts := experiments.Options{Quick: *quick, Seed: *seed, App: *app, Out: os.Stdout}
+	if *jsonOut {
+		opts.Out = io.Discard
+	}
 	failed := false
 	for _, e := range selected {
-		fmt.Printf("=== %s: %s ===\n", e.ID, e.Title)
+		if !*jsonOut {
+			fmt.Printf("=== %s: %s ===\n", e.ID, e.Title)
+		}
 		start := time.Now()
-		err := e.Run(experiments.Options{Quick: *quick, Seed: *seed, Out: os.Stdout})
+		report, err := e.Run(opts)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "%s: FAILED: %v\n", e.ID, err)
 			failed = true
 		}
-		fmt.Printf("--- %s done in %v (wall clock) ---\n\n", e.ID, time.Since(start).Round(time.Millisecond))
+		if !*jsonOut {
+			fmt.Printf("--- %s done in %v (wall clock) ---\n\n", e.ID, time.Since(start).Round(time.Millisecond))
+		} else if report != nil {
+			if err := json.NewEncoder(os.Stdout).Encode(report); err != nil {
+				fmt.Fprintf(os.Stderr, "%s: %v\n", e.ID, err)
+				failed = true
+			}
+		}
 	}
 	if failed {
 		os.Exit(1)

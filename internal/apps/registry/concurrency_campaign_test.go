@@ -12,41 +12,6 @@ import (
 	"phoenix/internal/workload"
 )
 
-// TestConcurrencyCampaignGolden pins the concurrent-serving campaign's
-// headline contract, which the checked-in phxinject golden output alone
-// would let an -update drop: every snapshot-serving app present, ≥2x
-// throughput at 4 readers, a PHOENIX restart ridden mid-run, and a clean
-// stale oracle.
-func TestConcurrencyCampaignGolden(t *testing.T) {
-	a, err := recovery.CheckConcurrency(registry.ConcurrencySpecs(1), recovery.ConcurrencyConfig{Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	names := registry.ConcurrencyNames()
-	if len(a) != len(names) {
-		t.Fatalf("campaign covered %d apps, want %d", len(a), len(names))
-	}
-	for i, o := range a {
-		if o.App != names[i] {
-			t.Errorf("outcome %d is %q, want %q", i, o.App, names[i])
-		}
-		if o.Speedup4v1 < 2.0 {
-			t.Errorf("%s: 4-reader speedup %.2f below 2.0", o.App, o.Speedup4v1)
-		}
-		if o.PhoenixRestarts < 1 {
-			t.Errorf("%s: campaign rode no PHOENIX restart", o.App)
-		}
-		if o.Stale != 0 {
-			t.Errorf("%s: stale oracle fired %d times", o.App, o.Stale)
-		}
-		if o.PreserveParallelNs >= o.PreserveSerialNs {
-			t.Errorf("%s: modelled parallel preserve %dns not below serial %dns",
-				o.App, o.PreserveParallelNs, o.PreserveSerialNs)
-		}
-	}
-}
-
 // TestMicrorebootFullLadder requires the granularity ordering the
 // microreboot campaign enforces to have actually been measured on at least
 // three applications: rewind, microreboot, and PHOENIX windows all present.
@@ -121,8 +86,8 @@ func TestSnapshotServersAreRewindable(t *testing.T) {
 // MVCC snapshots across the reader ladder. The metric of record is
 // sim_ops_per_sec (wall time on a 1-core CI box says nothing); the acceptance
 // bar — ≥2x ops/sec at 4 readers vs 1 on at least two apps — is enforced
-// deterministically by TestConcurrencyCampaignGolden; this benchmark makes the
-// same curve visible in bench output.
+// deterministically by the experiments package's TestConcurrencyClaims; this
+// benchmark makes the same curve visible in bench output.
 func BenchmarkServeConcurrent(b *testing.B) {
 	for _, name := range registry.ConcurrencyNames() {
 		for _, readers := range []int{1, 4, 16} {

@@ -1,8 +1,8 @@
 // Package registry enumerates every application in internal/apps as a
 // recovery.AppFactory, sized for fault campaigns: small enough that a full
 // probe matrix stays fast, large enough that every app preserves multiple
-// ranges. Campaign tests and the phxinject CLI share it so "all apps" means
-// the same thing everywhere.
+// ranges. Campaign tests and the experiments registry share it so "all
+// apps" means the same thing everywhere.
 package registry
 
 import (

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"phoenix/internal/analysis"
 	"phoenix/internal/core"
 	"phoenix/internal/heap"
 	"phoenix/internal/ir"
@@ -197,12 +196,7 @@ func ablKVWithCleanup(m *kernel.Machine, cleanup bool, o Options) (*sysHarness, 
 // paths — availability lost to imprecision.
 func RunAblRegions(o Options) error {
 	o.fill()
-	mod := ir.MustParse(analysis.KVModel)
-	a := analysis.New(mod)
-	if err := a.Run("handler", nil); err != nil {
-		return err
-	}
-	tight, _, err := a.Instrument()
+	mod, tight, err := instrumentedKVModel()
 	if err != nil {
 		return err
 	}

@@ -1,7 +1,9 @@
 // Package experiments implements one runnable reproduction per table and
-// figure of the paper's evaluation (§4). Each experiment prints the same
-// rows/series the paper reports; EXPERIMENTS.md records the paper-vs-
-// measured comparison and the scale factors used.
+// figure of the paper's evaluation (§4), and one entry per fault-injection
+// campaign (§4.4). Each experiment prints the same rows/series the paper
+// reports; each campaign also returns its structured report and fails on
+// its contract. EXPERIMENTS.md records the paper-vs-measured comparison
+// and the scale factors used.
 package experiments
 
 import (
@@ -30,7 +32,10 @@ type Options struct {
 	Quick bool
 	// Seed drives all deterministic randomness.
 	Seed int64
-	// Out receives the experiment's report.
+	// App restricts the entries that run per application to the one named
+	// ("" runs every one); entries with no per-application items ignore it.
+	App string
+	// Out receives the experiment's text report.
 	Out io.Writer
 }
 
@@ -43,41 +48,53 @@ func (o *Options) fill() {
 	}
 }
 
-// Experiment is one reproducible table or figure.
+// Experiment is one reproducible table, figure or campaign. Run writes its
+// text to Options.Out and returns its structured report (nil for the paper's
+// tables and figures) and its contract error.
 type Experiment struct {
 	ID    string
 	Title string
-	Run   func(o Options) error
+	Run   func(o Options) (report any, err error)
 }
 
 // All returns the experiment registry: the paper's tables and figures in
-// paper order, then the design-choice ablations and the preserve-path
-// trajectory, which go beyond the paper.
+// paper order, then the fault-injection campaigns, the design-choice
+// ablations and the preserve-path trajectory, which go beyond the paper.
 func All() []Experiment {
 	return []Experiment{
-		{"tab1", "Table 1: real-world failure study taxonomy", RunTab1},
-		{"fig1", "Figure 1: Redis #12290 downtime and warm-up under builtin recovery", RunFig1},
-		{"fig9", "Figure 9: PHOENIX restart latency vs preserved memory size", RunFig9},
-		{"tab3", "Table 3: evaluated systems and preserved state", RunTab3},
-		{"tab4", "Table 4: porting effort", RunTab4},
-		{"tab5", "Table 5: reproduced real-world bugs", RunTab5},
-		{"fig10", "Figure 10: availability of all bug cases under four recovery mechanisms", RunFig10},
-		{"fig11", "Figure 11: Varnish #2796 deadlock timeline", RunFig11},
-		{"fig12", "Figure 12: Redis #12290 timeline across recovery mechanisms", RunFig12},
-		{"fig13", "Figure 13: XGBoost progress recovery timeline", RunFig13},
-		{"tab6", "Table 6: injected fault types", RunTab6},
-		{"tab7", "Table 7: large-scale fault injection", RunTab7},
-		{"tab8", "Table 8: runtime overhead", RunTab8},
-		{"tab9", "Table 9: memory reuse", RunTab9},
+		{"tab1", "Table 1: real-world failure study taxonomy", text(RunTab1)},
+		{"fig1", "Figure 1: Redis #12290 downtime and warm-up under builtin recovery", text(RunFig1)},
+		{"fig9", "Figure 9: PHOENIX restart latency vs preserved memory size", text(RunFig9)},
+		{"tab3", "Table 3: evaluated systems and preserved state", text(RunTab3)},
+		{"tab4", "Table 4: porting effort", text(RunTab4)},
+		{"tab5", "Table 5: reproduced real-world bugs", text(RunTab5)},
+		{"fig10", "Figure 10: availability of all bug cases under four recovery mechanisms", text(RunFig10)},
+		{"fig11", "Figure 11: Varnish #2796 deadlock timeline", text(RunFig11)},
+		{"fig12", "Figure 12: Redis #12290 timeline across recovery mechanisms", text(RunFig12)},
+		{"fig13", "Figure 13: XGBoost progress recovery timeline", text(RunFig13)},
+		{"tab6", "Table 6: injected fault types", text(RunTab6)},
+		{"tab7", "Table 7: large-scale fault injection", text(RunTab7)},
+		{"tab8", "Table 8: runtime overhead", text(RunTab8)},
+		{"tab9", "Table 9: memory reuse", text(RunTab9)},
 		{"figcluster", "Cluster figure: availability under traffic for replicated PHOENIX vs builtin vs vanilla", RunFigCluster},
 		{"figshard", "Shard figure: sharded fabric availability with per-shard kills and preserve-riding live migration", RunFigShard},
 		{"figexplore", "Exploration campaign: randomized fault-schedule search with oracle checking and failing-seed shrinking", RunFigExplore},
 		{"figvet", "Vet differential: points-to preservation-safety verifier vs dynamic restart-audit ground truth", RunFigVet},
-		{"abl-zerocopy", "Ablation: zero-copy PTE transfer vs page copying", RunAblZeroCopy},
-		{"abl-cleanup", "Ablation: post-restart mark-and-sweep cleanup on vs off", RunAblCleanup},
-		{"abl-regions", "Ablation: tight vs conservative unsafe-region instrumentation", RunAblRegions},
-		{"preserve", "Preserve-path trajectory: preserve_exec, rewind, migration and serving costs on a 10k-page set", RunPreserve},
+		{"ir", "IR campaign: instruction-level faults vs the state-stack recovery condition", RunIR},
+		{"atomicity", "Atomicity campaign: recovery-path faults leave no torn survivor", RunAtomicity},
+		{"escalation", "Escalation campaign: repeated preserved-state corruption through the crash-loop breaker", RunEscalation},
+		{"microreboot", "Microreboot campaign: recovery windows by granularity, from request rewind to vanilla restart", RunMicroreboot},
+		{"concurrency", "Concurrency campaign: MVCC snapshot reads at 1/4/16 readers across a PHOENIX kill", RunConcurrency},
+		{"abl-zerocopy", "Ablation: zero-copy PTE transfer vs page copying", text(RunAblZeroCopy)},
+		{"abl-cleanup", "Ablation: post-restart mark-and-sweep cleanup on vs off", text(RunAblCleanup)},
+		{"abl-regions", "Ablation: tight vs conservative unsafe-region instrumentation", text(RunAblRegions)},
+		{"preserve", "Preserve-path trajectory: preserve_exec, rewind, migration and serving costs on a 10k-page set", text(RunPreserve)},
 	}
+}
+
+// text adapts an entry that only prints, and so has no report, to Run.
+func text(run func(Options) error) func(Options) (any, error) {
+	return func(o Options) (any, error) { return nil, run(o) }
 }
 
 // ByID returns the experiment with the given ID.

@@ -23,8 +23,6 @@ import (
 // a kill window closes only on a post-kill effective read, that the
 // drained replica refuses reads, and that no response crosses the
 // partition.
-func RunFigCluster(o Options) error {
-	// One storage, one cache, one compute system keeps the quick profile
-	// representative.
-	return runFabricFigure(o, shard.Options{Shards: 1, Replicas: 3}, "kvstore", "webcache-varnish", "boost")
+func RunFigCluster(o Options) (any, error) {
+	return runFabricFigure(o, shard.Options{Shards: 1, Replicas: 3})
 }

@@ -16,17 +16,15 @@ import (
 // complement to the scripted campaigns behind Tables 6-7.
 //
 // The full profile (1000 seeds) produced the seeds-vs-violations table in
-// EXPERIMENTS.md; Quick keeps CI at a 50-seed smoke.
-func RunFigExplore(o Options) error {
+// EXPERIMENTS.md; Quick keeps CI at a 50-seed smoke. o.App restricts every
+// schedule to one application.
+func RunFigExplore(o Options) (any, error) {
 	o.fill()
-	opts := explore.Options{Seeds: 1000, Start: o.Seed}
+	opts := explore.Options{Seeds: 1000, Start: o.Seed, App: o.App}
 	if o.Quick {
 		opts.Seeds = 50
 	}
 	sum, err := explore.CheckExplore(opts)
-	if err != nil {
-		return err
-	}
 	fmt.Fprintf(o.Out, "%s\n", explore.FmtSummary(sum))
-	return nil
+	return sum, err
 }

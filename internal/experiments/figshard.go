@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"slices"
 
 	"phoenix/internal/apps/registry"
 	"phoenix/internal/shard"
@@ -23,25 +22,25 @@ import (
 // availability ordering, that PHOENIX's delta-converged cutover beats the
 // non-preserving modes' stop-and-copy, and that no acked write is lost and
 // no request is served by a non-owner.
-func RunFigShard(o Options) error {
-	return runFabricFigure(o, shard.Options{Shards: 4, Replicas: 2, Spares: 2}, "kvstore")
+func RunFigShard(o Options) (any, error) {
+	return runFabricFigure(o, shard.Options{Shards: 4, Replicas: 2, Spares: 2})
 }
 
-// runFabricFigure runs the fabric campaign in one shape over the systems
-// registry.Systems gives that shape (only the quick ones under Quick) and
-// prints each system's comparison, PHOENIX kill windows and completed moves.
-func runFabricFigure(o Options, shape shard.Options, quick ...string) error {
+// fabricSystems returns the systems registry.Systems gives a fabric of the
+// given shard count, or only the o.App one.
+func fabricSystems(o Options, shards int) ([]shard.System, error) {
+	return only(registry.Systems(o.Seed, shards), func(s shard.System) string { return s.Name }, o.App)
+}
+
+// runFabricFigure runs the fabric campaign in one shape over fabricSystems
+// and prints each system's comparison, PHOENIX kill windows and completed
+// moves. Quick and full runs are the same campaign.
+func runFabricFigure(o Options, shape shard.Options) (any, error) {
 	o.fill()
 	shape.Seed = o.Seed
-	systems := registry.Systems(o.Seed, shape.Shards)
-	if o.Quick {
-		var keep []shard.System
-		for _, s := range systems {
-			if slices.Contains(quick, s.Name) {
-				keep = append(keep, s)
-			}
-		}
-		systems = keep
+	systems, err := fabricSystems(o, shape.Shards)
+	if err != nil {
+		return nil, err
 	}
 	res, err := shard.CheckShard(systems, shape)
 	for _, r := range res {
@@ -63,5 +62,5 @@ func runFabricFigure(o Options, shape shard.Options, quick ...string) error {
 				mv.Shard, mv.Reason, len(mv.Rounds), mv.ShippedPages, mv.FinalDelta, mv.CutoverUs)
 		}
 	}
-	return err
+	return res, err
 }

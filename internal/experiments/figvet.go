@@ -14,26 +14,28 @@ import (
 // verifier's verdicts against the interpreter's restart-audit ground truth,
 // including the seeded dangling-store mutants. The per-model finding counts
 // and the agreement table in EXPERIMENTS.md come from the full profile (500
-// seeds per model); Quick keeps CI at a 50-seed smoke.
-func RunFigVet(o Options) error {
+// seeds per model); Quick sweeps 200. o.App restricts both halves to one
+// model.
+func RunFigVet(o Options) (any, error) {
 	o.fill()
+	apps, err := only(analysis.IRApps(), func(a analysis.IRApp) string { return a.Name }, o.App)
+	if err != nil {
+		return nil, err
+	}
 	fmt.Fprintf(o.Out, "static verification (phxvet):\n")
-	for _, app := range analysis.IRApps() {
+	for _, app := range apps {
 		rep, err := pta.Vet(ir.MustParse(app.Src), app.Entries)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		fmt.Fprintf(o.Out, "  %-10s funcs=%d objects=%d preserved=%d transient=%d findings=%v clean=%v\n",
 			app.Name, rep.Funcs, rep.Objects, rep.Preserved, rep.Transient, rep.Counts(), rep.Clean())
 	}
-	opts := explore.VetOptions{Seeds: 500, Start: o.Seed}
+	opts := explore.VetOptions{Seeds: 500, Start: o.Seed, Model: o.App}
 	if o.Quick {
-		opts.Seeds = 50
+		opts.Seeds = 200
 	}
 	sum, err := explore.CheckVet(opts)
-	if err != nil {
-		return err
-	}
 	fmt.Fprintf(o.Out, "%s", explore.FmtVetSummary(sum))
-	return nil
+	return sum, err
 }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"io"
 )
 
 // This file implements the explore campaign: sweep N seeds, run every
@@ -22,8 +21,6 @@ type Options struct {
 	Start int64
 	// App restricts every schedule to one application ("" explores all).
 	App string
-	// Log, when non-nil, receives per-seed progress lines.
-	Log io.Writer
 }
 
 // SeedResult summarises one seed of the sweep. Violating seeds carry their
@@ -61,11 +58,6 @@ func CheckExplore(o Options) (Summary, error) {
 		o.Start = 1
 	}
 	sum := Summary{Start: o.Start, Seeds: o.Seeds, App: o.App, Results: []SeedResult{}}
-	logf := func(format string, args ...interface{}) {
-		if o.Log != nil {
-			fmt.Fprintf(o.Log, format+"\n", args...)
-		}
-	}
 	for i := 0; i < o.Seeds; i++ {
 		seed := o.Start + int64(i)
 		sch := Generate(seed, o.App)
@@ -109,11 +101,6 @@ func CheckExplore(o Options) (Summary, error) {
 			}
 			res.Shrunk = &art
 			sum.Violating++
-			logf("seed %-6d %-18s %-7s VIOLATION %s (shrunk to %d events, %d steps)",
-				seed, sch.App, sch.Mode, out.Violations[0].Oracle, len(art.Schedule.Events), art.Schedule.Steps)
-		} else {
-			logf("seed %-6d %-18s %-7s ok: %d events, %d recoveries, %d requests",
-				seed, sch.App, sch.Mode, len(sch.Events), out.Recoveries, out.Requests)
 		}
 		sum.Results = append(sum.Results, res)
 	}

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
-	"io"
 	"math/rand"
 
 	"phoenix/internal/analysis"
@@ -43,8 +42,6 @@ type VetOptions struct {
 	Start int64
 	// Model restricts the campaign to one application model ("" = all).
 	Model string
-	// Log, when non-nil, receives per-model progress lines.
-	Log io.Writer
 }
 
 // mutantSeeds is the fixed sweep width of the mutant phase: enough runs for
@@ -209,11 +206,6 @@ func CheckVet(o VetOptions) (VetSummary, error) {
 		o.Start = 1
 	}
 	sum := VetSummary{Start: o.Start, Seeds: o.Seeds, Model: o.Model, Agreement: true, Models: []VetModelResult{}}
-	logf := func(format string, args ...interface{}) {
-		if o.Log != nil {
-			fmt.Fprintf(o.Log, format+"\n", args...)
-		}
-	}
 	var firstErr error
 	fail := func(err error) {
 		sum.Agreement = false
@@ -374,13 +366,6 @@ func CheckVet(o VetOptions) (VetSummary, error) {
 					app.Name, rm.Fn, rm.NthAlloc))
 			}
 			res.RewindMutants = append(res.RewindMutants, rres)
-		}
-		if res.Agreement {
-			logf("model %-10s clean=%v %6d calls %5d restarts, %d mutant(s) + %d cross + %d rewind agree",
-				res.Model, res.Clean, res.Calls, res.Restarts, len(res.Mutants), len(res.CrossMutants), len(res.RewindMutants))
-		} else {
-			logf("model %-10s DISAGREEMENT clean=%v dangling=%d checksum=%d escapes=%d",
-				res.Model, res.Clean, res.Dangling, res.ChecksumMismatches, res.RewindEscapes)
 		}
 		sum.Models = append(sum.Models, res)
 	}
