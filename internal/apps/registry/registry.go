@@ -167,7 +167,7 @@ func ShardProfile(name string, seed int64) shard.Profile {
 		// Pre-populate the YCSB keyspace: the ring splits these across the
 		// shards, each replica group warming exactly its own arc.
 		for i := uint64(0); i < records; i++ {
-			key := fmt.Sprintf("user%010d", i)
+			key := workload.Key(i)
 			p.Warm = append(p.Warm, &workload.Request{
 				Seq: i + 1, Op: workload.OpInsert, Key: key,
 				Value: workload.Value(key, 1, valueSize),

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strconv"
 )
 
 // Op is a request operation type.
@@ -124,16 +125,28 @@ func NewYCSB(cfg YCSBConfig) *YCSB {
 	return g
 }
 
-// LoadKeys returns the initial dataset keys (key-%010d naming, YCSB style).
+// LoadKeys returns the initial dataset keys (Key naming, YCSB style).
 func (g *YCSB) LoadKeys() []string {
 	out := make([]string, g.cfg.Records)
 	for i := range out {
-		out[i] = ycsbKey(uint64(i))
+		out[i] = Key(uint64(i))
 	}
 	return out
 }
 
-func ycsbKey(i uint64) string { return fmt.Sprintf("user%010d", i) }
+// Key returns the YCSB key of record i: "user" and i zero-padded to ten
+// digits, byte for byte what fmt's "user%010d" prints, longer numbers
+// included.
+func Key(i uint64) string {
+	var buf [len("user") + 20]byte
+	b := append(buf[:0], "user"...)
+	var digits [20]byte
+	d := strconv.AppendUint(digits[:0], i, 10)
+	if len(d) < 10 {
+		b = append(b, "0000000000"[len(d):]...)
+	}
+	return string(append(b, d...))
+}
 
 // Clone implements Generator: a fresh YCSB stream over the same mix and
 // key-space parameters, driven by seed.
@@ -183,15 +196,15 @@ func (g *YCSB) Next() *Request {
 	r := g.rng.Float64()
 	switch {
 	case r < g.cfg.ReadFrac:
-		return &Request{Seq: g.seq, Op: OpRead, Key: ycsbKey(g.chooseExisting())}
+		return &Request{Seq: g.seq, Op: OpRead, Key: Key(g.chooseExisting())}
 	case r < g.cfg.ReadFrac+g.cfg.InsertFrac:
 		k := g.inserted
 		g.inserted++
-		key := ycsbKey(k)
+		key := Key(k)
 		return &Request{Seq: g.seq, Op: OpInsert, Key: key, Value: Value(key, 1, g.cfg.ValueSize)}
 	default:
 		k := g.chooseExisting()
-		key := ycsbKey(k)
+		key := Key(k)
 		return &Request{Seq: g.seq, Op: OpUpdate, Key: key, Value: Value(key, g.seq, g.cfg.ValueSize)}
 	}
 }

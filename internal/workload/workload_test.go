@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"fmt"
 	"math"
 	"testing"
 )
@@ -12,6 +13,15 @@ func TestYCSBDeterministic(t *testing.T) {
 		a, b := g1.Next(), g2.Next()
 		if a.Op != b.Op || a.Key != b.Key || string(a.Value) != string(b.Value) {
 			t.Fatalf("divergence at %d: %+v vs %+v", i, a, b)
+		}
+	}
+}
+
+// Key must print exactly what fmt's "user%010d" prints, past ten digits too.
+func TestKeyMatchesSprintf(t *testing.T) {
+	for _, i := range []uint64{0, 9, 999_999_999, 9_999_999_999, 10_000_000_000, math.MaxUint64} {
+		if got, want := Key(i), fmt.Sprintf("user%010d", i); got != want {
+			t.Errorf("Key(%d) = %q, want %q", i, got, want)
 		}
 	}
 }
