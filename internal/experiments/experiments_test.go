@@ -393,17 +393,22 @@ func TestConcurrencyClaims(t *testing.T) {
 }
 
 // TestAppFilter covers -app: an empty name keeps every item, an unknown one
-// fails the entry and lists the valid names, and kvstore selects exactly one
-// system of figcluster's one-shard fabric. None of it runs a campaign.
+// fails the entry (figcluster's and figexplore's) and lists the valid names,
+// and kvstore selects exactly one system of figcluster's one-shard fabric.
+// None of it runs a campaign or an exploration seed.
 func TestAppFilter(t *testing.T) {
 	all := []string{"kvstore", "lsmdb"}
 	name := func(s string) string { return s }
 	if got, err := only(all, name, ""); err != nil || !slices.Equal(got, all) {
 		t.Errorf("empty app kept %v (%v), want every item", got, err)
 	}
-	if _, err := RunFigCluster(Options{App: "redis"}); err == nil ||
-		err.Error() != `unknown app "redis" (have [boost kvstore lsmdb particle webcache-squid webcache-varnish])` {
+	const listed = `unknown app "redis" (have [boost kvstore lsmdb particle webcache-squid webcache-varnish])`
+	if _, err := RunFigCluster(Options{App: "redis"}); err == nil || err.Error() != listed {
 		t.Errorf("figcluster -app redis: %v, want an error listing the valid names", err)
+	}
+	var out bytes.Buffer
+	if rep, err := RunFigExplore(Options{App: "redis", Out: &out}); err == nil || err.Error() != listed || rep != nil || out.Len() != 0 {
+		t.Errorf("figexplore -app redis: report %v, %d bytes printed, error %v; want no sweep and an error listing the valid names", rep, out.Len(), err)
 	}
 	systems, err := fabricSystems(Options{Seed: 1, App: "kvstore"}, 1)
 	if err != nil || len(systems) != 1 || systems[0].Name != "kvstore" {

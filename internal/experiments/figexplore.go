@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"phoenix/internal/apps/registry"
 	"phoenix/internal/explore"
 )
 
@@ -20,6 +21,9 @@ import (
 // schedule to one application.
 func RunFigExplore(o Options) (any, error) {
 	o.fill()
+	if _, err := only(registry.Names(), func(n string) string { return n }, o.App); err != nil {
+		return nil, err
+	}
 	opts := explore.Options{Seeds: 1000, Start: o.Seed, App: o.App}
 	if o.Quick {
 		opts.Seeds = 50
