@@ -55,6 +55,21 @@ func TestServeWithoutFailure(t *testing.T) {
 	}
 }
 
+// TestKeyChunkBytes pins what one stored key costs the heap, the density the
+// 16-byte size classes buy: a 14-byte YCSB key with a 128-byte value takes a
+// 48-byte dictionary entry, a 48-byte key blob and a 160-byte value blob.
+func TestKeyChunkBytes(t *testing.T) {
+	h, kv := boot(t, Config{}, recovery.ModeVanilla, recovery.Config{}, 1)
+	kv.Load(loadKeys(100), 128)
+	hp := h.Runtime().MainHeap()
+	before := hp.Stats()
+	kv.Load([]string{workload.Key(100)}, 128)
+	after := hp.Stats()
+	if chunks, bytes := after.LiveChunks-before.LiveChunks, after.LiveBytes-before.LiveBytes; chunks != 3 || bytes != 48+48+160 {
+		t.Fatalf("one key took %d chunks of %d bytes, want 3 of 256 (48 + 48 + 160)", chunks, bytes)
+	}
+}
+
 func TestDumpMatchesWrites(t *testing.T) {
 	h, kv := boot(t, Config{}, recovery.ModeVanilla, recovery.Config{}, 2)
 	kv.Load(loadKeys(100), 16)

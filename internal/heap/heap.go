@@ -25,6 +25,11 @@
 //
 // The allocator is segregated-storage: freed chunks return to a per-size-
 // class free list and are reused for the same class; there is no coalescing.
+// The classes follow glibc's spacing: 16 bytes apart from 32 through 1,024
+// bytes, the range glibc's tcache and small bins serve, then 1.5, 2, 3, 4, 8,
+// 16 and 32 KiB and one class for chunks up to the mmap threshold. Every
+// chunk carries a 16-byte header (glibc's in-use chunks carry 8), so a
+// request of n ≤ 1,008 bytes takes a chunk of less than n+32 bytes.
 // glibc's internal consistency checks are modelled: freeing an invalid or
 // corrupted pointer aborts (SIGABRT), which is how the paper's MongoDB
 // buffer-overrun case is caught.
@@ -44,7 +49,7 @@ const (
 	largeMagic = 0x5048_4E58_4C41_5247 // "PHNXLARG"
 
 	chunkHeader = 16
-	arenaHdr    = 256
+	arenaHdr    = 640
 	largeHdr    = 32
 
 	// Flag bits stored in the low bits of the chunk-size word (sizes are
@@ -83,13 +88,25 @@ const (
 	offFreeHeads  = 64 // numClasses * 8 bytes
 )
 
-// classSizes are the chunk sizes (header + payload) served from arenas.
-var classSizes = []int{
-	32, 48, 64, 96, 128, 192, 256, 384, 512, 768,
-	1024, 1536, 2048, 3072, 4096, 8192, 16384, 32768, 65536 + chunkHeader,
-}
+// Size-class geometry. glibc's tcache and small bins space chunks 16 bytes
+// apart up to about 1 KiB; the classes follow that spacing from minChunk
+// through smallMax, then a coarse tail reaches the mmap threshold.
+const (
+	minChunk   = 32
+	classStep  = 16
+	smallMax   = 1024
+	numSmall   = (smallMax-minChunk)/classStep + 1
+	numClasses = numSmall + 8
+)
 
-const numClasses = 19
+// classSizes are the chunk sizes (header + payload) served from arenas.
+var classSizes = func() []int {
+	s := make([]int, 0, numClasses)
+	for c := minChunk; c <= smallMax; c += classStep {
+		s = append(s, c)
+	}
+	return append(s, 1536, 2048, 3072, 4096, 8192, 16384, 32768, 65536+chunkHeader)
+}()
 
 func init() {
 	if len(classSizes) != numClasses {
@@ -101,10 +118,17 @@ func init() {
 }
 
 // classFor returns the class index serving a chunk of at least n bytes
-// (header included), or -1 if n exceeds the largest class.
+// (header included), or -1 if n exceeds the largest class. Up to smallMax
+// the index is arithmetic, so Alloc's common sizes cost no table scan.
 func classFor(n int) int {
-	for i, s := range classSizes {
-		if n <= s {
+	if n <= smallMax {
+		if n <= minChunk {
+			return 0
+		}
+		return (n - minChunk + classStep - 1) / classStep
+	}
+	for i := numSmall; i < numClasses; i++ {
+		if n <= classSizes[i] {
 			return i
 		}
 	}
