@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"phoenix/internal/apps/registry"
+	"phoenix/internal/experiments"
 	"phoenix/internal/faultinject"
 	"phoenix/internal/kernel"
 	"phoenix/internal/recovery"
@@ -16,12 +17,12 @@ import (
 // microreboot campaign enforces to have actually been measured on at least
 // three applications: rewind, microreboot, and PHOENIX windows all present.
 func TestMicrorebootFullLadder(t *testing.T) {
-	outs, err := recovery.CheckMicroreboot(registry.MicrorebootSpecs(7), recovery.MicrorebootConfig{Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
 	fullLadder := 0
-	for _, o := range outs {
+	for _, name := range registry.Names() {
+		o, err := experiments.Microreboot(name, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
 		rungs := map[string]bool{}
 		for _, w := range o.Windows {
 			rungs[w.Granularity] = true
@@ -35,31 +36,17 @@ func TestMicrorebootFullLadder(t *testing.T) {
 	}
 }
 
-// TestConcurrencySpecsServeSnapshots keeps ConcurrencyNames honest: an app is
-// listed if and only if it actually implements recovery.SnapshotServer, so
-// adding snapshot serving to an app (or dropping it) without updating the
-// campaign roster fails here instead of silently shrinking coverage.
-func TestConcurrencySpecsServeSnapshots(t *testing.T) {
-	listed := map[string]bool{}
-	for _, n := range registry.ConcurrencyNames() {
-		listed[n] = true
-	}
-	factories := registry.Factories(1)
+// snapshotServers returns the registry applications that implement
+// recovery.SnapshotServer, the ones the concurrency campaign drives.
+func snapshotServers() []string {
+	var names []string
 	for _, name := range registry.Names() {
-		app, _ := factories[name](faultinject.New())
-		_, serves := app.(recovery.SnapshotServer)
-		if serves && !listed[name] {
-			t.Errorf("%s implements SnapshotServer but is missing from ConcurrencyNames", name)
-		}
-		if !serves && listed[name] {
-			t.Errorf("%s is in ConcurrencyNames but does not implement SnapshotServer", name)
+		app, _ := registry.Factories(1)[name](faultinject.New())
+		if _, ok := app.(recovery.SnapshotServer); ok {
+			names = append(names, name)
 		}
 	}
-	for n := range listed {
-		if _, ok := factories[n]; !ok {
-			t.Errorf("ConcurrencyNames lists unknown app %q", n)
-		}
-	}
+	return names
 }
 
 // TestSnapshotServersAreRewindable pins the rewind contract for the serving
@@ -69,7 +56,7 @@ func TestConcurrencySpecsServeSnapshots(t *testing.T) {
 // RewindObserver repair hook a domain discard alone cannot replace.
 func TestSnapshotServersAreRewindable(t *testing.T) {
 	factories := registry.Factories(1)
-	for _, name := range registry.ConcurrencyNames() {
+	for _, name := range snapshotServers() {
 		app, _ := factories[name](faultinject.New())
 		ra, ok := app.(recovery.RewindableApp)
 		if !ok || !ra.Rewindable() {
@@ -89,7 +76,7 @@ func TestSnapshotServersAreRewindable(t *testing.T) {
 // deterministically by the experiments package's TestConcurrencyClaims; this
 // benchmark makes the same curve visible in bench output.
 func BenchmarkServeConcurrent(b *testing.B) {
-	for _, name := range registry.ConcurrencyNames() {
+	for _, name := range snapshotServers() {
 		for _, readers := range []int{1, 4, 16} {
 			b.Run(fmt.Sprintf("%s/readers=%d", name, readers), func(b *testing.B) {
 				bench := newServeBench(b, name)

@@ -11,19 +11,23 @@ package registry
 
 import (
 	"fmt"
-	"strings"
+	"time"
 
+	"phoenix/internal/core"
 	"phoenix/internal/recovery"
 	"phoenix/internal/shard"
 )
 
-// TraceStep records one served request of a single-harness run, in order.
+// TraceStep records one served request of a single-harness run, in order,
+// with the simulated instants it started and ended at.
 type TraceStep struct {
-	Index     int    `json:"index"`
-	Op        string `json:"op"`
-	Key       string `json:"key"`
-	OK        bool   `json:"ok"`
-	Effective bool   `json:"effective"`
+	Index     int           `json:"index"`
+	Op        string        `json:"op"`
+	Key       string        `json:"key"`
+	OK        bool          `json:"ok"`
+	Effective bool          `json:"effective"`
+	Start     time.Duration `json:"start_ns"`
+	End       time.Duration `json:"end_ns"`
 }
 
 // RecoveryRecord classifies one crash-recovery episode. CleanPreserve means
@@ -47,11 +51,9 @@ type RecoveryRecord struct {
 // single-harness run fills the trace/stats/counters fields; a fabric run
 // fills Shard and leaves the rest zero.
 type Observation struct {
-	App               string
-	Seed              int64
-	ChecksumsDisabled bool
-	Steps             []TraceStep
-	Recoveries        []RecoveryRecord
+	App        string
+	Steps      []TraceStep
+	Recoveries []RecoveryRecord
 	// CorruptionsFired counts armed kernel.preserve.corrupt bit flips that
 	// actually struck a preserved frame; OpFaultsFired counts fired
 	// operation-failure faults on the preserve path.
@@ -72,6 +74,9 @@ type Observation struct {
 	// Terminated carries the driver's terminal error (retry-budget
 	// exhaustion) when the run stopped early; empty otherwise.
 	Terminated string
+	// Dump is the application's logical state at the end of a
+	// single-harness run (nil if taking it crashed).
+	Dump core.StateDump
 	// Shard carries the fabric report when the schedule ran in shard mode.
 	Shard *shard.Report
 }
@@ -433,13 +438,4 @@ func (shardOracle) Check(o *Observation) []string {
 		}
 	}
 	return v
-}
-
-// FmtViolations renders oracle violations for logs: "oracle: message" lines.
-func FmtViolations(oracle string, msgs []string) string {
-	var b strings.Builder
-	for _, m := range msgs {
-		fmt.Fprintf(&b, "%s: %s\n", oracle, m)
-	}
-	return b.String()
 }

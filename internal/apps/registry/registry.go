@@ -86,58 +86,6 @@ func Names() []string {
 	return names
 }
 
-// MicrorebootSpecs bundles every application with the fault hooks the
-// recovery-granularity campaign drives, in deterministic name order: a
-// scripted mid-request bug that crashes on transient state only (so every
-// ladder rung can recover from it) and, for component-declaring apps, the
-// root component whose crash cascades through the graph. The explore
-// package's fault tables are pinned against these by test.
-func MicrorebootSpecs(seed int64) []recovery.MicrorebootSpec {
-	bugs := map[string]string{
-		"kvstore":          "R3",
-		"lsmdb":            "L1",
-		"boost":            "X1",
-		"particle":         "VP1",
-		"webcache-varnish": "VA1",
-		"webcache-squid":   "S3",
-	}
-	comps := map[string]string{
-		"lsmdb":            "memtable",
-		"boost":            "preds",
-		"webcache-varnish": "lru",
-		"webcache-squid":   "lru",
-	}
-	factories := Factories(seed)
-	var out []recovery.MicrorebootSpec
-	for _, name := range Names() {
-		out = append(out, recovery.MicrorebootSpec{
-			Name:      name,
-			Mk:        factories[name],
-			Bug:       bugs[name],
-			Component: comps[name],
-		})
-	}
-	return out
-}
-
-// ConcurrencyNames lists the applications that implement
-// recovery.SnapshotServer — the ones the concurrent-serving campaign can
-// drive (TestConcurrencySpecsServeSnapshots keeps the list honest).
-func ConcurrencyNames() []string {
-	return []string{"kvstore", "lsmdb", "webcache-squid", "webcache-varnish"}
-}
-
-// ConcurrencySpecs bundles the snapshot-serving applications for the
-// concurrent-serving campaign, in deterministic name order.
-func ConcurrencySpecs(seed int64) []recovery.ConcurrencySpec {
-	factories := Factories(seed)
-	var out []recovery.ConcurrencySpec
-	for _, name := range ConcurrencyNames() {
-		out = append(out, recovery.ConcurrencySpec{Name: name, Mk: factories[name]})
-	}
-	return out
-}
-
 // ShardNames returns the systems the sharded campaign runs: the
 // key-addressed stores. The caches are read-only traffic (the lost-write
 // ledger would audit nothing) and the compute apps have no keyspace to

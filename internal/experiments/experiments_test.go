@@ -13,7 +13,7 @@ import (
 	"testing"
 	"time"
 
-	"phoenix/internal/apps/registry"
+	"phoenix/internal/explore"
 	"phoenix/internal/golden"
 	"phoenix/internal/perftraj"
 	"phoenix/internal/recovery"
@@ -319,11 +319,21 @@ func TestFigShardSmoke(t *testing.T) {
 	}
 }
 
-// TestFigExploreSmoke checks the quick exploration sweep: it draws both
-// single-harness and fabric schedules, and every violating seed is shrunk
-// to a minimal schedule.
+// TestFigExploreSmoke checks the quick exploration sweep: it covers every
+// seed, draws both single-harness and fabric schedules, and every violating
+// seed is shrunk to a minimal schedule.
 func TestFigExploreSmoke(t *testing.T) {
-	out := quickOutput(t, "figexplore")
+	r := quick(t, "figexplore")
+	sum := r.report.(explore.Summary)
+	if len(sum.Results) != sum.Seeds {
+		t.Errorf("sweep covered %d seeds, want %d", len(sum.Results), sum.Seeds)
+	}
+	for _, res := range sum.Results {
+		if len(res.Violations) > 0 && res.Shrunk == nil {
+			t.Errorf("seed %d violated without a shrunk artifact", res.Seed)
+		}
+	}
+	out := r.text
 	var single, fabric int
 	modes := oneRow(t, out, "modes:", 3)
 	if _, err := fmt.Sscanf(modes[1]+" "+modes[2], "single=%d shard=%d", &single, &fabric); err != nil || single == 0 || fabric == 0 {
@@ -337,10 +347,26 @@ func TestFigExploreSmoke(t *testing.T) {
 }
 
 // TestFigVetSmoke checks the vet differential's verdicts: every model
-// verifies clean, the verifier flags every seeded mutant, and its static
-// verdicts agree with the dynamic restart audit.
+// verifies clean and is driven through calls and restarts, the verifier
+// flags every seeded mutant at a source position, and its static verdicts
+// agree with the dynamic restart audit.
 func TestFigVetSmoke(t *testing.T) {
-	out := quickOutput(t, "figvet")
+	r := quick(t, "figvet")
+	sum := r.report.(explore.VetSummary)
+	if len(sum.Models) != 5 {
+		t.Errorf("campaign covered %d models, want 5", len(sum.Models))
+	}
+	for _, m := range sum.Models {
+		if m.Calls == 0 || m.Restarts == 0 || len(m.Mutants) == 0 {
+			t.Errorf("model %s: %d calls, %d restarts, %d mutants", m.Model, m.Calls, m.Restarts, len(m.Mutants))
+		}
+		for _, mu := range m.Mutants {
+			if mu.Line == 0 {
+				t.Errorf("model %s mutant %s#%d lacks a position", m.Model, mu.Fn, mu.NthStore)
+			}
+		}
+	}
+	out := r.text
 	clean, flagged := 0, 0
 	for _, f := range strings.Fields(out) {
 		switch f {
@@ -367,8 +393,8 @@ func TestFigVetSmoke(t *testing.T) {
 // ridden mid-run, a clean stale oracle, and a modelled parallel preserve
 // below the serial one.
 func TestConcurrencyClaims(t *testing.T) {
-	outs := quick(t, "concurrency").report.([]recovery.ConcurrencyOutcome)
-	names := registry.ConcurrencyNames()
+	outs := quick(t, "concurrency").report.([]ConcurrencyOutcome)
+	names := snapshotServers(1)
 	if len(outs) != len(names) {
 		t.Fatalf("campaign covered %d apps, want %d", len(outs), len(names))
 	}

@@ -49,34 +49,6 @@ func TestMidRequestFaultTableArms(t *testing.T) {
 	}
 }
 
-// TestMicrorebootSpecsMatchTables pins the registry's granularity-campaign
-// specs to this package's fault tables: both must name the same mid-request
-// bug per app, and every spec component must be a node of the component
-// graph — otherwise the two campaigns would silently drift apart.
-func TestMicrorebootSpecsMatchTables(t *testing.T) {
-	specs := registry.MicrorebootSpecs(1)
-	if len(specs) != len(registry.Names()) {
-		t.Fatalf("specs cover %d apps, registry has %d", len(specs), len(registry.Names()))
-	}
-	for _, s := range specs {
-		if s.Bug != midRequestFaults[s.Name] {
-			t.Errorf("%s: spec bug %q != midRequestFaults %q", s.Name, s.Bug, midRequestFaults[s.Name])
-		}
-		comps := componentGraph[s.Name]
-		if (s.Component == "") != (len(comps) == 0) {
-			t.Errorf("%s: spec component %q vs component graph %v", s.Name, s.Component, comps)
-			continue
-		}
-		found := s.Component == ""
-		for _, c := range comps {
-			found = found || c == s.Component
-		}
-		if !found {
-			t.Errorf("%s: spec component %q not in graph %v", s.Name, s.Component, comps)
-		}
-	}
-}
-
 // TestComponentKillSchedulesRecover drives a hand-written schedule with a
 // component kill and a mid-request fault at the rewind floor for each
 // component-declaring app, and requires a clean outcome: the sub-process

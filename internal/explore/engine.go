@@ -1,9 +1,8 @@
 package explore
 
 import (
+	"errors"
 	"fmt"
-	"sort"
-	"strings"
 	"time"
 
 	"phoenix/internal/apps/registry"
@@ -38,18 +37,7 @@ type Outcome struct {
 // The returned error reports infrastructure problems only (an unbootable app,
 // a crash that did not register); oracle violations are data, not errors.
 func Run(sch Schedule) (Outcome, error) {
-	var (
-		obs *registry.Observation
-		err error
-	)
-	switch sch.Mode {
-	case "shard":
-		obs, err = runShard(sch)
-	case "single":
-		obs, err = runSingle(sch)
-	default:
-		return Outcome{}, fmt.Errorf("explore: unknown schedule mode %q", sch.Mode)
-	}
+	obs, err := Observe(sch)
 	if err != nil {
 		return Outcome{}, err
 	}
@@ -61,34 +49,105 @@ func Run(sch Schedule) (Outcome, error) {
 		OpFaultsFired:    obs.OpFaultsFired,
 		FinalLevel:       obs.FinalLevel.String(),
 		Terminated:       obs.Terminated,
-		Violations:       []Violation{},
+		Violations:       Judge(obs),
 	}
 	if obs.Shard != nil {
 		out.Requests = obs.Shard.Requests
 		out.Recoveries = obs.Shard.Kills
 		out.FinalLevel = ""
 	}
-	oracles := registry.OraclesFor(sch.App)
-	if sch.Mode == "shard" {
-		oracles = registry.ShardOracles()
-	}
-	for _, oracle := range oracles {
-		for _, msg := range oracle.Check(obs) {
-			out.Violations = append(out.Violations, Violation{Oracle: oracle.Name(), Msg: msg})
-		}
-	}
 	return out, nil
 }
 
-// runSingle drives one supervised PHOENIX harness through the schedule:
-// requests are served in order, and each event fires just before the request
-// index it names. Kills go through the real failure-handling path, so the
-// run exercises preserve_exec, the fallback taxonomy, and the escalation
-// ladder exactly as production recovery would.
+// Observe runs one schedule and returns what its oracles judge. The error
+// reports infrastructure problems and contradictory schedules only.
+func Observe(sch Schedule) (*registry.Observation, error) {
+	switch sch.Mode {
+	case "shard":
+		return runShard(sch)
+	case "single":
+		return runSingle(sch)
+	}
+	return nil, fmt.Errorf("explore: unknown schedule mode %q", sch.Mode)
+}
+
+// Judge applies the oracles of obs's mode and application, in order. A
+// clean run gets an empty, non-nil slice, so outcome JSON keeps
+// "violations":[].
+func Judge(obs *registry.Observation) []Violation {
+	oracles := registry.OraclesFor(obs.App)
+	if obs.Shard != nil {
+		oracles = registry.ShardOracles()
+	}
+	vs := []Violation{}
+	for _, oracle := range oracles {
+		for _, msg := range oracle.Check(obs) {
+			vs = append(vs, Violation{Oracle: oracle.Name(), Msg: msg})
+		}
+	}
+	return vs
+}
+
+// harnessConfig returns the harness shape sch.Rung pins (see Schedule.Rung).
+// On the ladder three restarts inside a minute trip the breaker and 30 s of
+// serving walks it back a rung; the pinned floors back off 1 ns, so a
+// recovery window measures the mechanism and not the hold-down. Only the
+// unpinned ladder checkpoints. A contradictory schedule is an error here,
+// never a NewHarness panic.
+func harnessConfig(sch Schedule) (recovery.Config, error) {
+	cfg := recovery.Config{
+		Mode:             recovery.ModePhoenix,
+		DisableChecksums: sch.DisableChecksums,
+		RewindDomains:    sch.Domains || sch.Rung == "rewind",
+		Supervise:        true,
+		Supervisor: recovery.SupervisorConfig{
+			BreakerK: 3, Window: time.Minute, StablePeriod: 30 * time.Second, RetryBudget: 16,
+			BackoffBase: 100 * time.Millisecond, BackoffMax: 2 * time.Second,
+		},
+	}
+	sup := &cfg.Supervisor
+	switch sch.Rung {
+	case "":
+		cfg.CheckpointInterval = 5 * time.Millisecond
+		if sch.Domains {
+			sup.Floor = recovery.LevelRewind
+		}
+	case "rewind", "microreboot":
+		sup.Floor, sup.BackoffBase, sup.BackoffMax = recovery.LevelMicroreboot, time.Nanosecond, time.Nanosecond
+		if cfg.RewindDomains {
+			sup.Floor = recovery.LevelRewind
+		}
+	case "phoenix":
+		cfg.Supervise = false
+	case "builtin":
+		cfg.Mode, cfg.Supervise = recovery.ModeBuiltin, false
+	case "vanilla":
+		cfg.Mode, cfg.Supervise = recovery.ModeVanilla, false
+	default:
+		return cfg, fmt.Errorf("explore: unknown rung %q", sch.Rung)
+	}
+	if sch.Rung != "" && sch.Domains {
+		return cfg, fmt.Errorf("explore: rung %q pins the floor, so the schedule cannot set domains", sch.Rung)
+	}
+	if err := cfg.Validate(); err != nil {
+		return cfg, fmt.Errorf("explore: rung %q: %w", sch.Rung, err)
+	}
+	return cfg, nil
+}
+
+// runSingle drives one harness, shaped by harnessConfig, through the
+// schedule: requests are served in order, and each event fires just before
+// the request index it names. Kills go through the real failure-handling
+// path, so the run exercises preserve_exec, the fallback taxonomy, and the
+// escalation ladder exactly as production recovery would.
 func runSingle(sch Schedule) (*registry.Observation, error) {
 	mk, ok := registry.Factories(sch.Seed)[sch.App]
 	if !ok {
 		return nil, fmt.Errorf("explore: unknown app %q", sch.App)
+	}
+	cfg, err := harnessConfig(sch)
+	if err != nil {
+		return nil, err
 	}
 	m := kernel.NewMachine(sch.Seed)
 	// Shadow every incremental verification with the full checksum walk: any
@@ -97,35 +156,15 @@ func runSingle(sch Schedule) (*registry.Observation, error) {
 	m.AuditIncremental = true
 	inj := faultinject.New()
 	app, gen := mk(inj)
-	cfg := recovery.Config{
-		Mode:      recovery.ModePhoenix,
-		Supervise: true,
-		Supervisor: recovery.SupervisorConfig{
-			BreakerK:     3,
-			Window:       60 * time.Second,
-			BackoffBase:  100 * time.Millisecond,
-			BackoffMax:   2 * time.Second,
-			StablePeriod: 30 * time.Second,
-			RetryBudget:  16,
-		},
-		DisableChecksums:   sch.DisableChecksums,
-		CheckpointInterval: 5 * time.Millisecond,
-	}
-	if sch.Domains {
-		cfg.RewindDomains = true
-		cfg.Supervisor.Floor = recovery.LevelRewind
-	}
 	h := recovery.NewHarness(m, cfg, app, gen, inj)
 	if err := h.Boot(); err != nil {
 		return nil, fmt.Errorf("explore: %s boot: %w", sch.App, err)
 	}
 
 	obs := &registry.Observation{
-		App:               sch.App,
-		Seed:              sch.Seed,
-		ChecksumsDisabled: sch.DisableChecksums,
-		Floor:             cfg.Supervisor.Floor,
-		Domains:           sch.Domains,
+		App:     sch.App,
+		Floor:   h.LadderFloor(),
+		Domains: cfg.RewindDomains,
 	}
 
 	// verifyComponents runs the application's cross-component invariant after
@@ -195,10 +234,7 @@ func runSingle(sch Schedule) (*registry.Observation, error) {
 	}
 
 	terminal := func(err error) (bool, error) {
-		if err == nil {
-			return false, nil
-		}
-		if strings.Contains(err.Error(), "retry budget exhausted") {
+		if errors.Is(err, recovery.ErrRetryBudget) {
 			obs.Terminated = err.Error()
 			return true, nil
 		}
@@ -223,6 +259,8 @@ func runSingle(sch Schedule) (*registry.Observation, error) {
 				inj.ArmAfter(ev.Site, spec.Type, ev.Skip)
 				inj.Enable()
 				armed[ev.Site] = true
+			case KindDisarm:
+				collect(ev.Site)
 			case KindComponentKill:
 				ca, ok := app.(recovery.ComponentApp)
 				if !ok {
@@ -242,9 +280,7 @@ func runSingle(sch Schedule) (*registry.Observation, error) {
 					return nil, fmt.Errorf("explore: recovery surfaced a simulator error: %w", err)
 				}
 				recordRecovery(i, before)
-				if stop {
-					done = true
-				}
+				done = stop
 			default:
 				return nil, fmt.Errorf("explore: event %s invalid in single mode", ev)
 			}
@@ -257,6 +293,7 @@ func runSingle(sch Schedule) (*registry.Observation, error) {
 		}
 		req := h.Gen.Next()
 		before := h.Stat
+		start := m.Clock.Now()
 		ok, eff, err := h.ServeRequest(req)
 		if stop, err := terminal(err); err != nil {
 			return nil, fmt.Errorf("explore: step %d: %w", i, err)
@@ -271,21 +308,23 @@ func runSingle(sch Schedule) (*registry.Observation, error) {
 		}
 		obs.Steps = append(obs.Steps, registry.TraceStep{
 			Index: i, Op: req.Op.String(), Key: req.Key, OK: ok, Effective: eff,
+			Start: start, End: m.Clock.Now(),
 		})
 	}
 
-	sites := make([]string, 0, len(armed))
-	for s := range armed {
-		sites = append(sites, s)
-	}
-	sort.Strings(sites)
-	for _, s := range sites {
-		collect(s)
+	for _, spec := range kernel.PreserveSiteSpecs() {
+		collect(spec.ID)
 	}
 
 	obs.Stats = h.Stat
 	obs.Counters = m.Counters.Snapshot()
 	obs.FinalLevel = h.EscalationLevel()
+	// The dump runs off the timeline and inside the process: state that a
+	// silently committed bit flip corrupted may crash it, which leaves Dump
+	// nil instead of failing the run.
+	m.Clock.RunOffline(func() {
+		h.Proc().Run(func() { obs.Dump = app.Dump() })
+	})
 	return obs, nil
 }
 
@@ -317,6 +356,9 @@ func fabricSystem(seed int64, app string, shards int) (shard.System, bool) {
 // and the fabric's own oracles (ownership epochs, acked-write ledger,
 // partition crossings) report through the shard observation.
 func runShard(sch Schedule) (*registry.Observation, error) {
+	if sch.Rung != "" {
+		return nil, fmt.Errorf("explore: rung %q pins a single harness, not a fabric", sch.Rung)
+	}
 	sys, ok := fabricSystem(sch.Seed, sch.App, sch.Shards)
 	if !ok {
 		return nil, fmt.Errorf("explore: unknown app %q", sch.App)
@@ -364,9 +406,5 @@ func runShard(sch Schedule) (*registry.Observation, error) {
 	if err != nil {
 		return nil, fmt.Errorf("explore: shard run: %w", err)
 	}
-	return &registry.Observation{
-		App:   sch.App,
-		Seed:  sch.Seed,
-		Shard: &rep,
-	}, nil
+	return &registry.Observation{App: sch.App, Shard: &rep}, nil
 }

@@ -4,9 +4,11 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"phoenix/internal/faultinject"
+	"phoenix/internal/recovery"
 )
 
 // TestGenerateDeterministic: the seed → schedule map is pure, and distinct
@@ -182,27 +184,47 @@ func TestShrinkMinimizes(t *testing.T) {
 	}
 }
 
-// TestArtifactRoundTrip: encode → decode → verify survives, and version or
-// grammar drift is rejected instead of silently tolerated.
+// TestArtifactRoundTrip: encode → decode → verify survives, for a shrunk
+// artifact and for a pinned schedule that uses a rung and a disarm event,
+// and version or grammar drift is rejected instead of silently tolerated.
 func TestArtifactRoundTrip(t *testing.T) {
 	out, err := Run(knownViolation())
 	if err != nil {
 		t.Fatal(err)
 	}
-	art, err := Shrink(knownViolation(), out.Violations)
+	shrunk, err := Shrink(knownViolation(), out.Violations)
 	if err != nil {
 		t.Fatal(err)
 	}
-	data, err := json.Marshal(art)
+	pinned := knownViolation()
+	pinned.Rung = "phoenix"
+	pinned.Events = append([]Event{
+		{Kind: KindArm, At: 5, Site: faultinject.SitePreservePlan},
+		{Kind: KindDisarm, At: 8, Site: faultinject.SitePreservePlan},
+	}, pinned.Events...)
+	out, err = Run(pinned)
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := DecodeArtifact(data)
-	if err != nil {
-		t.Fatal(err)
+	if len(out.Violations) == 0 || out.OpFaultsFired != 0 {
+		t.Fatalf("pinned schedule: want a violation and no fired plan fault, got %+v", out)
 	}
-	if err := Verify(back); err != nil {
-		t.Fatal(err)
+	var back Artifact
+	for _, art := range []Artifact{shrunk, {Version: ArtifactVersion, Schedule: pinned, Violations: out.Violations}} {
+		data, err := json.Marshal(art)
+		if err != nil {
+			t.Fatal(err)
+		}
+		back, err = DecodeArtifact(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if again, _ := json.Marshal(back); string(again) != string(data) {
+			t.Fatalf("artifact changed across a round trip:\n%s\n%s", data, again)
+		}
+		if err := Verify(back); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	bad := back
@@ -244,28 +266,6 @@ func TestCheckedInArtifactsReproduce(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
-	}
-}
-
-// TestCampaignSmoke: a small sweep completes and every violating seed ships
-// a verified minimal artifact.
-func TestCampaignSmoke(t *testing.T) {
-	a, err := CheckExplore(Options{Seeds: 10, Start: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(a.Results) != 10 {
-		t.Fatalf("campaign covered %d seeds, want 10", len(a.Results))
-	}
-	for _, r := range a.Results {
-		if len(r.Violations) > 0 && r.Shrunk == nil {
-			t.Fatalf("seed %d violated without a shrunk artifact", r.Seed)
-		}
-		if r.Shrunk != nil {
-			if err := Verify(*r.Shrunk); err != nil {
-				t.Fatalf("seed %d: %v", r.Seed, err)
-			}
-		}
 	}
 }
 
@@ -324,4 +324,122 @@ func TestIncrementalAuditCampaign(t *testing.T) {
 	}
 	t.Logf("audit campaign: %d runs, %d kills, %d corruptions, %d op faults, %d reused / %d verified checksums, 0 divergences",
 		ran, kills, corruptions, opFaults, reused, verified)
+}
+
+// TestRungShapesHarness runs one domain fault under each rung and checks the
+// harness shape the rung pins and the rung that recovered the fault: only
+// the rewind floor rolls it back, the microreboot floor cannot attribute it
+// to a component and escalates to PHOENIX, and the builtin and vanilla rungs
+// restart. Every run upholds every oracle.
+func TestRungShapesHarness(t *testing.T) {
+	for _, tc := range []struct {
+		rung      string
+		floor     recovery.Level
+		domains   bool
+		recovered string
+	}{
+		{"", recovery.LevelPhoenix, false, "phoenix"},
+		{"rewind", recovery.LevelRewind, true, "rewind"},
+		{"microreboot", recovery.LevelMicroreboot, false, "phoenix"},
+		{"phoenix", recovery.LevelPhoenix, false, "phoenix"},
+		{"builtin", recovery.LevelPhoenix, false, "restart"},
+		{"vanilla", recovery.LevelPhoenix, false, "restart"},
+	} {
+		obs, err := Observe(Schedule{Seed: 5, App: "kvstore", Mode: "single", Steps: 20, Rung: tc.rung,
+			Events: []Event{{Kind: KindDomainFault, At: 10, Site: midRequestFaults["kvstore"]}}})
+		if err != nil {
+			t.Fatalf("rung %q: %v", tc.rung, err)
+		}
+		if obs.Floor != tc.floor || obs.Domains != tc.domains {
+			t.Errorf("rung %q: floor %v domains %v, want %v %v", tc.rung, obs.Floor, obs.Domains, tc.floor, tc.domains)
+		}
+		recovered := ""
+		switch s := obs.Stats; {
+		case s.Failures != 1 || s.Microreboots != 0 || s.Rewinds+s.PhoenixRestarts+s.OtherRestarts != 1:
+		case s.Rewinds == 1:
+			recovered = "rewind"
+		case s.PhoenixRestarts == 1:
+			recovered = "phoenix"
+		default:
+			recovered = "restart"
+		}
+		if recovered != tc.recovered {
+			t.Errorf("rung %q: recovered by %q (%+v), want %q", tc.rung, recovered, obs.Stats, tc.recovered)
+		}
+		if vs := Judge(obs); len(vs) != 0 {
+			t.Errorf("rung %q: violations %+v", tc.rung, vs)
+		}
+	}
+}
+
+// TestRungRejectsContradictions: an unknown rung and every contradictory
+// schedule are errors from Run, never a harness panic.
+func TestRungRejectsContradictions(t *testing.T) {
+	cases := map[string]Schedule{
+		"unknown rung":             {Rung: "reboot"},
+		"checksums off on builtin": {Rung: "builtin", DisableChecksums: true},
+		"checksums off on vanilla": {Rung: "vanilla", DisableChecksums: true},
+		"rung on a fabric":         {Rung: "phoenix", Mode: "shard", Shards: 1, Replicas: 3},
+	}
+	for _, rung := range []string{"rewind", "microreboot", "phoenix", "builtin", "vanilla"} {
+		cases[rung+" with domains"] = Schedule{Rung: rung, Domains: true}
+	}
+	cases["control"] = Schedule{Rung: "builtin"}
+	for name, sch := range cases {
+		sch.Seed, sch.App, sch.Steps = 1, "kvstore", 5
+		if sch.Mode == "" {
+			sch.Mode = "single"
+		}
+		if _, err := Run(sch); (err == nil) != (name == "control") {
+			t.Errorf("%s: Run error %v", name, err)
+		}
+	}
+}
+
+// TestDisarmRetiresArming: a corruption armed and disarmed before a kill
+// fires nothing, and the kill preserves cleanly. Without the disarm the same
+// kill catches the corruption and falls back.
+func TestDisarmRetiresArming(t *testing.T) {
+	sch := Schedule{Seed: 3, App: "kvstore", Mode: "single", Steps: 40, Events: []Event{
+		{Kind: KindArm, At: 10, Site: faultinject.SitePreserveCorrupt},
+		{Kind: KindDisarm, At: 20, Site: faultinject.SitePreserveCorrupt},
+		{Kind: KindKill, At: 30},
+	}}
+	for _, disarm := range []bool{true, false} {
+		if !disarm {
+			sch.Events = append(sch.Events[:1], sch.Events[2])
+		}
+		obs, err := Observe(sch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if vs := Judge(obs); len(vs) != 0 {
+			t.Fatalf("disarm=%v: violations %+v", disarm, vs)
+		}
+		fired := obs.CorruptionsFired != 0 || obs.Counters["checksum_mismatches"] != 0
+		if len(obs.Recoveries) != 1 || obs.Recoveries[0].CleanPreserve != disarm || fired == disarm {
+			t.Errorf("disarm=%v: fired=%v recoveries %+v", disarm, fired, obs.Recoveries)
+		}
+	}
+}
+
+// TestRetryBudgetTerminates: back-to-back kills on the supervised ladder
+// exhaust the retry budget, and the run ends early with Terminated set, no
+// error and no violation.
+func TestRetryBudgetTerminates(t *testing.T) {
+	sch := Schedule{Seed: 1, App: "kvstore", Mode: "single", Steps: 30}
+	for i := 0; i < 20; i++ {
+		sch.Events = append(sch.Events, Event{Kind: KindKill, At: 5})
+	}
+	out, err := Run(sch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out.Terminated, recovery.ErrRetryBudget.Error()) || len(out.Violations) != 0 {
+		t.Fatalf("terminated %q with violations %+v", out.Terminated, out.Violations)
+	}
+	if out.Recoveries >= 20 || out.Requests != 5 {
+		t.Fatalf("run went on after the budget: %d recoveries, %d requests", out.Recoveries, out.Requests)
+	}
+	t.Logf("stopped after %d crashes at %s: %s", out.Recoveries, out.FinalLevel, out.Terminated)
 }

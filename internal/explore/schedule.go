@@ -26,14 +26,18 @@ import (
 	"phoenix/internal/netsim"
 )
 
-// Event kinds. Single-harness schedules use arm/kill/calm with At as a
-// request index; shard schedules use kill/drain/partition/shardmove with
+// Event kinds. Single-harness schedules use arm/disarm/kill/calm with At as
+// a request index; shard schedules use kill/drain/partition/shardmove with
 // AtUs as a fabric-clock instant against a (Shard, Replica) slot, and
 // linkfault as an up-front arming.
 const (
 	// KindArm arms one preserve-path fault site (Site, Skip) just before
 	// request At; the fault strikes the next recovery that reaches the site.
 	KindArm = "arm"
+	// KindDisarm retires the schedule's arming of Site just before request
+	// At, so a fault a cycle left cold cannot strike a later recovery.
+	// Generate never draws it.
+	KindDisarm = "disarm"
 	// KindKill crashes the process (single) or one replica (shard).
 	KindKill = "kill"
 	// KindCalm advances the simulated clock by DurUs before request At, long
@@ -87,6 +91,8 @@ func (e Event) String() string {
 	switch e.Kind {
 	case KindArm:
 		return fmt.Sprintf("arm(%s+%d)@%d", e.Site, e.Skip, e.At)
+	case KindDisarm:
+		return fmt.Sprintf("disarm(%s)@%d", e.Site, e.At)
 	case KindKill:
 		if e.AtUs > 0 {
 			return fmt.Sprintf("kill(%d/%d)@%dµs", e.Shard, e.Replica, e.AtUs)
@@ -136,15 +142,20 @@ type Schedule struct {
 	// floor at the rewind rung, so recovery climbs rewind → microreboot →
 	// process ladder. Old schedules decode with Domains false and behave
 	// exactly as before.
-	Domains bool    `json:"domains,omitempty"`
-	Events  []Event `json:"events"`
+	Domains bool `json:"domains,omitempty"`
+	// Rung pins the single-mode harness shape: "" is the supervised ladder,
+	// the only shape Generate draws; "rewind" and "microreboot" floor it at
+	// that rung; "phoenix", "builtin" and "vanilla" run unsupervised.
+	Rung   string  `json:"rung,omitempty"`
+	Events []Event `json:"events"`
 }
 
 // kindRank orders same-instant events deterministically: armings land before
-// the kill whose recovery they strike; calms settle the supervisor first.
+// the kill whose recovery they strike; calms settle the supervisor first, and
+// disarmings retire old armings before new ones land.
 func kindRank(kind string) int {
 	switch kind {
-	case KindCalm:
+	case KindCalm, KindDisarm:
 		return 0
 	case KindArm:
 		return 1
@@ -222,6 +233,15 @@ var midRequestFaults = map[string]string{
 	"particle":         "VP1",
 	"webcache-varnish": "VA1",
 	"webcache-squid":   "S3",
+}
+
+// Faults names app's scripted mid-request bug and the root of its component
+// graph, whose crash cascades through the graph ("" where it has none).
+func Faults(app string) (bug, root string) {
+	if comps := componentGraph[app]; len(comps) > 0 {
+		root = comps[0]
+	}
+	return midRequestFaults[app], root
 }
 
 // mix is a splitmix64 finalizer: math/rand sources seeded with *adjacent*

@@ -1,13 +1,14 @@
 package recovery_test
 
-// External test package: the campaign tests pull every application in via
-// internal/apps/registry, which itself imports recovery — an internal test
-// package would be an import cycle.
+// External test package: the campaigns run on explore's runner through the
+// experiments package, which imports recovery — an internal test package
+// would be an import cycle.
 
 import (
 	"testing"
 
 	"phoenix/internal/apps/registry"
+	"phoenix/internal/experiments"
 	"phoenix/internal/recovery"
 )
 
@@ -15,13 +16,13 @@ import (
 // application, every recovery-path injection point (at several depths) must
 // end in a counted fallback whose surviving state equals either the
 // fully-preserved or the default-recovery reference — never a torn hybrid,
-// never a simulator error. The corrupt probes additionally require the
-// integrity checksums to catch a silent bit flip in the preserved frames.
+// never a simulator error, never an oracle violation. The corrupt probes
+// additionally require the integrity checksums to catch a silent bit flip in
+// the preserved frames.
 func TestPreserveAtomicityAllApps(t *testing.T) {
-	for name, mk := range registry.Factories(11) {
-		name, mk := name, mk
+	for _, name := range registry.Names() {
 		t.Run(name, func(t *testing.T) {
-			outcomes, err := recovery.CheckAtomicity(mk, recovery.AtomicityConfig{Seed: 11, Warm: 60, Settle: 20})
+			outcomes, err := experiments.Atomicity(name, 11)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -50,10 +51,9 @@ func TestPreserveAtomicityAllApps(t *testing.T) {
 // stable serving period must walk it back until a clean crash recovers via
 // preserve_exec again.
 func TestEscalationAllApps(t *testing.T) {
-	for name, mk := range registry.Factories(23) {
-		name, mk := name, mk
+	for _, name := range registry.Names() {
 		t.Run(name, func(t *testing.T) {
-			out, err := recovery.CheckEscalation(mk, recovery.EscalationConfig{Seed: 23})
+			out, err := experiments.Escalation(name, 23)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -86,25 +86,22 @@ type Config struct {
 	// Supervisor parameterises the breaker/ladder; zero fields take
 	// defaults. Ignored unless Supervise is set.
 	Supervisor SupervisorConfig
-	// Bucket is the timeline histogram resolution.
-	Bucket time.Duration
-	// EventCap bounds Stats.Events: once the log reaches the cap, the oldest
-	// half is discarded and Stats.DroppedEvents counts the loss. 0 takes the
-	// default (4096); negative keeps the log unbounded.
-	EventCap int
 }
 
 func (c *Config) fill() {
 	if c.WatchdogTimeout == 0 {
 		c.WatchdogTimeout = 5 * time.Second
 	}
-	if c.Bucket == 0 {
-		c.Bucket = 250 * time.Millisecond
-	}
-	if c.EventCap == 0 {
-		c.EventCap = 4096
-	}
 }
+
+// eventCap bounds Stats.Events: once the log reaches it, the oldest half is
+// discarded and Stats.DroppedEvents counts the loss. A variable only so a
+// test can shrink the ring.
+var eventCap = 4096
+
+// ErrRetryBudget is the terminal error a supervised harness returns when
+// crashes exhaust SupervisorConfig.RetryBudget; match it with errors.Is.
+var ErrRetryBudget = errors.New("retry budget exhausted")
 
 // Validate rejects nonsensical configurations with a descriptive error
 // instead of letting them silently misbehave mid-run: PHOENIX-only knobs
@@ -139,9 +136,6 @@ func (c Config) Validate() error {
 	}
 	if c.WatchdogTimeout < 0 {
 		return fmt.Errorf("recovery: negative WatchdogTimeout %v", c.WatchdogTimeout)
-	}
-	if c.Bucket < 0 {
-		return fmt.Errorf("recovery: negative Bucket %v", c.Bucket)
 	}
 	if c.Supervise {
 		if err := c.Supervisor.Validate(); err != nil {
@@ -188,6 +182,10 @@ type App interface {
 	// mode: Vanilla and CRIU run without builtin persistence, per §4.3.3).
 	SetPersistence(on bool)
 }
+
+// AppFactory builds a fresh application and workload generator bound to the
+// given injector, so every run of a campaign is a deterministic replay.
+type AppFactory func(inj *faultinject.Injector) (App, workload.Generator)
 
 // ReferenceRestorer is an optional App extension: after a cross-check
 // mismatch, the system switches to the background process whose live state
@@ -236,7 +234,7 @@ type Stats struct {
 	// BackoffTotal is the cumulative simulated time spent holding restarts.
 	BackoffTotal time.Duration
 	// Events is the bounded diagnostic log, oldest first. When it reaches
-	// Config.EventCap the oldest half is dropped; DroppedEvents counts how
+	// 4,096 entries the oldest half is dropped; DroppedEvents counts how
 	// many entries were discarded that way over the run, and DroppedByKind
 	// breaks the loss down per event kind — so a campaign report can still
 	// say "the ring dropped 3 de-escalations" even though their details are
@@ -299,7 +297,7 @@ func NewHarness(m *kernel.Machine, cfg Config, app App, gen workload.Generator, 
 	m.Inj = inj
 	h := &Harness{
 		Cfg: cfg, App: app, M: m, Gen: gen, Inj: inj,
-		TL: metrics.NewTimeline(cfg.Bucket),
+		TL: metrics.NewTimeline(0),
 	}
 	if cfg.Supervise {
 		h.sup = NewSupervisor(cfg.Supervisor)
@@ -398,13 +396,13 @@ func (h *Harness) AdoptPreserved(np *kernel.Process) error {
 	return nil
 }
 
-// event appends a diagnostic event, compacting the log when it reaches the
-// configured cap: the oldest half is dropped in one copy, which keeps the
-// slice chronological, bounds memory at EventCap entries, and amortises to
-// O(1) per append.
+// event appends a diagnostic event, compacting the log when it reaches
+// eventCap: the oldest half is dropped in one copy, which keeps the slice
+// chronological, bounds memory at eventCap entries, and amortises to O(1)
+// per append.
 func (h *Harness) event(kind EventKind, detail string) {
-	if limit := h.Cfg.EventCap; limit > 0 && len(h.Stat.Events) >= limit {
-		drop := len(h.Stat.Events) - limit/2
+	if len(h.Stat.Events) >= eventCap {
+		drop := len(h.Stat.Events) - eventCap/2
 		if h.Stat.DroppedByKind == nil {
 			h.Stat.DroppedByKind = make(map[EventKind]int)
 		}
@@ -571,8 +569,8 @@ func (h *Harness) handleFailure(ci *kernel.CrashInfo) error {
 	if h.sup != nil {
 		d := h.sup.OnCrash(h.M.Clock.Now())
 		if d.Exhausted {
-			return fmt.Errorf("recovery: retry budget exhausted after %d consecutive crashes at level %v",
-				h.sup.ConsecutiveCrashes(), d.Level)
+			return fmt.Errorf("recovery: %w after %d consecutive crashes at level %v",
+				ErrRetryBudget, h.sup.ConsecutiveCrashes(), d.Level)
 		}
 		if d.Tripped {
 			h.Stat.BreakerTrips++

@@ -1,6 +1,7 @@
 package recovery
 
 import (
+	"errors"
 	"testing"
 	"time"
 
@@ -69,8 +70,8 @@ func TestRunUntilSurfacesRetryExhaustion(t *testing.T) {
 		app.crashNext = "segv"
 		err = h.RunUntil(h.M.Clock.Now() + 10*time.Millisecond)
 	}
-	if err == nil {
-		t.Fatal("exhausted retry budget did not surface an error")
+	if !errors.Is(err, ErrRetryBudget) {
+		t.Fatalf("exhausted retry budget surfaced %v, want ErrRetryBudget", err)
 	}
 }
 
@@ -166,7 +167,9 @@ func TestHotSwitchThenLadderStillWorks(t *testing.T) {
 // TestEventCapBoundsEvents: the bounded event ring must stay under the cap,
 // count what it dropped, keep the newest entries, and stay time-ordered.
 func TestEventCapBoundsEvents(t *testing.T) {
-	h, app := harness(t, Config{Mode: ModePhoenix, EventCap: 8})
+	defer func(n int) { eventCap = n }(eventCap)
+	eventCap = 8
+	h, app := harness(t, Config{Mode: ModePhoenix})
 	for i := 0; i < 20; i++ {
 		app.crashNext = "segv"
 		if err := h.RunRequests(2); err != nil {
@@ -188,22 +191,5 @@ func TestEventCapBoundsEvents(t *testing.T) {
 	// The newest event survived the trimming.
 	if ev[len(ev)-1].At < ev[0].At {
 		t.Fatal("ring did not keep the newest entries")
-	}
-}
-
-// TestEventCapUnbounded: a negative cap disables trimming entirely.
-func TestEventCapUnbounded(t *testing.T) {
-	h, app := harness(t, Config{Mode: ModePhoenix, EventCap: -1})
-	for i := 0; i < 20; i++ {
-		app.crashNext = "segv"
-		if err := h.RunRequests(2); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if h.Stat.DroppedEvents != 0 {
-		t.Fatalf("unbounded ring dropped %d events", h.Stat.DroppedEvents)
-	}
-	if len(h.Stat.Events) < 40 { // ≥2 events per crash (crash + restart)
-		t.Fatalf("only %d events recorded", len(h.Stat.Events))
 	}
 }

@@ -225,7 +225,6 @@ func TestConfigValidate(t *testing.T) {
 		{"supervise without phoenix", Config{Mode: ModeBuiltin, Supervise: true}, false},
 		{"negative checkpoint interval", Config{Mode: ModeBuiltin, CheckpointInterval: -time.Second}, false},
 		{"negative watchdog", Config{Mode: ModePhoenix, WatchdogTimeout: -time.Second}, false},
-		{"negative bucket", Config{Mode: ModePhoenix, Bucket: -time.Millisecond}, false},
 		{"invalid mode", Config{Mode: Mode(42)}, false},
 		{"bad supervisor config surfaces", Config{Mode: ModePhoenix, Supervise: true, Supervisor: SupervisorConfig{BreakerK: 1}}, false},
 		{"bad supervisor config ignored when not supervising", Config{Mode: ModePhoenix, Supervisor: SupervisorConfig{BreakerK: 1}}, true},
