@@ -36,19 +36,6 @@ func TestMicrorebootFullLadder(t *testing.T) {
 	}
 }
 
-// snapshotServers returns the registry applications that implement
-// recovery.SnapshotServer, the ones the concurrency campaign drives.
-func snapshotServers() []string {
-	var names []string
-	for _, name := range registry.Names() {
-		app, _ := registry.Factories(1)[name](faultinject.New())
-		if _, ok := app.(recovery.SnapshotServer); ok {
-			names = append(names, name)
-		}
-	}
-	return names
-}
-
 // TestSnapshotServersAreRewindable pins the rewind contract for the serving
 // apps: every app the concurrency campaign drives also consents to rewind
 // domains (the sub-process rung rides under the same battery), and lsmdb —
@@ -56,7 +43,7 @@ func snapshotServers() []string {
 // RewindObserver repair hook a domain discard alone cannot replace.
 func TestSnapshotServersAreRewindable(t *testing.T) {
 	factories := registry.Factories(1)
-	for _, name := range snapshotServers() {
+	for _, name := range experiments.SnapshotServers(1) {
 		app, _ := factories[name](faultinject.New())
 		ra, ok := app.(recovery.RewindableApp)
 		if !ok || !ra.Rewindable() {
@@ -76,7 +63,7 @@ func TestSnapshotServersAreRewindable(t *testing.T) {
 // deterministically by the experiments package's TestConcurrencyClaims; this
 // benchmark makes the same curve visible in bench output.
 func BenchmarkServeConcurrent(b *testing.B) {
-	for _, name := range snapshotServers() {
+	for _, name := range experiments.SnapshotServers(1) {
 		for _, readers := range []int{1, 4, 16} {
 			b.Run(fmt.Sprintf("%s/readers=%d", name, readers), func(b *testing.B) {
 				bench := newServeBench(b, name)

@@ -39,12 +39,10 @@ type RecoveryRecord struct {
 	AtStep        int    `json:"at_step"`
 	CleanPreserve bool   `json:"clean_preserve"`
 	Level         string `json:"level"`
-	// Fallbacks is the episode's total fallback count (unsafe, grace, cross,
-	// recovery-fault, integrity) plus plain restarts and boot failures.
-	Fallbacks int `json:"fallbacks"`
-	// Escalated and Deescalated report ladder movement during the episode.
-	Escalated   bool `json:"escalated"`
-	Deescalated bool `json:"deescalated"`
+	// ChecksumsVerified counts the preserved-frame checksums the episode's
+	// commit read back clean: zero when nothing committed or verification
+	// was off.
+	ChecksumsVerified int64 `json:"checksums_verified"`
 }
 
 // Observation is everything an oracle may judge about one schedule run. A
@@ -62,9 +60,9 @@ type Observation struct {
 	Stats            recovery.Stats
 	Counters         map[string]int64
 	FinalLevel       recovery.Level
-	// Floor is the ladder rung the harness started at and may de-escalate
-	// back to (LevelRewind when rewind domains are on, LevelPhoenix
-	// otherwise); Domains reports whether requests ran inside rewind domains.
+	// Floor is the rung the harness started at and may de-escalate back to
+	// (Harness.LadderFloor); Domains reports whether requests ran inside
+	// rewind domains.
 	Floor   recovery.Level
 	Domains bool
 	// ComponentViolations carries failures of the application's own

@@ -19,7 +19,7 @@ import (
 // size, so Quick changes nothing.
 
 // pinned runs one single-mode schedule on explore's runner and fails on the
-// first oracle violation.
+// first oracle violation or when the survivor's Dump crashed.
 func pinned(app string, seed int64, rung string, steps int, evs ...explore.Event) (*registry.Observation, error) {
 	obs, err := explore.Observe(explore.Schedule{Seed: seed, App: app, Mode: "single", Steps: steps, Rung: rung, Events: evs})
 	if err != nil {
@@ -27,6 +27,9 @@ func pinned(app string, seed int64, rung string, steps int, evs ...explore.Event
 	}
 	if vs := explore.Judge(obs); len(vs) > 0 {
 		return nil, fmt.Errorf("%s oracle: %s (%d violations)", vs[0].Oracle, vs[0].Msg, len(vs))
+	}
+	if obs.Dump == nil {
+		return nil, fmt.Errorf("survivor Dump crashed")
 	}
 	return obs, nil
 }
@@ -199,8 +202,7 @@ func Escalation(app string, seed int64) (EscalationOutcome, error) {
 	out.IntegrityFallbacks, out.BreakerTrips = s.IntegrityFallbacks, s.BreakerTrips
 	out.Escalations, out.Deescalations = s.Escalations, s.Deescalations
 	out.FinalLevel, out.BackoffTotal = obs.FinalLevel, s.BackoffTotal
-	// Verification is on, so a clean preserve has verified its frames.
-	out.PhoenixRecovered = last.AtStep == finalKill && last.CleanPreserve
+	out.PhoenixRecovered = last.AtStep == finalKill && last.CleanPreserve && last.ChecksumsVerified > 0
 
 	switch {
 	case obs.Terminated != "":
@@ -218,7 +220,7 @@ func Escalation(app string, seed int64) (EscalationOutcome, error) {
 	case out.BackoffTotal <= 0:
 		err = fmt.Errorf("no backoff was ever charged across %d cycles", out.Cycles)
 	case !out.PhoenixRecovered:
-		err = fmt.Errorf("final clean crash did not recover via PHOENIX (%+v)", last)
+		err = fmt.Errorf("final clean crash did not recover via PHOENIX with its checksums verified (%+v)", last)
 	default:
 		return out, nil
 	}

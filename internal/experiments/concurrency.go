@@ -37,9 +37,9 @@ const (
 	concWorkers, concModelPages               = 4, 2048
 )
 
-// snapshotServers returns the registry applications that implement
+// SnapshotServers returns the registry applications that implement
 // recovery.SnapshotServer, in name order.
-func snapshotServers(seed int64) []string {
+func SnapshotServers(seed int64) []string {
 	factories := registry.Factories(seed)
 	var names []string
 	for _, name := range registry.Names() {
@@ -92,7 +92,7 @@ type ConcurrencyOutcome struct {
 // stale oracle.
 func RunConcurrency(o Options) (any, error) {
 	o.fill()
-	return table(o, snapshotServers(o.Seed), concurrency, func(b *strings.Builder, r ConcurrencyOutcome) {
+	return table(o, SnapshotServers(o.Seed), concurrency, func(b *strings.Builder, r ConcurrencyOutcome) {
 		fmt.Fprintf(b, "%-18s", r.App)
 		for _, p := range r.Points {
 			fmt.Fprintf(b, " x%d=%v(%.0f ops/s)", p.Readers, time.Duration(p.BatchNs), p.OpsPerSec)

@@ -394,7 +394,7 @@ func TestFigVetSmoke(t *testing.T) {
 // below the serial one.
 func TestConcurrencyClaims(t *testing.T) {
 	outs := quick(t, "concurrency").report.([]ConcurrencyOutcome)
-	names := snapshotServers(1)
+	names := SnapshotServers(1)
 	if len(outs) != len(names) {
 		t.Fatalf("campaign covered %d apps, want %d", len(outs), len(names))
 	}

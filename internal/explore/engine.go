@@ -213,7 +213,7 @@ func runSingle(sch Schedule) (*registry.Observation, error) {
 	// recordRecovery classifies the stat movement of one episode. A clean
 	// preserve is exactly one PHOENIX restart and nothing else; everything
 	// else lost in-memory state somewhere.
-	recordRecovery := func(atStep int, before recovery.Stats) {
+	recordRecovery := func(atStep int, before recovery.Stats, verifiedBefore int64) {
 		d := h.Stat
 		fallbacks := (d.UnsafeFallbacks - before.UnsafeFallbacks) +
 			(d.GraceFallbacks - before.GraceFallbacks) +
@@ -223,12 +223,10 @@ func runSingle(sch Schedule) (*registry.Observation, error) {
 			(d.OtherRestarts - before.OtherRestarts) +
 			(d.BootFailures - before.BootFailures)
 		obs.Recoveries = append(obs.Recoveries, registry.RecoveryRecord{
-			AtStep:        atStep,
-			CleanPreserve: d.PhoenixRestarts-before.PhoenixRestarts == 1 && fallbacks == 0,
-			Level:         h.EscalationLevel().String(),
-			Fallbacks:     fallbacks,
-			Escalated:     d.Escalations > before.Escalations,
-			Deescalated:   d.Deescalations > before.Deescalations,
+			AtStep:            atStep,
+			CleanPreserve:     d.PhoenixRestarts-before.PhoenixRestarts == 1 && fallbacks == 0,
+			Level:             h.EscalationLevel().String(),
+			ChecksumsVerified: m.Counters.ChecksumsVerified.Load() - verifiedBefore,
 		})
 		verifyComponents(fmt.Sprintf("after recovery at step %d", atStep))
 	}
@@ -274,12 +272,12 @@ func runSingle(sch Schedule) (*registry.Observation, error) {
 				}
 				ba.ArmBug(ev.Site)
 			case KindKill:
-				before := h.Stat
+				before, verified := h.Stat, m.Counters.ChecksumsVerified.Load()
 				stop, err := terminal(h.Kill())
 				if err != nil {
 					return nil, fmt.Errorf("explore: recovery surfaced a simulator error: %w", err)
 				}
-				recordRecovery(i, before)
+				recordRecovery(i, before, verified)
 				done = stop
 			default:
 				return nil, fmt.Errorf("explore: event %s invalid in single mode", ev)
@@ -292,7 +290,7 @@ func runSingle(sch Schedule) (*registry.Observation, error) {
 			break
 		}
 		req := h.Gen.Next()
-		before := h.Stat
+		before, verified := h.Stat, m.Counters.ChecksumsVerified.Load()
 		start := m.Clock.Now()
 		ok, eff, err := h.ServeRequest(req)
 		if stop, err := terminal(err); err != nil {
@@ -304,7 +302,7 @@ func runSingle(sch Schedule) (*registry.Observation, error) {
 		// silently committed bit flip) recovered in-line; the episode applies
 		// to every step after this one.
 		if h.Stat.Failures > before.Failures {
-			recordRecovery(i+1, before)
+			recordRecovery(i+1, before, verified)
 		}
 		obs.Steps = append(obs.Steps, registry.TraceStep{
 			Index: i, Op: req.Op.String(), Key: req.Key, OK: ok, Effective: eff,

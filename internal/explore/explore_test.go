@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"phoenix/internal/apps/registry"
 	"phoenix/internal/faultinject"
 	"phoenix/internal/recovery"
 )
@@ -330,7 +331,8 @@ func TestIncrementalAuditCampaign(t *testing.T) {
 // harness shape the rung pins and the rung that recovered the fault: only
 // the rewind floor rolls it back, the microreboot floor cannot attribute it
 // to a component and escalates to PHOENIX, and the builtin and vanilla rungs
-// restart. Every run upholds every oracle.
+// restart. The recovery and the run's end are recorded at the floor, and
+// every run upholds every oracle.
 func TestRungShapesHarness(t *testing.T) {
 	for _, tc := range []struct {
 		rung      string
@@ -342,8 +344,8 @@ func TestRungShapesHarness(t *testing.T) {
 		{"rewind", recovery.LevelRewind, true, "rewind"},
 		{"microreboot", recovery.LevelMicroreboot, false, "phoenix"},
 		{"phoenix", recovery.LevelPhoenix, false, "phoenix"},
-		{"builtin", recovery.LevelPhoenix, false, "restart"},
-		{"vanilla", recovery.LevelPhoenix, false, "restart"},
+		{"builtin", recovery.LevelBuiltin, false, "restart"},
+		{"vanilla", recovery.LevelVanilla, false, "restart"},
 	} {
 		obs, err := Observe(Schedule{Seed: 5, App: "kvstore", Mode: "single", Steps: 20, Rung: tc.rung,
 			Events: []Event{{Kind: KindDomainFault, At: 10, Site: midRequestFaults["kvstore"]}}})
@@ -352,6 +354,9 @@ func TestRungShapesHarness(t *testing.T) {
 		}
 		if obs.Floor != tc.floor || obs.Domains != tc.domains {
 			t.Errorf("rung %q: floor %v domains %v, want %v %v", tc.rung, obs.Floor, obs.Domains, tc.floor, tc.domains)
+		}
+		if len(obs.Recoveries) != 1 || obs.Recoveries[0].Level != tc.floor.String() || obs.FinalLevel != tc.floor {
+			t.Errorf("rung %q: recoveries %+v final level %v, want one at %v", tc.rung, obs.Recoveries, obs.FinalLevel, tc.floor)
 		}
 		recovered := ""
 		switch s := obs.Stats; {
@@ -369,6 +374,33 @@ func TestRungShapesHarness(t *testing.T) {
 		if vs := Judge(obs); len(vs) != 0 {
 			t.Errorf("rung %q: violations %+v", tc.rung, vs)
 		}
+	}
+}
+
+// TestVanillaRungStaleRead: a vanilla-pinned run restarts with persistence
+// off, so the durability oracle's stale-read clause judges it. A pre-crash
+// key read back effective after the restart is flagged.
+func TestVanillaRungStaleRead(t *testing.T) {
+	obs, err := Observe(Schedule{Seed: 1, App: "kvstore", Mode: "single", Steps: 40, Rung: "vanilla",
+		Events: []Event{{Kind: KindKill, At: 20}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if vs := Judge(obs); len(vs) != 0 {
+		t.Fatalf("violations %+v", vs)
+	}
+	key := ""
+	for _, st := range obs.Steps[:20] {
+		if st.OK && (st.Op == "INSERT" || st.Op == "UPDATE") {
+			key = st.Key
+		}
+	}
+	if key == "" {
+		t.Fatal("no write acknowledged before the kill")
+	}
+	obs.Steps = append(obs.Steps, registry.TraceStep{Index: len(obs.Steps), Op: "READ", Key: key, OK: true, Effective: true})
+	if vs := Judge(obs); len(vs) != 1 || vs[0].Oracle != "durability" || !strings.Contains(vs[0].Msg, "stale read") {
+		t.Fatalf("forged read of %q after the vanilla restart: violations %+v", key, vs)
 	}
 }
 

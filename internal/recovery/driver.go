@@ -305,22 +305,28 @@ func NewHarness(m *kernel.Machine, cfg Config, app App, gen workload.Generator, 
 	return h
 }
 
-// EscalationLevel returns the supervisor's current ladder rung
-// (LevelPhoenix when supervision is off).
+// EscalationLevel returns the supervisor's current ladder rung, or the
+// harness's one rung (LadderFloor) when supervision is off.
 func (h *Harness) EscalationLevel() Level {
 	if h.sup == nil {
-		return LevelPhoenix
+		return h.LadderFloor()
 	}
 	return h.sup.Level()
 }
 
-// LadderFloor returns the cheapest rung the ladder de-escalates back to
-// (LevelPhoenix when supervision is off).
+// LadderFloor returns the cheapest rung the ladder de-escalates back to.
+// Without a supervisor it is the rung every recovery runs at: builtin or
+// vanilla in those modes, LevelPhoenix otherwise.
 func (h *Harness) LadderFloor() Level {
-	if h.sup == nil {
-		return LevelPhoenix
+	switch {
+	case h.sup != nil:
+		return h.sup.cfg.Floor
+	case h.Cfg.Mode == ModeBuiltin:
+		return LevelBuiltin
+	case h.Cfg.Mode == ModeVanilla:
+		return LevelVanilla
 	}
-	return h.sup.cfg.Floor
+	return LevelPhoenix
 }
 
 // Runtime returns the live PHOENIX runtime (nil before Boot).
