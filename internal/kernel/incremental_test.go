@@ -284,3 +284,31 @@ func TestIncrementalHandlesReleasedAndRemappedPages(t *testing.T) {
 		t.Fatal("audit divergence on released/remapped pages")
 	}
 }
+
+// TestResidentPagesSkipsUntouchedPages checks the denominator checksum reuse
+// is measured against: a preserve over k mapped pages that were never
+// written moves them and counts their zero-page sums as verified, but does
+// not count them resident, and the next preserve reuses the sum of every
+// resident page and of no other.
+func TestResidentPagesSkipsUntouchedPages(t *testing.T) {
+	const region = mem.VAddr(0x2000_0000)
+	const pages, untouched = 16, 5
+	m := NewMachine(1)
+	p, _ := m.Spawn(nil)
+	if _, err := p.AS.Map(region, pages, mem.KindCustom, "state"); err != nil {
+		t.Fatal(err)
+	}
+	for i := untouched; i < pages; i++ {
+		p.AS.WriteU64(region+mem.VAddr(i)*mem.PageSize, uint64(i)+1)
+	}
+	np := preserveChain(t, p, region, pages)
+	h := np.Handoff()
+	if h.MovedPages != pages || h.VerifiedChecksums != pages || h.ResidentPages != pages-untouched || h.ReusedChecksums != 0 {
+		t.Fatalf("first preserve: moved %d, verified %d, resident %d, reused %d; want %d, %d, %d, 0",
+			h.MovedPages, h.VerifiedChecksums, h.ResidentPages, h.ReusedChecksums, pages, pages, pages-untouched)
+	}
+	h2 := preserveChain(t, np, region, pages).Handoff()
+	if h2.ResidentPages != pages-untouched || h2.ReusedChecksums != h2.ResidentPages {
+		t.Fatalf("second preserve: resident %d, reused %d; want both %d", h2.ResidentPages, h2.ReusedChecksums, pages-untouched)
+	}
+}

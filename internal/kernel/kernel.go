@@ -165,6 +165,11 @@ type Handoff struct {
 	// prior verified commit's cache instead of re-hashed — the incremental
 	// preservation win.
 	ReusedChecksums int
+	// ResidentPages counts the fully moved pages whose frame was resident at
+	// stage: the reused sums plus the freshly hashed pages. A mapped page
+	// that was never written has no frame; it checksums as the zero page in
+	// O(1) and is never reused, so reuse is measured against this count.
+	ResidentPages int
 	// PageSums is the per-page checksum cache carried in the preserve info
 	// block: the verified FNV-1a sum of every fully-moved page as of this
 	// commit. The next PreserveExec reuses these sums for pages whose
@@ -338,6 +343,7 @@ func (p *Process) PreserveExec(spec ExecSpec) (*Process, error) {
 		CopiedPages:       plan.copied,
 		VerifiedChecksums: verified,
 		ReusedChecksums:   plan.reused,
+		ResidentPages:     plan.resident,
 	}
 	if !plan.skipVerify {
 		// This commit is the new delta baseline: record the verified per-page
@@ -398,6 +404,8 @@ type preservePlan struct {
 	// hashed pages plus a per-page dirty-bit scan, not for the preserved set.
 	hashed int
 	reused int
+	// resident counts the moved pages whose frame was resident at stage.
+	resident int
 	// skipVerify suppresses the post-commit checksum comparison (ExecSpec's
 	// knob; the sums themselves are always staged).
 	skipVerify bool
@@ -562,6 +570,9 @@ func (p *Process) planMove(plan *preservePlan, lo, hi mem.VAddr) error {
 			plan.reused++
 		} else if hashed[i] {
 			plan.hashed++
+		}
+		if cached[i] || hashed[i] {
+			plan.resident++
 		}
 	}
 	plan.moves = append(plan.moves, pageMove{start: lo, pages: pages, sums: sums, cached: cached})
