@@ -113,50 +113,77 @@ func ablTransfer(seed, size int64) (zeroCopy, pageCopy, hashing time.Duration, e
 // garbage was freed, counted from the crash, and swept is what that freed.
 func RunAblCleanup(o Options) error {
 	o.fill()
-	warm := 10 * time.Second
-	if o.Quick {
-		warm = 3 * time.Second
-	}
 	fmt.Fprintf(o.Out, "%-10s %-12s %-12s %-12s %-14s %-14s\n", "cleanup", "downtime", "fork", "frees-at", "live-bytes", "swept")
 	for _, cleanup := range []bool{false, true} {
-		m := kernel.NewMachine(o.Seed)
-		sh, err := ablKVWithCleanup(m, cleanup, o)
+		r, err := ablCleanup(o, cleanup)
 		if err != nil {
 			return err
 		}
-		if err := sh.h.RunUntil(m.Clock.Now() + warm); err != nil {
-			return err
-		}
-		// Manufacture garbage: allocations unreachable from the roots.
-		hp := sh.h.Runtime().MainHeap()
-		for i := 0; i < 20000; i++ {
-			hp.Alloc(256)
-		}
-		sh.arm("R3")
-		for i := 0; i < 1000; i++ {
-			if _, resumed := sh.h.TL.ResumedAt(); resumed {
-				break
-			}
-			if err := sh.h.Step(); err != nil {
-				return err
-			}
-		}
-		if _, resumed := sh.h.TL.ResumedAt(); !resumed || sh.h.Stat.PhoenixRestarts != 1 {
-			return fmt.Errorf("abl-cleanup: want one PHOENIX recovery and an answer after it, got %+v", sh.h.Stat)
-		}
-		downtime := sh.h.TL.Downtime()
-		fork, freesAt, swept := "0s", "-", int64(0)
-		if c := sh.h.Runtime().AwaitCleanup(); c != nil {
-			crashAt, _ := sh.h.TL.FailureAt()
-			fork, freesAt, swept = us(c.Fork), us(c.ReclaimedAt-crashAt), c.FreedBytes
+		fork, freesAt := "0s", "-"
+		if cleanup {
+			fork, freesAt = us(r.fork), us(r.freesAt)
 		}
 		fmt.Fprintf(o.Out, "%-10v %-12s %-12s %-12s %-14s %-14s\n",
-			cleanup, us(downtime), fork, freesAt,
-			fmtBytes(sh.h.Runtime().MainHeap().Stats().LiveBytes), fmtBytes(swept))
+			cleanup, us(r.downtime), fork, freesAt, fmtBytes(r.liveBytes), fmtBytes(r.swept))
 	}
 	fmt.Fprintln(o.Out, "cleanup costs the restart window one copy-on-write fork; marking and sweeping")
 	fmt.Fprintln(o.Out, "run on the fork, and the garbage is freed at a later request boundary (§3.4)")
 	return nil
+}
+
+// cleanupRun is one abl-cleanup recovery at full precision: the downtime,
+// the cleanup's fork charge and when its frees landed (from the crash), and
+// the live and swept chunk bytes afterwards. A run without cleanup has no
+// fork, frees and sweep.
+type cleanupRun struct {
+	downtime, fork, freesAt time.Duration
+	liveBytes, swept        int64
+}
+
+// ablCleanup runs one abl-cleanup recovery: it warms the kvstore, leaves
+// 20,000 unreachable allocations behind, crashes it and serves through the
+// first answer after the PHOENIX restart.
+func ablCleanup(o Options, cleanup bool) (cleanupRun, error) {
+	warm := 10 * time.Second
+	if o.Quick {
+		warm = 3 * time.Second
+	}
+	m := kernel.NewMachine(o.Seed)
+	sh, err := ablKVWithCleanup(m, cleanup, o)
+	if err != nil {
+		return cleanupRun{}, err
+	}
+	if err := sh.h.RunUntil(m.Clock.Now() + warm); err != nil {
+		return cleanupRun{}, err
+	}
+	// Manufacture garbage: allocations unreachable from the roots.
+	hp := sh.h.Runtime().MainHeap()
+	for i := 0; i < 20000; i++ {
+		hp.Alloc(256)
+	}
+	sh.arm("R3")
+	for i := 0; i < 1000; i++ {
+		if _, resumed := sh.h.TL.ResumedAt(); resumed {
+			break
+		}
+		if err := sh.h.Step(); err != nil {
+			return cleanupRun{}, err
+		}
+	}
+	if _, resumed := sh.h.TL.ResumedAt(); !resumed || sh.h.Stat.PhoenixRestarts != 1 {
+		return cleanupRun{}, fmt.Errorf("abl-cleanup: want one PHOENIX recovery and an answer after it, got %+v", sh.h.Stat)
+	}
+	r := cleanupRun{downtime: sh.h.TL.Downtime()}
+	c := sh.h.Runtime().AwaitCleanup()
+	if (c != nil) != cleanup {
+		return cleanupRun{}, fmt.Errorf("abl-cleanup: cleanup %v, but a cleanup ran: %v", cleanup, c != nil)
+	}
+	if c != nil {
+		crashAt, _ := sh.h.TL.FailureAt()
+		r.fork, r.freesAt, r.swept = c.Fork, c.ReclaimedAt-crashAt, c.FreedBytes
+	}
+	r.liveBytes = sh.h.Runtime().MainHeap().Stats().LiveBytes
+	return r, nil
 }
 
 // us formats d at microsecond precision.
