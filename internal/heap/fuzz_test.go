@@ -39,8 +39,16 @@ func (m *heapModel) alloc(n int) {
 		t.Fatalf("Alloc(%d) failed", n)
 	}
 	usable := m.h.UsableSize(p)
-	if usable < n || (n <= 1008 && usable >= n+16) {
-		t.Fatalf("Alloc(%d): UsableSize %d, want in [%d, %d)", n, usable, n, n+16)
+	if usable < n {
+		t.Fatalf("Alloc(%d): UsableSize %d, want at least %d", n, usable, n)
+	}
+	// glibc's request2size: up to the last 16-byte class, a request takes
+	// the smallest multiple of 16 holding it and the 8-byte size word, and
+	// at least 32 bytes; the size word is all that is not usable.
+	if n <= 1016 {
+		if want := max(32, (n+8+15)&^15) - 8; usable != want {
+			t.Fatalf("Alloc(%d): UsableSize %d, want glibc's %d", n, usable, want)
+		}
 	}
 	size := usable + chunkHeader
 	need := (n + chunkHeader + 7) &^ 7

@@ -10,10 +10,10 @@
 //     the rest.
 //
 // Crucially, *all persistent allocator metadata lives inside simulated
-// memory*: the root header, the arena list, the chunk headers, the free lists
-// (threaded through free chunk bodies), and the large-region list. After a
-// PHOENIX restart preserves the heap pages, Attach reconstructs a working
-// allocator from that memory alone — "malloc regains control of the
+// memory*: the root header, the arena list, the chunk size words, the free
+// lists (threaded through free chunk bodies), and the large-region list.
+// After a PHOENIX restart preserves the heap pages, Attach reconstructs a
+// working allocator from that memory alone — "malloc regains control of the
 // preserved heap" (§3.2 step 6).
 //
 // The one exception is the PHOENIX marker. glibc keeps it as a bit in each
@@ -27,9 +27,11 @@
 // class free list and are reused for the same class; there is no coalescing.
 // The classes follow glibc's spacing: 16 bytes apart from 32 through 1,024
 // bytes, the range glibc's tcache and small bins serve, then 1.5, 2, 3, 4, 8,
-// 16 and 32 KiB and one class for chunks up to the mmap threshold. Every
-// chunk carries a 16-byte header (glibc's in-use chunks carry 8), so a
-// request of n ≤ 1,008 bytes takes a chunk of less than n+32 bytes.
+// 16 and 32 KiB and one class for chunks up to the mmap threshold. A chunk is
+// glibc's in-use layout: an 8-byte size word, then the payload, which starts
+// 8-aligned (chunks start 16-aligned). A free chunk keeps its free-list link
+// in its first payload word. So a request of n ≤ 1,016 bytes takes glibc's
+// request2size chunk, max(32, (n+8+15) &^ 15) bytes, with 8 fewer usable.
 // glibc's internal consistency checks are modelled: freeing an invalid or
 // corrupted pointer aborts (SIGABRT), which is how the paper's MongoDB
 // buffer-overrun case is caught.
@@ -48,7 +50,7 @@ const (
 	arenaMagic = 0x5048_4E58_4152_454E // "PHNXAREN"
 	largeMagic = 0x5048_4E58_4C41_5247 // "PHNXLARG"
 
-	chunkHeader = 16
+	chunkHeader = 8
 	arenaHdr    = 640
 	largeHdr    = 32
 
@@ -59,8 +61,8 @@ const (
 	flagLarge = 1 << 2
 	flagMask  = 7
 
-	// markGrain is the address span one marker bit covers. Every chunk is at
-	// least 32 bytes, so no two chunk starts share a span.
+	// markGrain is the address span one marker bit covers. Every chunk starts
+	// 16-aligned, so no two chunk starts share a span.
 	markGrain = 16
 
 	// MmapThreshold is the payload size at or above which allocations get a
@@ -90,7 +92,8 @@ const (
 
 // Size-class geometry. glibc's tcache and small bins space chunks 16 bytes
 // apart up to about 1 KiB; the classes follow that spacing from minChunk
-// through smallMax, then a coarse tail reaches the mmap threshold.
+// through smallMax, then a coarse tail reaches the mmap threshold. Every
+// class is a multiple of 16, so every chunk starts 16-aligned.
 const (
 	minChunk   = 32
 	classStep  = 16
@@ -99,13 +102,15 @@ const (
 	numClasses = numSmall + 8
 )
 
-// classSizes are the chunk sizes (header + payload) served from arenas.
+// classSizes are the chunk sizes (header + payload) served from arenas. The
+// last one holds any arena request below MmapThreshold and stays a multiple
+// of 16.
 var classSizes = func() []int {
 	s := make([]int, 0, numClasses)
 	for c := minChunk; c <= smallMax; c += classStep {
 		s = append(s, c)
 	}
-	return append(s, 1536, 2048, 3072, 4096, 8192, 16384, 32768, 65536+chunkHeader)
+	return append(s, 1536, 2048, 3072, 4096, 8192, 16384, 32768, 65552)
 }()
 
 func init() {
@@ -255,15 +260,16 @@ func (h *Heap) Alloc(n int) mem.VAddr {
 	ci := classFor(need)
 	size := classSizes[ci]
 
-	// Fast path: recycle from the free list.
+	// Fast path: recycle from the free list. The link is the payload's
+	// first word; it is cleared, and the rest of the payload stays stale.
 	headAddr := h.base + offFreeHeads + mem.VAddr(ci*8)
 	if c := h.as.ReadPtr(headAddr); c != mem.NullPtr {
-		next := h.as.ReadPtr(c + 8)
-		h.as.WritePtr(headAddr, next)
+		p := c + chunkHeader
+		h.as.WritePtr(headAddr, h.as.ReadPtr(p))
 		h.as.WriteU64(c, uint64(size)|flagInUse)
-		h.as.WriteU64(c+8, 0)
+		h.as.WriteU64(p, 0)
 		h.addLive(1, int64(size))
-		return c + chunkHeader
+		return p
 	}
 
 	// Bump-allocate from an arena with room.
@@ -302,7 +308,7 @@ func (h *Heap) bumpFrom(a mem.VAddr, size int) mem.VAddr {
 	c := a + mem.VAddr(bump)
 	h.as.WriteU32(a+offArenaBump, uint32(bump+size))
 	h.as.WriteU64(c, uint64(size)|flagInUse)
-	h.as.WriteU64(c+8, 0)
+	h.as.WriteU64(c+chunkHeader, 0) // the first payload word, as on recycling
 	return c
 }
 
@@ -360,7 +366,7 @@ func (h *Heap) newArena() mem.VAddr {
 }
 
 // allocLarge maps a dedicated region for an allocation of n payload bytes.
-// Layout: [largeHdr][chunkHeader][payload...].
+// Layout: [largeHdr][size word][payload...].
 func (h *Heap) allocLarge(n int) mem.VAddr {
 	total := largeHdr + chunkHeader + n
 	pages := mem.PagesFor(total)
@@ -380,7 +386,7 @@ func (h *Heap) allocLarge(n int) mem.VAddr {
 	h.as.WritePtr(h.base+offLargeHead, l)
 	c := l + largeHdr
 	h.as.WriteU64(c, uint64(size-largeHdr)|flagInUse|flagLarge)
-	h.as.WriteU64(c+8, 0)
+	h.as.WriteU64(c+chunkHeader, 0)
 	h.addLive(1, int64(size-largeHdr))
 	return c + chunkHeader
 }
@@ -403,7 +409,7 @@ func (h *Heap) chunkOf(p mem.VAddr, op string) (c mem.VAddr, sizeWord uint64) {
 	}
 	sizeWord = h.as.ReadU64(c)
 	size := int(sizeWord &^ flagMask)
-	if size < chunkHeader || size%8 != 0 || size > 1<<40 {
+	if size < minChunk || size%8 != 0 || size > 1<<40 {
 		h.abort("%s(%#x): corrupted chunk size %#x", op, uint64(p), sizeWord)
 	}
 	if sizeWord&flagInUse == 0 {
@@ -430,7 +436,7 @@ func (h *Heap) free(p mem.VAddr) int {
 	}
 	headAddr := h.base + offFreeHeads + mem.VAddr(ci*8)
 	h.as.WriteU64(c, uint64(size)) // clear in-use and marker
-	h.as.WritePtr(c+8, h.as.ReadPtr(headAddr))
+	h.as.WritePtr(p, h.as.ReadPtr(headAddr))
 	h.as.WritePtr(headAddr, c)
 	h.addLive(-1, -int64(size))
 	return size
@@ -564,7 +570,7 @@ func (h *Heap) Walk(fn func(payload mem.VAddr, size int, inUse, marked bool) boo
 			c := a + mem.VAddr(off)
 			sizeWord := h.as.ReadU64(c)
 			size := int(sizeWord &^ flagMask)
-			if size < chunkHeader || size%8 != 0 {
+			if size < minChunk || size%8 != 0 {
 				h.abort("walk: corrupted chunk at %#x (size word %#x)", uint64(c), sizeWord)
 			}
 			if !fn(c+chunkHeader, size, sizeWord&flagInUse != 0, h.marked(c)) {

@@ -2,6 +2,7 @@ package heap
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -208,8 +209,18 @@ func TestIntegrityChecks(t *testing.T) {
 	// Corrupt a chunk header (models a buffer overrun into metadata) and
 	// check the next free aborts like glibc's checks.
 	p2 := h.Alloc(64)
-	as.WriteU64(p2-16, 0xffffffffffffffff)
+	as.WriteU64(p2-chunkHeader, 0xffffffffffffffff)
 	expectAbort(t, "corrupted header", func() { h.Free(p2) })
+
+	// A size word below the smallest chunk aborts wherever it is read: 8 is
+	// the header alone, and no chunk is 16 or 24 bytes.
+	for _, size := range []uint64{8, 16, 24} {
+		as, h := newHeap(t, Options{})
+		p := h.Alloc(64)
+		as.WriteU64(p-chunkHeader, size|flagInUse)
+		expectAbort(t, fmt.Sprintf("usable_size of a %d-byte chunk", size), func() { h.UsableSize(p) })
+		expectAbort(t, fmt.Sprintf("sweep over a %d-byte chunk", size), func() { h.Sweep() })
+	}
 
 	// A chunk of another heap is not this heap's to mark.
 	other, err := New(as, testBase-0x100_0000, Options{})
