@@ -103,25 +103,18 @@ func ShardNames() []string { return []string{"kvstore", "lsmdb"} }
 func ShardProfile(name string, seed int64) shard.Profile {
 	switch name {
 	case "kvstore", "lsmdb":
-		const records, valueSize = 1024, 64
-		p := shard.Profile{
-			Proto: workload.NewYCSB(workload.YCSBConfig{
-				Seed: seed, Records: records, ReadFrac: 0.7, InsertFrac: 0.05,
-				ValueSize: valueSize, ZipfianKeys: true,
-			}),
+		ycsb := workload.NewYCSB(workload.YCSBConfig{
+			Seed: seed, Records: 1024, ReadFrac: 0.7, InsertFrac: 0.05,
+			ValueSize: 64, ZipfianKeys: true,
+		})
+		// Pre-populate the YCSB keyspace: the ring splits these across the
+		// shards, each replica group warming exactly its own arc.
+		return shard.Profile{
+			Proto:      ycsb,
+			Warm:       ycsb.LoadRequests(),
 			Population: 2_000_000,
 			HedgeDelay: 4 * time.Millisecond,
 		}
-		// Pre-populate the YCSB keyspace: the ring splits these across the
-		// shards, each replica group warming exactly its own arc.
-		for i := uint64(0); i < records; i++ {
-			key := workload.Key(i)
-			p.Warm = append(p.Warm, &workload.Request{
-				Seq: i + 1, Op: workload.OpInsert, Key: key,
-				Value: workload.Value(key, 1, valueSize),
-			})
-		}
-		return p
 	case "webcache-varnish", "webcache-squid":
 		// Must match the factory's WebConfig: the traffic trace and the
 		// cache's origin fetcher draw from the same URL population.

@@ -134,6 +134,17 @@ func (g *YCSB) LoadKeys() []string {
 	return out
 }
 
+// LoadRequests returns the initial dataset as insert requests: one per
+// LoadKeys key, in order, carrying its version-1 Value.
+func (g *YCSB) LoadRequests() []*Request {
+	out := make([]*Request, g.cfg.Records)
+	for i := range out {
+		key := Key(uint64(i))
+		out[i] = &Request{Seq: uint64(i) + 1, Op: OpInsert, Key: key, Value: Value(key, 1, g.cfg.ValueSize)}
+	}
+	return out
+}
+
 // Key returns the YCSB key of record i: "user" and i zero-padded to ten
 // digits, byte for byte what fmt's "user%010d" prints, longer numbers
 // included.
