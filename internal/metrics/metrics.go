@@ -151,7 +151,10 @@ func (t *Timeline) AvailabilityAtFifthSecond() float64 {
 // RecoveryTime90 returns the time from service resumption until a one-second
 // window first reaches 90% of the pre-failure effective availability
 // (§4.3.3 metric 3). The second return is false if 90% was never reached in
-// the observation window.
+// the observation window. rate sums whole buckets, so the windows start at
+// the first bucket boundary at or after the resumption, and the result is
+// measured from that boundary: a window from the bucket holding the
+// resumption would count the outage before it.
 func (t *Timeline) RecoveryTime90() (time.Duration, bool) {
 	if !t.hasResume {
 		return 0, false
@@ -162,9 +165,10 @@ func (t *Timeline) RecoveryTime90() (time.Duration, bool) {
 	}
 	window := time.Second
 	end := time.Duration(len(t.good)) * t.Bucket
-	for at := t.resumedAt; at+window <= end; at += t.Bucket {
+	start := (t.resumedAt + t.Bucket - 1) / t.Bucket * t.Bucket
+	for at := start; at+window <= end; at += t.Bucket {
 		if t.rate(at, at+window) >= 0.9*base {
-			return at - t.resumedAt, true
+			return at - start, true
 		}
 	}
 	return 0, false

@@ -93,6 +93,21 @@ func TestRecovery90(t *testing.T) {
 	}
 }
 
+// A resumption inside a bucket must not charge the outage before it to the
+// recovery: with full rate from the resumption on, the first window from the
+// next bucket boundary already reaches 90%.
+func TestRecovery90IgnoresOutageBeforeResumption(t *testing.T) {
+	tl := NewTimeline(250 * time.Millisecond)
+	fill(tl, 0, 10*time.Second, 100)
+	tl.MarkFailure(10 * time.Second)
+	tl.MarkResumed(10240 * time.Millisecond)
+	fill(tl, 10240*time.Millisecond, 20*time.Second, 100)
+	rec, ok := tl.RecoveryTime90()
+	if !ok || rec != 0 {
+		t.Fatalf("RecoveryTime90 = %v, %v; want 0, true", rec, ok)
+	}
+}
+
 func TestRecovery90Never(t *testing.T) {
 	tl := NewTimeline(100 * time.Millisecond)
 	fill(tl, 0, 10*time.Second, 100)
