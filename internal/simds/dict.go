@@ -12,12 +12,18 @@ import "phoenix/internal/mem"
 //	 8: bucket count (u64, power of two)
 //	16: bucket-array pointer (VAddr)
 //
-// Entry layout:
+// Entry layout (one heap chunk per entry, key embedded as in Valkey 8):
 //
 //	 0: next entry (VAddr)
-//	 8: key blob (VAddr, owned)
-//	16: value (u64, caller-owned meaning: raw integer or pointer)
-//	24: cached key hash (u64)
+//	 8: value (u64, caller-owned meaning: raw integer or pointer)
+//	16: low 32 bits of the key hash (u32)
+//	20: key blob: u32 length, then the key bytes
+//
+// An L-byte key's entry is one max(32, (24+L+8+15) &^ 15)-byte chunk.
+// ValidateHeader caps the bucket count at 2^30, so the stored 32 hash bits
+// place an entry in any valid table and a grow re-links entries without
+// re-hashing a key. A lookup compares them before the key, whose bytes sit
+// in the entry's own chunk.
 //
 // Values are opaque u64s so callers can store either raw payloads or
 // simulated pointers; Mark takes a callback so the owner can extend the GC
@@ -32,11 +38,10 @@ const (
 	dictOffCount  = 0
 	dictOffNBkt   = 8
 	dictOffBkts   = 16
-	entrySize     = 32
 	entryOffNext  = 0
-	entryOffKey   = 8
-	entryOffVal   = 16
-	entryOffHash  = 24
+	entryOffVal   = 8
+	entryOffHash  = 16
+	entryOffKey   = 20
 	dictMinBucket = 16
 )
 
@@ -83,8 +88,7 @@ func (d *Dict) find(key []byte, h uint64) (entry, linkAddr mem.VAddr, steps int)
 	steps = 1
 	for e != mem.NullPtr {
 		steps++
-		if d.c.AS.ReadU64(e+entryOffHash) == h &&
-			d.c.BlobEqual(d.c.AS.ReadPtr(e+entryOffKey), key) {
+		if d.c.AS.ReadU32(e+entryOffHash) == uint32(h) && d.c.BlobEqual(e+entryOffKey, key) {
 			return e, link, steps
 		}
 		link = e + entryOffNext
@@ -119,12 +123,14 @@ func (d *Dict) Set(key []byte, val uint64) (old uint64, existed bool) {
 	// Insert at bucket head.
 	bkts, nb := d.buckets()
 	slot := bkts + mem.VAddr((h&(nb-1))*8)
-	ne := d.c.mustAlloc(entrySize)
-	kb := d.c.NewBlob(key)
+	ne := d.c.mustAlloc(entryOffKey + blobHdr + len(key))
 	d.c.AS.WritePtr(ne+entryOffNext, d.c.AS.ReadPtr(slot))
-	d.c.AS.WritePtr(ne+entryOffKey, kb)
 	d.c.AS.WriteU64(ne+entryOffVal, val)
-	d.c.AS.WriteU64(ne+entryOffHash, h)
+	d.c.AS.WriteU32(ne+entryOffHash, uint32(h))
+	d.c.AS.WriteU32(ne+entryOffKey, uint32(len(key)))
+	if len(key) > 0 {
+		d.c.AS.WriteAt(ne+entryOffKey+blobHdr, key)
+	}
 	d.c.AS.WritePtr(slot, ne)
 	cnt := d.Len() + 1
 	d.c.AS.WriteU64(d.addr+dictOffCount, cnt)
@@ -136,8 +142,8 @@ func (d *Dict) Set(key []byte, val uint64) (old uint64, existed bool) {
 	return 0, false
 }
 
-// Delete removes key, returning its value and whether it existed. Entry and
-// key blob are freed; the value object (if a pointer) is the caller's to
+// Delete removes key, returning its value and whether it existed. The entry,
+// key included, is freed; the value object (if a pointer) is the caller's to
 // free.
 func (d *Dict) Delete(key []byte) (uint64, bool) {
 	h := hashBytes(key)
@@ -148,13 +154,13 @@ func (d *Dict) Delete(key []byte) (uint64, bool) {
 	}
 	val := d.c.AS.ReadU64(e + entryOffVal)
 	d.c.AS.WritePtr(link, d.c.AS.ReadPtr(e+entryOffNext))
-	d.c.FreeBlob(d.c.AS.ReadPtr(e + entryOffKey))
 	d.c.Heap.Free(e)
 	d.c.AS.WriteU64(d.addr+dictOffCount, d.Len()-1)
 	return val, true
 }
 
-// grow doubles the bucket array and rehashes all entries.
+// grow doubles the bucket array and re-links every entry by its stored hash
+// bits.
 func (d *Dict) grow() {
 	oldBkts, nb := d.buckets()
 	newNB := nb * 2
@@ -168,7 +174,7 @@ func (d *Dict) grow() {
 		e := d.c.AS.ReadPtr(oldBkts + mem.VAddr(i*8))
 		for e != mem.NullPtr {
 			next := d.c.AS.ReadPtr(e + entryOffNext)
-			h := d.c.AS.ReadU64(e + entryOffHash)
+			h := uint64(d.c.AS.ReadU32(e + entryOffHash))
 			slot := newBkts + mem.VAddr((h&(newNB-1))*8)
 			d.c.AS.WritePtr(e+entryOffNext, d.c.AS.ReadPtr(slot))
 			d.c.AS.WritePtr(slot, e)
@@ -191,7 +197,7 @@ func (d *Dict) Iterate(fn func(key []byte, val uint64) bool) {
 		e := d.c.AS.ReadPtr(bkts + mem.VAddr(i*8))
 		for e != mem.NullPtr {
 			steps++
-			key := d.c.BlobBytes(d.c.AS.ReadPtr(e + entryOffKey))
+			key := d.c.BlobBytes(e + entryOffKey)
 			val := d.c.AS.ReadU64(e + entryOffVal)
 			if !fn(key, val) {
 				d.c.Charge(steps)
@@ -204,9 +210,9 @@ func (d *Dict) Iterate(fn func(key []byte, val uint64) bool) {
 }
 
 // Mark sets the PHOENIX marker (in the heap's transient side bitmap, never in
-// preserved pages) on the dictionary header, bucket array, every entry node
-// and key blob, and invokes markVal for each stored value so the owner can
-// mark value objects — the developer traversal protocol of §3.4.
+// preserved pages) on the dictionary header, bucket array and every entry
+// (its key included), and invokes markVal for each stored value so the owner
+// can mark value objects — the developer traversal protocol of §3.4.
 func (d *Dict) Mark(markVal func(val uint64)) {
 	d.c.Heap.Mark(d.addr)
 	bkts, nb := d.buckets()
@@ -215,9 +221,8 @@ func (d *Dict) Mark(markVal func(val uint64)) {
 	for i := uint64(0); i < nb; i++ {
 		e := d.c.AS.ReadPtr(bkts + mem.VAddr(i*8))
 		for e != mem.NullPtr {
-			steps += 3
+			steps += 2
 			d.c.Heap.Mark(e)
-			d.c.Heap.Mark(d.c.AS.ReadPtr(e + entryOffKey))
 			if markVal != nil {
 				markVal(d.c.AS.ReadU64(e + entryOffVal))
 			}
@@ -269,12 +274,11 @@ func (d *Dict) Validate() (valid bool) {
 			if count > d.Len()+1 {
 				return false // cycle or count corruption
 			}
-			h := d.c.AS.ReadU64(e + entryOffHash)
-			if h&(nb-1) != i {
+			h := d.c.AS.ReadU32(e + entryOffHash)
+			if uint64(h)&(nb-1) != i {
 				ok = false
 			}
-			kb := d.c.AS.ReadPtr(e + entryOffKey)
-			if hashBytes(d.c.BlobBytes(kb)) != h {
+			if uint32(hashBytes(d.c.BlobBytes(e+entryOffKey))) != h {
 				ok = false
 			}
 			e = d.c.AS.ReadPtr(e + entryOffNext)

@@ -242,6 +242,74 @@ func TestDictChargesTime(t *testing.T) {
 	}
 }
 
+// Each entry is one chunk holding the 20-byte entry header and the key
+// blob: max(32, (24+L+8+15) &^ 15) bytes for an L-byte key.
+func TestDictEntryChunkBytes(t *testing.T) {
+	for _, tc := range []struct{ keyLen, chunk int }{{0, 32}, {16, 48}, {17, 64}, {40, 80}} {
+		c := newCtx(t)
+		d := NewDict(c, 16)
+		before := c.Heap.Stats()
+		d.Set(bytes.Repeat([]byte{'k'}, tc.keyLen), 1)
+		after := c.Heap.Stats()
+		if chunks, size := after.LiveChunks-before.LiveChunks, after.LiveBytes-before.LiveBytes; chunks != 1 || size != int64(tc.chunk) {
+			t.Errorf("a %d-byte key took %d chunks of %d bytes, want 1 of %d", tc.keyLen, chunks, size, tc.chunk)
+		}
+	}
+}
+
+// k70659 and k516982 have different FNV-1a hashes (0x2bd34f141cfa8c47 and
+// 0x9515bdf31cfa8c47) with the same low 32 bits, the part an entry stores,
+// so they share a chain and pass the stored-hash compare against each
+// other. Only the key compare tells them apart.
+func TestDictStoredHashCollision(t *testing.T) {
+	a, b := []byte("k70659"), []byte("k516982")
+	if ha, hb := hashBytes(a), hashBytes(b); ha == hb || uint32(ha) != uint32(hb) {
+		t.Fatalf("hashes %#x and %#x must differ only above the low 32 bits", ha, hb)
+	}
+	for _, order := range [][2][]byte{{a, b}, {b, a}} {
+		first, second := order[0], order[1]
+		c := newCtx(t)
+		d := NewDict(c, 16)
+		d.Set(first, 1)
+		d.Set(second, 2)
+		bkts, _ := d.buckets()
+		slot := bkts + mem.VAddr((hashBytes(a)&15)*8)
+		chain := 0
+		for e := c.AS.ReadPtr(slot); e != mem.NullPtr; e = c.AS.ReadPtr(e + entryOffNext) {
+			chain++
+		}
+		if chain != 2 {
+			t.Fatalf("the colliding keys' bucket chain holds %d entries, want 2", chain)
+		}
+		get := func(k []byte, want uint64, wantOK bool) {
+			t.Helper()
+			if v, ok := d.Get(k); v != want || ok != wantOK {
+				t.Fatalf("Get(%s) = %d, %v; want %d, %v", k, v, ok, want, wantOK)
+			}
+		}
+		get(first, 1, true)
+		get(second, 2, true)
+		if old, existed := d.Set(first, 3); old != 1 || !existed {
+			t.Fatalf("updating %s returned %d, %v", first, old, existed)
+		}
+		get(second, 2, true)
+		if v, ok := d.Delete(second); v != 2 || !ok {
+			t.Fatalf("Delete(%s) = %d, %v", second, v, ok)
+		}
+		get(first, 3, true)
+		get(second, 0, false)
+		if _, ok := d.Delete(second); ok {
+			t.Fatalf("second Delete(%s) succeeded", second)
+		}
+		if d.Len() != 1 || !d.Validate() {
+			t.Fatalf("after the delete: len=%d valid=%v", d.Len(), d.Validate())
+		}
+		if v, ok := d.Delete(first); v != 3 || !ok || d.Len() != 0 {
+			t.Fatalf("Delete(%s) = %d, %v, leaving len %d", first, v, ok, d.Len())
+		}
+	}
+}
+
 // Property: dict behaves like a Go map under random operations.
 func TestQuickDictMapEquivalence(t *testing.T) {
 	c := newCtx(t)
