@@ -425,3 +425,38 @@ func TestInjectedMissingStoreSilentlyCorrupts(t *testing.T) {
 		t.Fatal("silent corruption should not crash")
 	}
 }
+
+// TestCorruptPreserveFallsBackBeforeServing: a bit flip armed against the
+// preserved frames reaches the PHOENIX successor, which boots on it at once.
+// The background verdict fails inside the 30 ms reattach, so the harness
+// falls back at the first request boundary: the corrupted incarnation
+// answers no request, and the run counts exactly one checksum mismatch and
+// one integrity fallback.
+func TestCorruptPreserveFallsBackBeforeServing(t *testing.T) {
+	h, kv := boot(t, Config{}, recovery.ModePhoenix, phoenixCfg(), 3)
+	kv.Load(loadKeys(2000), 64)
+	if err := h.RunRequests(200); err != nil {
+		t.Fatal(err)
+	}
+	h.Inj.Arm(faultinject.SitePreserveCorrupt, faultinject.BitFlip)
+	h.Inj.Enable()
+	if err := h.Kill(); err != nil {
+		t.Fatal(err)
+	}
+	v := h.Proc().Verify()
+	if h.Stat.PhoenixRestarts != 1 || v == nil || !v.Landed || v.Err == nil {
+		t.Fatalf("want a PHOENIX successor whose failing verdict landed during its boot: %+v, verdict %+v", h.Stat, v)
+	}
+	corrupted := h.Proc()
+	if err := h.RunRequests(50); err != nil {
+		t.Fatal(err)
+	}
+	c := h.M.Counters
+	if h.Stat.IntegrityFallbacks != 1 || c.IntegrityFallbacks.Load() != 1 || c.ChecksumMismatches.Load() != 1 {
+		t.Fatalf("integrity fallbacks %d (counter %d), mismatches %d; want 1 each",
+			h.Stat.IntegrityFallbacks, c.IntegrityFallbacks.Load(), c.ChecksumMismatches.Load())
+	}
+	if h.Stat.ServedBeforeVerdict != 0 || h.Proc() == corrupted || !corrupted.Dead() {
+		t.Fatalf("the corrupted incarnation served %d requests (replaced: %v)", h.Stat.ServedBeforeVerdict, h.Proc() != corrupted)
+	}
+}

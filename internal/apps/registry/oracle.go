@@ -40,8 +40,8 @@ type RecoveryRecord struct {
 	CleanPreserve bool   `json:"clean_preserve"`
 	Level         string `json:"level"`
 	// ChecksumsVerified counts the preserved-frame checksums the episode's
-	// commit read back clean: zero when nothing committed or verification
-	// was off.
+	// commit read back clean when its background verdict landed: zero when
+	// nothing committed, verification was off, or the verdict failed.
 	ChecksumsVerified int64 `json:"checksums_verified"`
 }
 

@@ -222,9 +222,9 @@ type RestartPlan struct {
 	Ranges []linker.Range
 	// Allocators are PHOENIX allocators whose managed ranges are preserved.
 	Allocators []*heap.Heap
-	// SkipIntegrityVerify disables post-commit checksum verification of the
-	// preserved frames (checksums are still staged). Only the driver sets it,
-	// from its DisableChecksums configuration.
+	// SkipIntegrityVerify turns preserve_exec's integrity checksums off: no
+	// sums are staged or verified (kernel.ExecSpec.SkipVerify). Only the
+	// driver sets it, from its DisableChecksums configuration.
 	SkipIntegrityVerify bool
 }
 

@@ -182,7 +182,9 @@ type Model struct {
 
 	// PreserveWorkerSpawn is the per-worker fixed cost of the parallel
 	// preserve path: forking one worker into the checksum/scan pool and
-	// joining it at the deterministic merge barrier.
+	// joining it at the deterministic merge barrier. Nothing charges it: the
+	// pool's width changes wall-clock time only, and the simulated clock
+	// pays the serial walks (kernel/parallel.go).
 	PreserveWorkerSpawn time.Duration
 }
 
@@ -335,25 +337,6 @@ func (m Model) ConcurrentReadBatch(reads, readers int) time.Duration {
 	perReader := (reads + readers - 1) / readers
 	return time.Duration(readers)*m.ReaderSpawn +
 		time.Duration(perReader)*m.SnapshotReadCost
-}
-
-// PreserveExecDeltaParallel returns the modelled duration of an incremental
-// preserve_exec whose checksum and dirty-scan walks are spread over a worker
-// pool: the serial PTE-move/copy spine of PreserveExec, plus the hash and
-// scan terms divided across workers (critical path = the most loaded
-// worker), plus the per-worker spawn/join overhead. With workers == 1 it
-// exceeds PreserveExecDelta by exactly one spawn, so the crossover where the
-// pool pays for itself is visible in the trajectory.
-func (m Model) PreserveExecDeltaParallel(movedPages, copiedPages, hashedPages, scannedPages, workers int) time.Duration {
-	if workers < 1 {
-		workers = 1
-	}
-	hashShare := (hashedPages + workers - 1) / workers
-	scanShare := (scannedPages + workers - 1) / workers
-	return m.PreserveExec(movedPages, copiedPages) +
-		time.Duration(hashShare)*m.ChecksumPerPage +
-		time.Duration(scanShare)*m.DirtyScanPerPage +
-		time.Duration(workers)*m.PreserveWorkerSpawn
 }
 
 // ForkCoW returns the modelled duration of a copy-on-write fork over a region

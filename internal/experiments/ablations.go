@@ -28,8 +28,9 @@ import (
 // page-table entries (the paper's design) against physically copying every
 // preserved page (the fallback the kernel uses for partial pages, and what
 // a user-space implementation like the Facebook Scuba shared-memory restart
-// would pay, §5). Both sides pay the same integrity hashing and dirty-bit
-// scan, printed as the hashing column, so the ratio compares transfers only.
+// would pay, §5). Both sides pay the same stage hashing and dirty-bit scan
+// on the restart window, printed as the hashing column; the verify walk runs
+// in the background on both.
 func RunAblZeroCopy(o Options) error {
 	o.fill()
 	sizes := []int64{4 << 20, 64 << 20, 512 << 20}
@@ -90,10 +91,10 @@ func ablTransfer(seed, size int64) (zeroCopy, pageCopy, hashing time.Duration, e
 		return 0, 0, 0, err
 	}
 	zeroCopy = m.Clock.Now() - start
-	// preserve_exec charges PreserveExecDelta(moved, copied, hashed, moved)
-	// and nothing else, so the restart minus its hash-free terms is the
-	// hashing. The copy-based restart hashes and scans the same pages, and
-	// copies every moved page instead of moving it.
+	// preserve_exec charges its window PreserveExecDelta(moved, copied,
+	// hashed, moved) and nothing else, so the restart minus its hash-free
+	// terms is the stage hashing. The copy-based restart hashes and scans the
+	// same pages, and copies every moved page instead of moving it.
 	ho := np.Handoff()
 	hashing = zeroCopy - m.Model.PreserveExecDelta(ho.MovedPages, ho.CopiedPages, 0, ho.MovedPages)
 	if hashing < 0 || hashing%m.Model.ChecksumPerPage != 0 {

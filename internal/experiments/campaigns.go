@@ -45,7 +45,8 @@ func (p Probe) String() string { return fmt.Sprintf("%s+%d", p.Site, p.Skip) }
 
 // probes covers every recovery injection point, striking the move and copy
 // sites at several depths so mid-commit rollback is exercised. The corrupt
-// probes flip a bit in a preserved frame, which the checksums must catch.
+// probes flip a bit in a preserved frame, which the background integrity
+// verdict must catch.
 var probes = []Probe{
 	{Site: faultinject.SitePreservePlan},
 	{Site: faultinject.SitePreserveMove},
@@ -76,8 +77,10 @@ type ProbeOutcome struct {
 // aborted preserve charges no simulated time, so a probe replays the
 // references up to the fault, and its survivor must equal the preserve
 // reference (no fault) or the fallback reference (a plan fault: nothing
-// transferred), never a torn hybrid. A fired fault must also be a counted
-// fallback and an aborted preserve.
+// transferred), never a torn hybrid. A fired operation fault must also be a
+// counted fallback and an aborted preserve. A fired bit flip commits, and
+// its failing verdict must fall back before the corrupted successor's
+// answers reach the survivor.
 func Atomicity(app string, seed int64) ([]ProbeOutcome, error) {
 	run := func(arm ...Probe) (*registry.Observation, error) {
 		var evs []explore.Event
@@ -122,8 +125,10 @@ func Atomicity(app string, seed int64) ([]ProbeOutcome, error) {
 				pr, len(obs.Dump), len(ref.Dump), len(fb.Dump))
 		case out.Fired && !out.Fallback:
 			return outcomes, fmt.Errorf("probe %s: fault fired but no recovery-fault fallback counted (%+v)", pr, s)
-		case out.Fired && obs.Counters["preserves_aborted"] == 0:
+		case out.Fired && pr.Site != faultinject.SitePreserveCorrupt && obs.Counters["preserves_aborted"] == 0:
 			return outcomes, fmt.Errorf("probe %s: fault fired but no aborted preserve counted (%v)", pr, obs.Counters)
+		case out.Fired && pr.Site == faultinject.SitePreserveCorrupt && s.IntegrityFallbacks == 0:
+			return outcomes, fmt.Errorf("probe %s: bit flip fired but no failing verdict fell back (%+v)", pr, s)
 		case !out.Fired && (out.Fallback || !out.MatchedPreserve):
 			return outcomes, fmt.Errorf("probe %s: fault never fired yet the run diverged from the preserve reference (%+v)", pr, s)
 		}
@@ -248,9 +253,10 @@ type MicrorebootOutcome struct {
 
 // Microreboot measures one application's recovery window at every rung it
 // supports, in one 90-request run pinned to each. The fault lands before
-// request 40: the app's scripted mid-request bug, which crashes on transient
-// state only so every rung can recover it, or on the microreboot rung a
-// crash of the root of the app's component graph. The contract is the
+// request 40, after a 5 ms calm that lets the builtin rung's checkpoint
+// cadence persist the first 40 requests: the app's scripted mid-request bug,
+// which crashes on transient state only so every rung can recover it, or on
+// the microreboot rung a crash of the root of the app's component graph. The contract is the
 // granularity order on the same application: rewind < microreboot < phoenix.
 func Microreboot(app string, seed int64) (MicrorebootOutcome, error) {
 	const faultAt, steps = 40, 90
@@ -268,7 +274,8 @@ func Microreboot(app string, seed int64) (MicrorebootOutcome, error) {
 		case rung == "microreboot":
 			fault = explore.Event{Kind: explore.KindComponentKill, At: faultAt, Site: root}
 		}
-		obs, err := pinned(app, seed, rung, steps, fault)
+		calm := explore.Event{Kind: explore.KindCalm, At: faultAt, DurUs: (5 * time.Millisecond).Microseconds()}
+		obs, err := pinned(app, seed, rung, steps, calm, fault)
 		if err == nil && (len(obs.Recoveries) == 0 || obs.Recoveries[0].AtStep != faultAt+1) {
 			err = fmt.Errorf("armed fault did not fire in request %d", faultAt)
 		}

@@ -18,9 +18,8 @@ import (
 // version between batches and a PHOENIX kill between ladder points. Its
 // reads target a keyset the campaign writes itself, which explore's grammar
 // cannot express, so it keeps its own loop. The contract: throughput scales
-// with readers (≥2x ops/sec at 4 readers vs 1), the stale-snapshot oracle
-// stays at zero across the restart, and the modelled parallel preserve
-// staging beats the serial walk.
+// with readers (≥2x ops/sec at 4 readers vs 1), and the stale-snapshot
+// oracle stays at zero across the restart.
 
 // concurrencyReaders is the fan-out ladder the campaign measures.
 var concurrencyReaders = []int{1, 4, 16}
@@ -29,13 +28,8 @@ var concurrencyReaders = []int{1, 4, 16}
 // concKeys-key keyset goes in, concBatch reads per ladder point (enough that
 // the per-read term dominates the fixed commit and capture overhead), and
 // concWrites writes between points so every commit captures a fresh dirty
-// set. The modelled parallel-vs-serial staging comparison runs concWorkers
-// wide over concModelPages pages, enough to amortise the worker spawns; the
-// apps' own footprints sit below that break-even and are recorded as Pages.
-const (
-	concWarm, concKeys, concBatch, concWrites = 64, 64, 128, 16
-	concWorkers, concModelPages               = 4, 2048
-)
+// set.
+const concWarm, concKeys, concBatch, concWrites = 64, 64, 128, 16
 
 // SnapshotServers returns the registry applications that implement
 // recovery.SnapshotServer, in name order.
@@ -77,14 +71,8 @@ type ConcurrencyOutcome struct {
 	// reader observed a frozen page mutated under it.
 	Stale int `json:"stale"`
 	// Pages is the app's preserved footprint (the first commit's changed
-	// pages: every page with a frame). PreserveSerialNs and
-	// PreserveParallelNs are the modelled staging latencies of an
-	// incremental preserve at the ModelPages reference footprint, serial vs
-	// spread across the worker pool.
-	Pages              int   `json:"pages"`
-	ModelPages         int   `json:"model_pages"`
-	PreserveSerialNs   int64 `json:"preserve_serial_ns"`
-	PreserveParallelNs int64 `json:"preserve_parallel_ns"`
+	// pages: every page with a frame).
+	Pages int `json:"pages"`
 }
 
 // RunConcurrency serves reads off committed MVCC snapshots at 1, 4 and 16
@@ -97,8 +85,7 @@ func RunConcurrency(o Options) (any, error) {
 		for _, p := range r.Points {
 			fmt.Fprintf(b, " x%d=%v(%.0f ops/s)", p.Readers, time.Duration(p.BatchNs), p.OpsPerSec)
 		}
-		fmt.Fprintf(b, " speedup4v1=%.2f restart=%d preserve=%v/%v\n", r.Speedup4v1, r.PhoenixRestarts,
-			time.Duration(r.PreserveParallelNs), time.Duration(r.PreserveSerialNs))
+		fmt.Fprintf(b, " speedup4v1=%.2f restart=%d\n", r.Speedup4v1, r.PhoenixRestarts)
 	})
 }
 
@@ -207,10 +194,6 @@ func concurrency(name string, seed int64) (ConcurrencyOutcome, error) {
 	}
 	o.PostRestartEffective = eff
 
-	o.ModelPages = concModelPages
-	o.PreserveSerialNs = m.Model.PreserveExecDelta(concModelPages, 0, concModelPages, concModelPages).Nanoseconds()
-	o.PreserveParallelNs = m.Model.PreserveExecDeltaParallel(concModelPages, 0, concModelPages, concModelPages, concWorkers).Nanoseconds()
-
 	switch {
 	case o.Speedup4v1 < 2.0:
 		return o, fmt.Errorf("%s: 4-reader speedup %.2f below 2.0", name, o.Speedup4v1)
@@ -223,9 +206,6 @@ func concurrency(name string, seed int64) (ConcurrencyOutcome, error) {
 	case o.PostRestartEffective != concBatch:
 		return o, fmt.Errorf("%s: %d/%d snapshot reads effective after the restart — preserve_exec lost campaign keys",
 			name, o.PostRestartEffective, concBatch)
-	case o.PreserveParallelNs >= o.PreserveSerialNs:
-		return o, fmt.Errorf("%s: modelled parallel preserve staging %v does not beat serial %v over %d pages",
-			name, time.Duration(o.PreserveParallelNs), time.Duration(o.PreserveSerialNs), concModelPages)
 	}
 	return o, nil
 }

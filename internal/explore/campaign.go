@@ -26,24 +26,29 @@ type Options struct {
 // SeedResult summarises one seed of the sweep. Violating seeds carry their
 // violations and the minimal shrunk artifact.
 type SeedResult struct {
-	Seed       int64       `json:"seed"`
-	App        string      `json:"app"`
-	Mode       string      `json:"mode"`
-	Events     int         `json:"events"`
-	Steps      int         `json:"steps,omitempty"`
-	Requests   int         `json:"requests"`
-	Recoveries int         `json:"recoveries"`
-	Violations []Violation `json:"violations,omitempty"`
-	Shrunk     *Artifact   `json:"shrunk,omitempty"`
+	Seed                int64       `json:"seed"`
+	App                 string      `json:"app"`
+	Mode                string      `json:"mode"`
+	Events              int         `json:"events"`
+	Steps               int         `json:"steps,omitempty"`
+	Requests            int         `json:"requests"`
+	Recoveries          int         `json:"recoveries"`
+	FailedVerdicts      int         `json:"failed_verdicts,omitempty"`
+	ServedBeforeVerdict int         `json:"served_before_verdict,omitempty"`
+	Violations          []Violation `json:"violations,omitempty"`
+	Shrunk              *Artifact   `json:"shrunk,omitempty"`
 }
 
-// Summary is the campaign's deterministic JSON report.
+// Summary is the campaign's deterministic JSON report. FailedVerdicts and
+// ServedBeforeVerdict total the seeds' (see Outcome).
 type Summary struct {
-	Start     int64        `json:"start"`
-	Seeds     int          `json:"seeds"`
-	App       string       `json:"app,omitempty"`
-	Violating int          `json:"violating"`
-	Results   []SeedResult `json:"results"`
+	Start               int64        `json:"start"`
+	Seeds               int          `json:"seeds"`
+	App                 string       `json:"app,omitempty"`
+	Violating           int          `json:"violating"`
+	FailedVerdicts      int          `json:"failed_verdicts"`
+	ServedBeforeVerdict int          `json:"served_before_verdict"`
+	Results             []SeedResult `json:"results"`
 }
 
 // CheckExplore sweeps the seed range and returns the summary plus the first
@@ -82,15 +87,19 @@ func CheckExplore(o Options) (Summary, error) {
 		}
 
 		res := SeedResult{
-			Seed:       seed,
-			App:        sch.App,
-			Mode:       sch.Mode,
-			Events:     len(sch.Events),
-			Steps:      sch.Steps,
-			Requests:   out.Requests,
-			Recoveries: out.Recoveries,
-			Violations: out.Violations,
+			Seed:                seed,
+			App:                 sch.App,
+			Mode:                sch.Mode,
+			Events:              len(sch.Events),
+			Steps:               sch.Steps,
+			Requests:            out.Requests,
+			Recoveries:          out.Recoveries,
+			FailedVerdicts:      out.FailedVerdicts,
+			ServedBeforeVerdict: out.ServedBeforeVerdict,
+			Violations:          out.Violations,
 		}
+		sum.FailedVerdicts += out.FailedVerdicts
+		sum.ServedBeforeVerdict += out.ServedBeforeVerdict
 		if len(out.Violations) > 0 {
 			art, err := Shrink(sch, out.Violations)
 			if err != nil {
@@ -128,6 +137,8 @@ func FmtSummary(s Summary) string {
 		}
 	}
 	fmt.Fprintf(&b, "  modes: single=%d shard=%d\n", modes["single"], modes["shard"])
+	fmt.Fprintf(&b, "  failing integrity verdicts: %d, requests served before them: %d\n",
+		s.FailedVerdicts, s.ServedBeforeVerdict)
 	for _, name := range []string{"accounting", "ladder", "durability", "component", "shard"} {
 		if n := byOracle[name]; n > 0 {
 			fmt.Fprintf(&b, "  oracle %-12s violated by %d seed(s)\n", name, n)

@@ -22,15 +22,21 @@ type Violation struct {
 // Outcome is the deterministic result of running one schedule: the schedule
 // itself, a compact run summary, and every oracle violation. Equal schedules
 // produce byte-identical JSON encodings of equal outcomes.
+//
+// FailedVerdicts counts the background integrity verdicts that failed, and
+// ServedBeforeVerdict the requests those incarnations answered first: the
+// price of optimistic recovery, reported rather than hidden.
 type Outcome struct {
-	Schedule         Schedule    `json:"schedule"`
-	Requests         int         `json:"requests"`
-	Recoveries       int         `json:"recoveries"`
-	CorruptionsFired int         `json:"corruptions_fired"`
-	OpFaultsFired    int         `json:"op_faults_fired"`
-	FinalLevel       string      `json:"final_level,omitempty"`
-	Terminated       string      `json:"terminated,omitempty"`
-	Violations       []Violation `json:"violations"`
+	Schedule            Schedule    `json:"schedule"`
+	Requests            int         `json:"requests"`
+	Recoveries          int         `json:"recoveries"`
+	CorruptionsFired    int         `json:"corruptions_fired"`
+	OpFaultsFired       int         `json:"op_faults_fired"`
+	FailedVerdicts      int         `json:"failed_verdicts,omitempty"`
+	ServedBeforeVerdict int         `json:"served_before_verdict,omitempty"`
+	FinalLevel          string      `json:"final_level,omitempty"`
+	Terminated          string      `json:"terminated,omitempty"`
+	Violations          []Violation `json:"violations"`
 }
 
 // Run executes one schedule and judges it against the application's oracles.
@@ -42,14 +48,16 @@ func Run(sch Schedule) (Outcome, error) {
 		return Outcome{}, err
 	}
 	out := Outcome{
-		Schedule:         sch,
-		Requests:         obs.Stats.Requests,
-		Recoveries:       len(obs.Recoveries),
-		CorruptionsFired: obs.CorruptionsFired,
-		OpFaultsFired:    obs.OpFaultsFired,
-		FinalLevel:       obs.FinalLevel.String(),
-		Terminated:       obs.Terminated,
-		Violations:       Judge(obs),
+		Schedule:            sch,
+		Requests:            obs.Stats.Requests,
+		Recoveries:          len(obs.Recoveries),
+		CorruptionsFired:    obs.CorruptionsFired,
+		OpFaultsFired:       obs.OpFaultsFired,
+		FailedVerdicts:      obs.Stats.IntegrityFallbacks,
+		ServedBeforeVerdict: obs.Stats.ServedBeforeVerdict,
+		FinalLevel:          obs.FinalLevel.String(),
+		Terminated:          obs.Terminated,
+		Violations:          Judge(obs),
 	}
 	if obs.Shard != nil {
 		out.Requests = obs.Shard.Requests
@@ -91,9 +99,10 @@ func Judge(obs *registry.Observation) []Violation {
 // harnessConfig returns the harness shape sch.Rung pins (see Schedule.Rung).
 // On the ladder three restarts inside a minute trip the breaker and 30 s of
 // serving walks it back a rung; the pinned floors back off 1 ns, so a
-// recovery window measures the mechanism and not the hold-down. Only the
-// unpinned ladder checkpoints. A contradictory schedule is an error here,
-// never a NewHarness panic.
+// recovery window measures the mechanism and not the hold-down. The
+// unpinned ladder and the builtin rung checkpoint every 5 ms, so a builtin
+// recovery has persisted state to load. A contradictory schedule is an
+// error here, never a NewHarness panic.
 func harnessConfig(sch Schedule) (recovery.Config, error) {
 	cfg := recovery.Config{
 		Mode:             recovery.ModePhoenix,
@@ -121,6 +130,7 @@ func harnessConfig(sch Schedule) (recovery.Config, error) {
 		cfg.Supervise = false
 	case "builtin":
 		cfg.Mode, cfg.Supervise = recovery.ModeBuiltin, false
+		cfg.CheckpointInterval = 5 * time.Millisecond
 	case "vanilla":
 		cfg.Mode, cfg.Supervise = recovery.ModeVanilla, false
 	default:
@@ -172,11 +182,23 @@ func runSingle(sch Schedule) (*registry.Observation, error) {
 	// perturb the timeline) and only on checksummed runs — with verification
 	// off, a silently committed bit flip may legitimately corrupt component
 	// state, which is the accounting oracle's finding, not a dangling-state
-	// bug. A simulated crash *inside* the verifier is itself a violation: the
-	// invariant walk dereferenced dangling state.
+	// bug. For the same reason it judges only state an integrity verdict has
+	// cleared: while the live incarnation's verdict is in flight the check
+	// waits (deferred) for the first request boundary after it lands, and a
+	// failing verdict's state is never judged, because the harness falls
+	// back before serving from it. A simulated crash *inside* the verifier is
+	// itself a violation: the invariant walk dereferenced dangling state.
+	var deferred string
 	verifyComponents := func(where string) {
 		ca, ok := app.(recovery.ComponentApp)
 		if !ok || sch.DisableChecksums {
+			return
+		}
+		deferred = ""
+		if v := h.Proc().Verify(); v != nil && (!v.Landed || v.Err != nil) {
+			if !v.Landed {
+				deferred = where
+			}
 			return
 		}
 		m.Clock.RunOffline(func() {
@@ -212,8 +234,13 @@ func runSingle(sch Schedule) (*registry.Observation, error) {
 
 	// recordRecovery classifies the stat movement of one episode. A clean
 	// preserve is exactly one PHOENIX restart and nothing else; everything
-	// else lost in-memory state somewhere.
-	recordRecovery := func(atStep int, before recovery.Stats, verifiedBefore int64) {
+	// else lost in-memory state somewhere. The episode's successor is kept:
+	// its integrity verdict lands in the background, past the episode, and
+	// fills the record's ChecksumsVerified once the run is over.
+	var successors []*kernel.Process
+	var episodeStart recovery.Stats
+	recordRecovery := func(atStep int, before recovery.Stats) {
+		episodeStart = before
 		d := h.Stat
 		fallbacks := (d.UnsafeFallbacks - before.UnsafeFallbacks) +
 			(d.GraceFallbacks - before.GraceFallbacks) +
@@ -223,12 +250,24 @@ func runSingle(sch Schedule) (*registry.Observation, error) {
 			(d.OtherRestarts - before.OtherRestarts) +
 			(d.BootFailures - before.BootFailures)
 		obs.Recoveries = append(obs.Recoveries, registry.RecoveryRecord{
-			AtStep:            atStep,
-			CleanPreserve:     d.PhoenixRestarts-before.PhoenixRestarts == 1 && fallbacks == 0,
-			Level:             h.EscalationLevel().String(),
-			ChecksumsVerified: m.Counters.ChecksumsVerified.Load() - verifiedBefore,
+			AtStep:        atStep,
+			CleanPreserve: d.PhoenixRestarts-before.PhoenixRestarts == 1 && fallbacks == 0,
+			Level:         h.EscalationLevel().String(),
 		})
+		successors = append(successors, h.Proc())
 		verifyComponents(fmt.Sprintf("after recovery at step %d", atStep))
+	}
+
+	// verdictFallback records the fallback a failing integrity verdict took
+	// before step atStep. With no request served since the recovery whose
+	// restart it judged, it is part of that episode, which was then no clean
+	// preserve.
+	verdictFallback := func(atStep int, before recovery.Stats) {
+		if n := len(obs.Recoveries); n > 0 && obs.Recoveries[n-1].AtStep == atStep {
+			obs.Recoveries, successors = obs.Recoveries[:n-1], successors[:n-1]
+			before = episodeStart
+		}
+		recordRecovery(atStep, before)
 	}
 
 	terminal := func(err error) (bool, error) {
@@ -272,12 +311,12 @@ func runSingle(sch Schedule) (*registry.Observation, error) {
 				}
 				ba.ArmBug(ev.Site)
 			case KindKill:
-				before, verified := h.Stat, m.Counters.ChecksumsVerified.Load()
+				before := h.Stat
 				stop, err := terminal(h.Kill())
 				if err != nil {
 					return nil, fmt.Errorf("explore: recovery surfaced a simulator error: %w", err)
 				}
-				recordRecovery(i, before, verified)
+				recordRecovery(i, before)
 				done = stop
 			default:
 				return nil, fmt.Errorf("explore: event %s invalid in single mode", ev)
@@ -290,7 +329,7 @@ func runSingle(sch Schedule) (*registry.Observation, error) {
 			break
 		}
 		req := h.Gen.Next()
-		before, verified := h.Stat, m.Counters.ChecksumsVerified.Load()
+		before := h.Stat
 		start := m.Clock.Now()
 		ok, eff, err := h.ServeRequest(req)
 		if stop, err := terminal(err); err != nil {
@@ -300,9 +339,15 @@ func runSingle(sch Schedule) (*registry.Observation, error) {
 		}
 		// An organic crash inside the request (e.g. structures corrupted by a
 		// silently committed bit flip) recovered in-line; the episode applies
-		// to every step after this one.
-		if h.Stat.Failures > before.Failures {
-			recordRecovery(i+1, before, verified)
+		// to every step after this one. A failing integrity verdict falls back
+		// at the request's boundary, before it is served.
+		switch {
+		case h.Stat.Failures > before.Failures:
+			recordRecovery(i+1, before)
+		case h.Stat.IntegrityFallbacks > before.IntegrityFallbacks:
+			verdictFallback(i, before)
+		case deferred != "":
+			verifyComponents(deferred)
 		}
 		obs.Steps = append(obs.Steps, registry.TraceStep{
 			Index: i, Op: req.Op.String(), Key: req.Key, OK: ok, Effective: eff,
@@ -312,6 +357,22 @@ func runSingle(sch Schedule) (*registry.Observation, error) {
 
 	for _, spec := range kernel.PreserveSiteSpecs() {
 		collect(spec.ID)
+	}
+	// A verdict still in flight lands before the run is judged.
+	before := h.Stat
+	if err := h.SettleVerdict(); err != nil {
+		return nil, fmt.Errorf("explore: settling the last verdict: %w", err)
+	}
+	switch {
+	case h.Stat.IntegrityFallbacks > before.IntegrityFallbacks:
+		verdictFallback(len(obs.Steps), before)
+	case deferred != "":
+		verifyComponents(deferred)
+	}
+	for i, p := range successors {
+		if v := p.Verify(); v != nil && v.Landed && v.Err == nil {
+			obs.Recoveries[i].ChecksumsVerified = int64(p.Handoff().VerifiedChecksums)
+		}
 	}
 
 	obs.Stats = h.Stat

@@ -475,3 +475,47 @@ func TestRetryBudgetTerminates(t *testing.T) {
 	}
 	t.Logf("stopped after %d crashes at %s: %s", out.Recoveries, out.FinalLevel, out.Terminated)
 }
+
+// TestBuiltinRungRecoversCheckpoint: the builtin rung checkpoints on the
+// ladder's 5 ms cadence, so a builtin recovery loads persisted state. A
+// kvstore schedule that crosses a checkpoint at step 29 (a 6 ms calm) and
+// is killed at step 30 answers every later read of a key written before
+// that checkpoint effectively; the same schedule on the vanilla rung, which
+// persists nothing, answers none of them.
+func TestBuiltinRungRecoversCheckpoint(t *testing.T) {
+	for _, rung := range []string{"builtin", "vanilla"} {
+		obs, err := Observe(Schedule{Seed: 7, App: "kvstore", Mode: "single", Steps: 120, Rung: rung, Events: []Event{
+			{Kind: KindCalm, At: 29, DurUs: 6000},
+			{Kind: KindKill, At: 30},
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if vs := Judge(obs); len(vs) != 0 {
+			t.Fatalf("%s: violations %+v", rung, vs)
+		}
+		written := map[string]bool{}
+		for _, st := range obs.Steps[:29] {
+			if st.Op != "READ" && st.OK {
+				written[st.Key] = true
+			}
+		}
+		reads, effective := 0, 0
+		for _, st := range obs.Steps[30:] {
+			if st.Op == "READ" && written[st.Key] {
+				reads++
+				if st.Effective {
+					effective++
+				}
+			}
+		}
+		want := reads
+		if rung == "vanilla" {
+			want = 0
+		}
+		if reads == 0 || effective != want {
+			t.Errorf("%s: %d of %d reads of checkpointed keys effective after the kill, want %d",
+				rung, effective, reads, want)
+		}
+	}
+}

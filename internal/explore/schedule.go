@@ -134,8 +134,8 @@ type Schedule struct {
 	Replicas int `json:"replicas,omitempty"`
 	Shards   int `json:"shards,omitempty"`
 	Spares   int `json:"spares,omitempty"`
-	// DisableChecksums runs the harness with post-commit integrity
-	// verification off — the configuration under which an injected bit flip
+	// DisableChecksums runs the harness with preserve_exec's integrity
+	// checksums off — the configuration under which an injected bit flip
 	// commits silently, which the accounting oracle must flag.
 	DisableChecksums bool `json:"disable_checksums,omitempty"`
 	// Domains runs the harness with rewind domains on and the supervisor

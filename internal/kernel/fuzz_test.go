@@ -1,17 +1,19 @@
 package kernel
 
-// Fuzz target for the preserve_exec planner geometry. The page-range split in
-// planRange (full-page moves vs partial head/tail copies) is exactly where
-// the seed's silent data-loss bug lived, so the planner gets a native fuzz
-// target: arbitrary (start, len) pairs — two ranges, to reach the overlap
-// rejection — against a known mapping, with the staged plan checked for
+// Fuzz targets for preserve_exec. FuzzPlanRange covers the planner
+// geometry: the page-range split in planRange (full-page moves vs partial
+// head/tail copies) is exactly where the seed's silent data-loss bug lived,
+// so it draws arbitrary (start, len) pairs — two ranges, to reach the
+// overlap rejection — against a known mapping, checks the staged plan for
 // byte-conservation, per-copy page containment, and checksum accounting, and
-// the committed preserve checked byte-exact against the source snapshot.
+// checks the committed preserve byte-exact against the source snapshot.
+// FuzzVerdictMatchesFullWalk covers the background integrity verdict.
 
 import (
 	"bytes"
 	"testing"
 
+	"phoenix/internal/faultinject"
 	"phoenix/internal/linker"
 	"phoenix/internal/mem"
 )
@@ -82,7 +84,7 @@ func FuzzPlanRange(f *testing.F) {
 		lo2, hi2 := moveSpan(r2)
 		movesOverlap := hi1 > lo1 && hi2 > lo2 && lo1 < hi2 && lo2 < hi1
 
-		plan, err := p.stagePreserve([]linker.Range{r1, r2}, mem.NullPtr)
+		plan, err := p.stagePreserve([]linker.Range{r1, r2}, mem.NullPtr, true)
 		if err != nil {
 			if inBounds(r1) && inBounds(r2) && !movesOverlap {
 				t.Fatalf("in-bounds non-overlapping ranges %+v %+v rejected: %v", r1, r2, err)
@@ -166,6 +168,103 @@ func FuzzPlanRange(f *testing.F) {
 		if h.MovedPages != plan.moved || h.CopiedPages != plan.copied {
 			t.Fatalf("handoff %d moved / %d copied, plan staged %d / %d",
 				h.MovedPages, h.CopiedPages, plan.moved, plan.copied)
+		}
+	})
+}
+
+// FuzzVerdictMatchesFullWalk checks the background verdict against the
+// non-incremental walk. Each input draws the preserved runs (one to four
+// page runs, with or without a partial-copy tail), which pages are resident,
+// whether a clean verdict left a cache, which pages were written since, and
+// an optional bit flip on any frame of the second preserve. The verdict must
+// report the same first mismatch as verifyFull and be clean exactly when it
+// is.
+func FuzzVerdictMatchesFullWalk(f *testing.F) {
+	f.Add(uint8(0), uint16(0xFFFF), true, uint16(0), int16(-1))
+	f.Add(uint8(1), uint16(0xFFFF), true, uint16(0), int16(3))
+	f.Add(uint8(2), uint16(0x0F0F), true, uint16(0x0101), int16(9))
+	f.Add(uint8(3), uint16(0xFFFF), false, uint16(0xFFFF), int16(0))
+	f.Add(uint8(7), uint16(0x00FF), true, uint16(0x8000), int16(12))
+	f.Add(uint8(6), uint16(0), true, uint16(0), int16(15))
+
+	f.Fuzz(func(t *testing.T, shape uint8, residentMask uint16, cached bool, dirtyMask uint16, flip int16) {
+		const region = mem.VAddr(0x2000_0000)
+		const pages = 16
+		m := NewMachine(1)
+		m.AuditIncremental = true
+		inj := faultinject.New()
+		inj.RegisterRecovery()
+		m.Inj = inj
+		p, err := m.Spawn(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := p.AS.Map(region, pages+1, mem.KindCustom, "state"); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i <= pages; i++ {
+			if residentMask&(1<<(i%pages)) != 0 {
+				p.AS.WriteU64(region+mem.VAddr(i)*mem.PageSize+8, uint64(i)*0x9E3779B9+1)
+			}
+		}
+		// shape's low two bits cut the 16 pages into 1-4 runs with a one-page
+		// gap after each but the last; bit 2 adds a partial-copy tail.
+		runs := int(shape&3) + 1
+		per := pages / runs
+		var ranges []linker.Range
+		var kept [pages]bool
+		for r := 0; r < runs; r++ {
+			n := per
+			if r < runs-1 {
+				n--
+			}
+			ranges = append(ranges, linker.Range{Start: region + mem.VAddr(r*per)*mem.PageSize, Len: n * mem.PageSize})
+			for i := r * per; i < r*per+n; i++ {
+				kept[i] = true
+			}
+		}
+		if shape&4 != 0 {
+			ranges = append(ranges, linker.Range{Start: region + pages*mem.PageSize + 40, Len: 200})
+		}
+		spec := ExecSpec{Ranges: ranges}
+
+		np, err := p.PreserveExec(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cached {
+			if err := np.Verify().Settle(); err != nil {
+				t.Fatalf("unflipped preserve failed its verdict: %v", err)
+			}
+		}
+		for i := 0; i < pages; i++ {
+			if kept[i] && dirtyMask&(1<<i) != 0 {
+				np.AS.WriteU64(region+mem.VAddr(i)*mem.PageSize+16, uint64(i)+0xD1)
+			}
+		}
+		if flip >= 0 {
+			inj.ArmAfter(faultinject.SitePreserveCorrupt, faultinject.BitFlip, int(flip)%(pages+2))
+			inj.Enable()
+		}
+		np2, err := np.PreserveExec(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		v := np2.Verify()
+		full := verifyFull(np2.AS, v.plan)
+		if fired := inj.Fired(faultinject.SitePreserveCorrupt); fired != (full != nil) {
+			t.Fatalf("flip fired=%v but the full walk reports %v", fired, full)
+		}
+		err = v.Settle()
+		switch {
+		case full == nil && err != nil:
+			t.Fatalf("verdict failed (%v) where the full walk is clean", err)
+		case full != nil && (v.Err == nil || *v.Err != *full):
+			t.Fatalf("verdict reports %v, the full walk %v", v.Err, full)
+		case m.Counters.IncrementalAuditDivergences.Load() != 0:
+			t.Fatal("audit divergence")
+		case (np2.Handoff().PageSums == nil) != (full != nil):
+			t.Fatalf("cache installed=%v with full walk %v", np2.Handoff().PageSums != nil, full)
 		}
 	})
 }

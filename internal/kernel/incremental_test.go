@@ -9,8 +9,8 @@ import (
 	"phoenix/internal/mem"
 )
 
-// preserveChain runs one preserve over the region and returns the successor,
-// failing the test on error.
+// preserveChain runs one preserve over the region and returns the successor
+// once its verdict has landed clean, failing the test otherwise.
 func preserveChain(t *testing.T, p *Process, region mem.VAddr, pages int) *Process {
 	t.Helper()
 	np, err := p.PreserveExec(ExecSpec{
@@ -18,6 +18,16 @@ func preserveChain(t *testing.T, p *Process, region mem.VAddr, pages int) *Proce
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	return settle(t, np)
+}
+
+// settle lands np's background verdict and fails the test unless it is
+// clean.
+func settle(t *testing.T, np *Process) *Process {
+	t.Helper()
+	if err := np.Verify().Settle(); err != nil {
+		t.Fatalf("verdict failed: %v", err)
 	}
 	return np
 }
@@ -60,8 +70,14 @@ func TestIncrementalPreserveReusesCleanPages(t *testing.T) {
 		np.AS.WriteU64(region+mem.VAddr(i*7)*mem.PageSize, 0xBEEF)
 	}
 	before := m.Clock.Now()
-	np2 := preserveChain(t, np, region, pages)
+	np2, err := np.PreserveExec(ExecSpec{
+		Ranges: []linker.Range{{Start: region, Len: pages * mem.PageSize}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	elapsed := m.Clock.Now() - before
+	settle(t, np2)
 	h2 := np2.Handoff()
 	if h2.ReusedChecksums != pages-touched {
 		t.Fatalf("ReusedChecksums = %d, want %d", h2.ReusedChecksums, pages-touched)
@@ -72,10 +88,15 @@ func TestIncrementalPreserveReusesCleanPages(t *testing.T) {
 	if got := m.Counters.ChecksumsReused.Load(); got != int64(pages-touched) {
 		t.Fatalf("ChecksumsReused counter = %d, want %d", got, pages-touched)
 	}
-	// The charge matches the delta model: 2 hashes (stage+verify) per touched
-	// page, scan over everything.
-	if want := m.Model.PreserveExecDelta(pages, 0, 2*touched, pages); elapsed != want {
+	// The window matches the delta model: one stage hash per touched page,
+	// scan over everything. The verify walk re-hashes the same pages in the
+	// background.
+	if want := m.Model.PreserveExecDelta(pages, 0, touched, pages); elapsed != want {
 		t.Fatalf("incremental preserve charged %v, want %v", elapsed, want)
+	}
+	if v := np2.Verify(); v.Hashed != touched || v.Due != before+elapsed+touched*m.Model.ChecksumPerPage {
+		t.Fatalf("verify walk hashed %d pages due at %v, want %d due at %v",
+			v.Hashed, v.Due, touched, before+elapsed+touched*m.Model.ChecksumPerPage)
 	}
 	// And the new cache reflects the touched pages' new content.
 	for i := 0; i < pages; i++ {
@@ -86,12 +107,11 @@ func TestIncrementalPreserveReusesCleanPages(t *testing.T) {
 	}
 }
 
-// TestIncrementalCatchesCorruptionOnCleanPage is the key adversarial case
-// from the issue: a bit flip lands in the Byzantine window on a page whose
-// sum was reused from the cache. FlipBit sets the frame's soft-dirty bit (an
-// MMU property, not store instrumentation), so the incremental verify walk
-// re-hashes exactly that page and the preserve aborts — identically to the
-// full walk.
+// TestIncrementalCatchesCorruptionOnCleanPage is the key adversarial case:
+// a bit flip lands in the Byzantine window on a page whose sum was reused
+// from the cache. FlipBit sets the frame's soft-dirty bit (an MMU property,
+// not store instrumentation), so the incremental verify walk re-hashes
+// exactly that page and the verdict fails — identically to the full walk.
 func TestIncrementalCatchesCorruptionOnCleanPage(t *testing.T) {
 	const region = mem.VAddr(0x2000_0000)
 	const pages = 16
@@ -113,36 +133,42 @@ func TestIncrementalCatchesCorruptionOnCleanPage(t *testing.T) {
 	// the flipped page is as "clean" as a page can be.
 	inj.ArmAfter(faultinject.SitePreserveCorrupt, faultinject.BitFlip, 5)
 	inj.Enable()
-	_, err := np.PreserveExec(ExecSpec{
+	np2, err := np.PreserveExec(ExecSpec{
 		Ranges: []linker.Range{{Start: region, Len: pages * mem.PageSize}},
 	})
+	if err != nil {
+		t.Fatalf("preserve aborted: %v", err)
+	}
+	if h := np2.Handoff(); h.ReusedChecksums != pages {
+		t.Fatalf("stage reused %d sums, want all %d", h.ReusedChecksums, pages)
+	}
 	var ie *IntegrityError
-	if !errors.As(err, &ie) {
+	if err := np2.Verify().Settle(); !errors.As(err, &ie) {
 		t.Fatalf("corruption of a cache-clean page not caught: err=%v", err)
 	}
-	if m.Counters.ChecksumMismatches.Load() != 1 {
+	if want := region + 5*mem.PageSize; ie.Addr != want || ie.Want == ie.Got {
+		t.Fatalf("verdict reports %v, want a mismatch at %#x", ie, uint64(want))
+	}
+	if v := np2.Verify(); v.Hashed != 1 {
+		t.Fatalf("verify walk hashed %d pages, want only the flipped one", v.Hashed)
+	}
+	if m.Counters.ChecksumMismatches.Load() != 1 || m.Counters.ChecksumsReused.Load() != 0 {
 		t.Fatalf("counters: %s", m.Counters)
 	}
 	if got := m.Counters.IncrementalAuditDivergences.Load(); got != 0 {
 		t.Fatalf("audit divergences = %d: incremental and full walks disagreed", got)
 	}
 
-	// The rolled-back source keeps its dirty bits — including the one the
-	// flip set — and its cache, so a retry re-hashes the flipped page and
-	// commits the (now corrupted but honestly hashed) content.
-	if np.Dead() {
-		t.Fatal("source dead after incremental integrity abort")
+	// A failing verdict installs no cache: the next preserve from the
+	// corrupted successor reuses nothing.
+	if np2.Handoff().PageSums != nil {
+		t.Fatal("failing verdict installed a checksum cache")
 	}
-	if np.AS.DirtyPagesIn(region, pages) == 0 {
-		t.Fatal("rollback lost the dirty bit the corruption set")
-	}
-	np2 := preserveChain(t, np, region, pages)
-	h := np2.Handoff()
-	if h.ReusedChecksums != pages-1 {
-		t.Fatalf("retry reused %d sums, want %d (all but the flipped page)", h.ReusedChecksums, pages-1)
+	if h := preserveChain(t, np2, region, pages).Handoff(); h.ReusedChecksums != 0 {
+		t.Fatalf("preserve after a failing verdict reused %d sums", h.ReusedChecksums)
 	}
 	if m.Counters.IncrementalAuditDivergences.Load() != 0 {
-		t.Fatal("audit divergence on the retry")
+		t.Fatal("audit divergence on the next preserve")
 	}
 }
 

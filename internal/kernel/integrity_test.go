@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"testing"
+	"time"
 
 	"phoenix/internal/faultinject"
 	"phoenix/internal/linker"
@@ -12,8 +13,9 @@ import (
 
 // TestPreserveChecksumRoundTrip checks the integrity pipeline end to end for
 // the same geometry matrix the transfer tests use: checksums are staged for
-// every moved page and partial copy, verified clean in the new address
-// space, and reported through both the handoff and the machine counters.
+// every moved page and partial copy, verified clean in the new address space
+// when the background verdict lands, and reported through both the handoff
+// and the machine counters.
 func TestPreserveChecksumRoundTrip(t *testing.T) {
 	const region = mem.VAddr(0x2000_0000)
 	const P = mem.PageSize
@@ -51,6 +53,10 @@ func TestPreserveChecksumRoundTrip(t *testing.T) {
 			if h.VerifiedChecksums != tc.sums {
 				t.Fatalf("VerifiedChecksums = %d, want %d", h.VerifiedChecksums, tc.sums)
 			}
+			if got := m.Counters.ChecksumsVerified.Load(); got != 0 {
+				t.Fatalf("ChecksumsVerified = %d before the verdict landed", got)
+			}
+			settle(t, np)
 			if got := m.Counters.ChecksumsVerified.Load(); got != int64(tc.sums) {
 				t.Fatalf("ChecksumsVerified = %d, want %d", got, tc.sums)
 			}
@@ -66,29 +72,28 @@ func TestPreserveChecksumRoundTrip(t *testing.T) {
 
 // TestPreserveCorruptionCaught arms the Byzantine corruption site at several
 // depths: the bit flip lands in the new address space between commit and
-// verification, the checksum catches it, and the preserve aborts with an
-// IntegrityError instead of booting a corrupt successor. The rollback
-// contract is the honest Byzantine one: a flipped *copied* frame leaves the
-// source byte-identical (the source bytes were never touched), while a
-// flipped *moved* frame has only one physical copy, so the source gets the
-// corruption back — which is exactly why the driver answers an
-// IntegrityError with a memory-discarding fallback, never a retry.
+// verification, the successor starts on it, and the background verdict
+// catches it: a failing verdict naming the flipped frame, a counted
+// mismatch, and no cache. Moved and copied frames alike, the corruption now
+// lives in the successor, which is why the driver answers a failing verdict
+// with a memory-discarding fallback, never a retry.
 func TestPreserveCorruptionCaught(t *testing.T) {
 	const r1 = mem.VAddr(0x2000_0000)
 	const r2 = mem.VAddr(0x3000_0000)
 	// The plan has four moved pages then one partial copy; skip 4 lands the
 	// flip on the copied (partial-page) frame.
 	for _, tc := range []struct {
-		name         string
-		skip         int
-		sourceIntact bool
+		name string
+		skip int
+		addr mem.VAddr
 	}{
-		{"first-moved-frame", 0, false},
-		{"second-moved-frame", 1, false},
-		{"partial-copy-frame", 4, true},
+		{"first-moved-frame", 0, r1},
+		{"second-moved-frame", 1, r1 + mem.PageSize},
+		{"partial-copy-frame", 4, r2 + 2*mem.PageSize},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			m := NewMachine(1)
+			m.AuditIncremental = true
 			inj := faultinject.New()
 			inj.RegisterRecovery()
 			m.Inj = inj
@@ -113,60 +118,58 @@ func TestPreserveCorruptionCaught(t *testing.T) {
 
 			inj.ArmAfter(faultinject.SitePreserveCorrupt, faultinject.BitFlip, tc.skip)
 			inj.Enable()
-			before := m.Clock.Now()
-			_, err := p.PreserveExec(spec)
-			if err == nil {
-				t.Fatal("corrupted preserve committed")
-			}
-			var ie *IntegrityError
-			if !errors.As(err, &ie) {
-				t.Fatalf("error is not an IntegrityError: %v", err)
-			}
-			if ie.Want == ie.Got {
-				t.Fatalf("IntegrityError carries equal checksums: %v", ie)
+			np, err := p.PreserveExec(spec)
+			if err != nil {
+				t.Fatalf("preserve aborted: %v", err)
 			}
 			if !inj.Fired(faultinject.SitePreserveCorrupt) {
 				t.Fatal("armed corruption never fired")
 			}
-			if p.Dead() {
-				t.Fatal("source dead after integrity abort")
+			v := np.Verify()
+			if v.Landed || m.Counters.ChecksumMismatches.Load() != 0 {
+				t.Fatal("verdict landed on the restart window")
 			}
-			if m.Clock.Now() != before {
-				t.Fatal("integrity abort charged clock time")
+			var ie *IntegrityError
+			if err := v.Settle(); !errors.As(err, &ie) {
+				t.Fatalf("verdict is not an IntegrityError: %v", err)
 			}
-			if tc.sourceIntact {
-				if p.AS.ReadU64(r1) != 1111 || p.AS.ReadU64(r1+mem.PageSize) != 2222 ||
-					p.AS.ReadU64(tail) != 3333 {
-					t.Fatal("copy-frame corruption leaked into the source")
-				}
+			if ie.Addr != tc.addr || ie.Want == ie.Got {
+				t.Fatalf("verdict reports %v, want a mismatch at %#x", ie, uint64(tc.addr))
 			}
-			// Whatever the frame contents, every mapping must still be
-			// readable — the abort may not tear the address space.
-			_ = p.AS.ReadBytes(r1, int(2*mem.PageSize))
-			_ = p.AS.ReadBytes(r2, int(2*mem.PageSize)+100)
-			if m.Counters.ChecksumMismatches.Load() != 1 || m.Counters.PreservesAborted.Load() != 1 {
-				t.Fatalf("counters: %s", m.Counters)
+			if m.Clock.Now() != v.Due {
+				t.Fatalf("verdict settled at %v, due at %v", m.Clock.Now(), v.Due)
+			}
+			if np.Handoff().PageSums != nil {
+				t.Fatal("failing verdict installed a checksum cache")
+			}
+			c := m.Counters
+			if c.ChecksumMismatches.Load() != 1 || c.PreservesAborted.Load() != 0 ||
+				c.PreservesCommitted.Load() != 1 || c.ChecksumsVerified.Load() != 0 ||
+				c.IncrementalAuditDivergences.Load() != 0 {
+				t.Fatalf("counters: %s", c)
 			}
 
-			// The driver's answer to an IntegrityError is a plain fallback
+			// The driver's answer to a failing verdict is a plain fallback
 			// exec — discard memory, boot fresh. That must always work.
-			np, err := p.Exec("preserved-state corruption detected")
+			fb, err := np.Exec("preserved-state corruption detected")
 			if err != nil {
-				t.Fatalf("fallback exec after integrity abort: %v", err)
+				t.Fatalf("fallback exec after a failing verdict: %v", err)
 			}
-			if np.Dead() {
-				t.Fatal("fallback successor dead")
+			if fb.Dead() || fb.Verify() != nil {
+				t.Fatal("fallback successor dead or carrying a verdict")
 			}
 		})
 	}
 }
 
 // TestPreserveCopyCorruptionRetryCleans checks the fire-once latch end to
-// end for the copy path: after a caught copy-frame flip the source is
-// pristine, so an immediate retry commits with every checksum verifying.
+// end for the copy path: a flip on a partial-copy frame fails its verdict
+// and installs no cache, and the next preserve — a retry from the corrupted
+// successor — stages its bytes afresh, is not struck again, and lands clean.
 func TestPreserveCopyCorruptionRetryCleans(t *testing.T) {
 	const region = mem.VAddr(0x2000_0000)
 	m := NewMachine(1)
+	m.AuditIncremental = true
 	inj := faultinject.New()
 	inj.RegisterRecovery()
 	m.Inj = inj
@@ -180,28 +183,35 @@ func TestPreserveCopyCorruptionRetryCleans(t *testing.T) {
 
 	inj.Arm(faultinject.SitePreserveCorrupt, faultinject.BitFlip)
 	inj.Enable()
-	if _, err := p.PreserveExec(spec); err == nil {
-		t.Fatal("corrupted copy committed")
-	}
-	if p.AS.ReadU64(region) != 7777 {
-		t.Fatal("copy corruption touched the source")
-	}
 	np, err := p.PreserveExec(spec)
 	if err != nil {
-		t.Fatalf("retry after copy-frame abort: %v", err)
+		t.Fatal(err)
 	}
-	if np.AS.ReadU64(region) != 7777 {
-		t.Fatal("retry lost preserved data")
+	var ie *IntegrityError
+	if err := np.Verify().Settle(); !errors.As(err, &ie) || ie.Addr != region || ie.Want == ie.Got {
+		t.Fatalf("copy corruption not caught at %#x: %v", uint64(region), err)
 	}
-	if np.Handoff().VerifiedChecksums != 1 {
-		t.Fatalf("VerifiedChecksums = %d, want 1", np.Handoff().VerifiedChecksums)
+	if np.Handoff().PageSums != nil {
+		t.Fatal("failing verdict installed a checksum cache")
+	}
+	np2, err := np.PreserveExec(spec)
+	if err != nil {
+		t.Fatalf("retry after a failing verdict: %v", err)
+	}
+	settle(t, np2)
+	if np2.Handoff().VerifiedChecksums != 1 {
+		t.Fatalf("VerifiedChecksums = %d, want 1", np2.Handoff().VerifiedChecksums)
+	}
+	if c := m.Counters; c.ChecksumMismatches.Load() != 1 || c.ChecksumsVerified.Load() != 1 ||
+		c.IncrementalAuditDivergences.Load() != 0 {
+		t.Fatalf("counters: %s", c)
 	}
 }
 
 // TestPreserveSkipVerifyPassesCorruptionThrough pins the DisableChecksums
-// semantics: with SkipVerify set, the staged checksums are not re-verified,
-// so an injected bit flip survives into the successor — the exact failure
-// mode verification exists to prevent.
+// semantics: with SkipVerify set nothing is staged or verified, so an
+// injected bit flip survives into the successor — the exact failure mode
+// the checksums exist to catch.
 func TestPreserveSkipVerifyPassesCorruptionThrough(t *testing.T) {
 	const region = mem.VAddr(0x2000_0000)
 	m := NewMachine(1)
@@ -230,13 +240,158 @@ func TestPreserveSkipVerifyPassesCorruptionThrough(t *testing.T) {
 	if !inj.Fired(faultinject.SitePreserveCorrupt) {
 		t.Fatal("armed corruption never fired")
 	}
-	if np.Handoff().VerifiedChecksums != 0 {
-		t.Fatalf("VerifiedChecksums = %d with SkipVerify", np.Handoff().VerifiedChecksums)
+	if np.Handoff().VerifiedChecksums != 0 || np.Verify() != nil {
+		t.Fatalf("SkipVerify preserve verifies: %d checksums, verdict %v", np.Handoff().VerifiedChecksums, np.Verify())
 	}
+	m.Clock.Advance(time.Second)
 	if m.Counters.ChecksumMismatches.Load() != 0 {
 		t.Fatalf("mismatch counted despite SkipVerify: %s", m.Counters)
 	}
 	if got := np.AS.ReadBytes(region, len(want)); bytes.Equal(got, want) {
 		t.Fatal("bit flip did not survive — SkipVerify test exercised nothing")
+	}
+}
+
+// TestChecksumsOffChargesPaperFormula pins the paper's design: with
+// checksums off the stage walk hashes no page, and a preserve of resident
+// pages plus a partial copy advances the clock by exactly
+// PreserveExec(moved, copied).
+func TestChecksumsOffChargesPaperFormula(t *testing.T) {
+	const region = mem.VAddr(0x2000_0000)
+	const pages = 16
+	m := NewMachine(1)
+	p, _ := m.Spawn(nil)
+	if _, err := p.AS.Map(region, pages+1, mem.KindCustom, "state"); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i <= pages; i++ {
+		p.AS.WriteU64(region+mem.VAddr(i)*mem.PageSize, uint64(i)+1)
+	}
+	ranges := []linker.Range{{Start: region, Len: pages*mem.PageSize + 100}}
+	plan, err := p.stagePreserve(ranges, mem.NullPtr, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plan.hashed != 0 || plan.resident != 0 || plan.copies[0].sum != 0 {
+		t.Fatalf("checksums-off stage hashed %d pages (%d resident, copy sum %#x)",
+			plan.hashed, plan.resident, plan.copies[0].sum)
+	}
+	for _, mv := range plan.moves {
+		if mv.sums != nil || mv.cached != nil {
+			t.Fatalf("checksums-off stage staged sums for the run at %#x", uint64(mv.start))
+		}
+	}
+
+	before := m.Clock.Now()
+	np, err := p.PreserveExec(ExecSpec{Ranges: ranges, SkipVerify: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := m.Clock.Now()-before, m.Model.PreserveExec(pages, 1); got != want {
+		t.Fatalf("checksums-off preserve charged %v, want the paper's %v", got, want)
+	}
+	if h := np.Handoff(); h.MovedPages != pages || h.CopiedPages != 1 || h.PageSums != nil {
+		t.Fatalf("handoff %+v", h)
+	}
+}
+
+// TestKillBeforeVerdictLeavesNoCache: a successor replaced before its
+// verdict lands — killed and preserved again — hands its own successor no
+// cache, so the next preserve re-hashes every resident page, and the dead
+// incarnation's verdict never lands.
+func TestKillBeforeVerdictLeavesNoCache(t *testing.T) {
+	const region = mem.VAddr(0x2000_0000)
+	const pages, resident = 32, 24
+	m := NewMachine(1)
+	p, _ := m.Spawn(nil)
+	if _, err := p.AS.Map(region, pages, mem.KindCustom, "state"); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < resident; i++ {
+		p.AS.WriteU64(region+mem.VAddr(i)*mem.PageSize, uint64(i)+1)
+	}
+	spec := ExecSpec{Ranges: []linker.Range{{Start: region, Len: pages * mem.PageSize}}}
+	np := preserveChain(t, p, region, pages)
+
+	// np carries a cache, so np2's stage reuses every resident sum but the
+	// written ones, which its verify walk then re-hashes in the background.
+	const written = 4
+	for i := 0; i < written; i++ {
+		np.AS.WriteU64(region+mem.VAddr(i)*mem.PageSize, 0xBEEF)
+	}
+	np2, err := np.PreserveExec(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h := np2.Handoff(); h.ReusedChecksums != resident-written {
+		t.Fatalf("stage reused %d sums, want %d", h.ReusedChecksums, resident-written)
+	}
+	v2 := np2.Verify()
+	verified := m.Counters.ChecksumsVerified.Load()
+
+	// The kill: np2 is preserved again before v2 is due.
+	before := m.Clock.Now()
+	if before >= v2.Due {
+		t.Fatalf("window ended at %v, after the verdict was due (%v)", before, v2.Due)
+	}
+	np3, err := np2.PreserveExec(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := m.Clock.Now()-before, m.Model.PreserveExecDelta(pages, 0, resident, pages); got != want {
+		t.Fatalf("preserve after the kill charged %v, want %v (every resident page re-hashed)", got, want)
+	}
+	if h := np3.Handoff(); h.ReusedChecksums != 0 || h.ResidentPages != resident {
+		t.Fatalf("preserve after the kill reused %d of %d resident sums", h.ReusedChecksums, h.ResidentPages)
+	}
+	settle(t, np3)
+	if v2.Landed || v2.Settle() != nil || np2.Handoff().PageSums != nil {
+		t.Fatal("the dead incarnation's verdict landed")
+	}
+	if got := m.Counters.ChecksumsVerified.Load() - verified; got != pages {
+		t.Fatalf("verdicts counted %d checksums after the kill, want np3's %d", got, pages)
+	}
+}
+
+// TestWritesBeforeVerdictPayCopyOnWrite: the verify walk reads a
+// copy-on-write view of the moved pages, so each moved page the successor
+// writes before the verdict lands pays one ForkPerPage fault, charged once
+// when the verdict is settled; writes after it, and a second write to the
+// same page, pay nothing.
+func TestWritesBeforeVerdictPayCopyOnWrite(t *testing.T) {
+	const region = mem.VAddr(0x2000_0000)
+	const pages, written = 16, 3
+	m := NewMachine(1)
+	p, _ := m.Spawn(nil)
+	if _, err := p.AS.Map(region, pages, mem.KindCustom, "state"); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < pages; i++ {
+		p.AS.WriteU64(region+mem.VAddr(i)*mem.PageSize, uint64(i)+1)
+	}
+	np, err := p.PreserveExec(ExecSpec{Ranges: []linker.Range{{Start: region, Len: pages * mem.PageSize}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < written; i++ {
+		np.AS.WriteU64(region+mem.VAddr(i)*mem.PageSize, 0xC0)
+		np.AS.WriteU64(region+mem.VAddr(i)*mem.PageSize+8, 0xC1)
+	}
+	v := np.Verify()
+	m.Clock.AdvanceTo(v.Due)
+	if !v.Landed || v.Written != written {
+		t.Fatalf("verdict landed=%v with %d written pages, want %d", v.Landed, v.Written, written)
+	}
+	np.AS.WriteU64(region+10*mem.PageSize, 0xC2)
+	before := m.Clock.Now()
+	if err := v.Settle(); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := m.Clock.Now()-before, written*m.Model.ForkPerPage; got != want {
+		t.Fatalf("settling charged %v, want %v", got, want)
+	}
+	before = m.Clock.Now()
+	if err := v.Settle(); err != nil || m.Clock.Now() != before {
+		t.Fatalf("a second settle charged %v (err %v)", m.Clock.Now()-before, err)
 	}
 }

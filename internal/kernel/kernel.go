@@ -97,7 +97,7 @@ type Machine struct {
 	AuditIncremental bool
 
 	// PreserveWorkers is the worker-pool width for the parallel preserve
-	// walks (checksum staging, post-commit verification, migration delta
+	// walks (checksum staging, background verification, migration delta
 	// scans). 0 takes one worker per host CPU; values are clamped to
 	// maxPreserveWorkers. The pool affects wall-clock time only — results
 	// and the simulated clock are identical for every width (see parallel.go).
@@ -141,6 +141,9 @@ type Process struct {
 	// preserved carries the PHOENIX recovery handoff from the prior process
 	// when this process was created by PreserveExec.
 	preserved *Handoff
+	// verify is the background integrity check of that handoff (nil with
+	// checksums off).
+	verify *Verify
 
 	handlers map[Signal]func(*CrashInfo)
 	dead     bool
@@ -155,11 +158,11 @@ type Handoff struct {
 	MovedPages  int
 	CopiedPages int
 	// VerifiedChecksums counts the integrity checksums (one per moved frame
-	// plus one per partial-page copy) the preserve info block covered and the
-	// kernel validated after commit — freshly re-hashed pages directly, and
-	// clean cached pages by the delta argument (verified at the prior commit,
-	// moved by pointer, not dirtied since). Zero when verification was
-	// skipped.
+	// plus one per partial-page copy) the preserve info block covers and the
+	// background verify walk checks (see Verify) — freshly re-hashed pages
+	// directly, and clean cached pages by the delta argument (verified at the
+	// prior commit, moved by pointer, not dirtied since). Zero with checksums
+	// off.
 	VerifiedChecksums int
 	// ReusedChecksums counts how many of those checksums were reused from the
 	// prior verified commit's cache instead of re-hashed — the incremental
@@ -169,26 +172,28 @@ type Handoff struct {
 	// stage: the reused sums plus the freshly hashed pages. A mapped page
 	// that was never written has no frame; it checksums as the zero page in
 	// O(1) and is never reused, so reuse is measured against this count.
+	// Zero with checksums off, where nothing is staged.
 	ResidentPages int
 	// PageSums is the per-page checksum cache carried in the preserve info
-	// block: the verified FNV-1a sum of every fully-moved page as of this
-	// commit. The next PreserveExec reuses these sums for pages whose
-	// soft-dirty bit is still clear, hashing only pages written since. Nil
-	// when verification was skipped — an unverified commit must never become
-	// the baseline, or a silently corrupted frame would be laundered into a
-	// "known good" sum.
+	// block: the FNV-1a sum of every fully-moved page as of this commit. The
+	// next PreserveExec reuses these sums for pages whose soft-dirty bit is
+	// still clear, hashing only pages written since. A clean verdict installs
+	// it; it stays nil until then, and for good when the verdict fails, the
+	// incarnation dies before it lands, or checksums are off — an unverified
+	// commit must never become the baseline, or a silently corrupted frame
+	// would be laundered into a "known good" sum.
 	PageSums map[mem.PageNum]uint64
 	// FallbackReason is set when this exec is a non-PHOENIX restart after a
 	// fallback decision, so the new process knows recovery mode is off.
 	FallbackReason string
 }
 
-// IntegrityError reports a preserved frame whose post-commit contents no
-// longer match the FNV-1a checksum staged into the preserve info block while
-// the source was still whole — a bit flip (or torn write) in the preservation
-// channel itself. The kernel has already rolled the transfer back when this
-// error is returned; the caller must treat the preserved state as poisoned
-// and fall back to the application's default recovery.
+// IntegrityError reports a preserved frame whose post-commit contents do not
+// match the FNV-1a checksum staged into the preserve info block while the
+// source was still whole — a bit flip (or torn write) in the preservation
+// channel itself. A failing verdict carries it (Verify.Err): the successor
+// is already running on the poisoned state, and the caller must fall back to
+// the application's default recovery.
 type IntegrityError struct {
 	Addr mem.VAddr // start of the corrupted frame or partial range
 	Want uint64
@@ -267,10 +272,9 @@ type ExecSpec struct {
 	Ranges []linker.Range
 	// WithSection additionally preserves the image's .phx.* sections.
 	WithSection bool
-	// SkipVerify disables the post-commit integrity verification of the
-	// per-frame checksums staged into the preserve info block. Checksums are
-	// still computed (they are part of the info block either way); only the
-	// read-back comparison in the new address space is skipped.
+	// SkipVerify turns the integrity checksums off, the paper's design:
+	// preserve_exec stages no sums, starts no verify walk and charges
+	// exactly Model.PreserveExec(moved, copied).
 	SkipVerify bool
 }
 
@@ -278,8 +282,9 @@ type ExecSpec struct {
 // successor process, moves the page-table entries of all preserved ranges
 // into it at their original virtual addresses, loads the fresh image into
 // the remaining gaps, and tears down the caller. The simulated clock is
-// charged per the cost model (fixed exec cost + per-page PTE moves + per-page
-// copies for partial pages).
+// charged per the cost model: the fixed exec cost, per-page PTE moves and
+// per-page copies for partial pages, and — with checksums on — the stage
+// walk's dirty-bit scan and fresh hashes.
 //
 // The call is crash-atomic. It runs in two phases: first every range
 // transfer is validated and staged against both address spaces — source
@@ -291,6 +296,9 @@ type ExecSpec struct {
 // injected via the faultinject recovery sites) rolls the applied moves back
 // before returning, so the caller can always fall back to the application's
 // default recovery instead of inheriting a half-gutted address space.
+//
+// Integrity is optimistic (§3.6): the successor boots on the moved pages at
+// once, and the verify walk runs in the background (see Verify).
 func (p *Process) PreserveExec(spec ExecSpec) (*Process, error) {
 	if p.dead {
 		return nil, fmt.Errorf("kernel: preserve_exec on dead process %d", p.PID)
@@ -302,12 +310,11 @@ func (p *Process) PreserveExec(spec ExecSpec) (*Process, error) {
 		ranges = append(ranges, p.Image.PreservedRanges()...)
 	}
 
-	plan, err := p.stagePreserve(ranges, spec.InfoAddr)
+	plan, err := p.stagePreserve(ranges, spec.InfoAddr, !spec.SkipVerify)
 	if err != nil {
 		m.Counters.PreservesAborted.Add(1)
 		return nil, err
 	}
-	plan.skipVerify = spec.SkipVerify
 	m.Counters.PreservesStaged.Add(1)
 
 	np := &Process{
@@ -325,49 +332,149 @@ func (p *Process) PreserveExec(spec ExecSpec) (*Process, error) {
 		m.Counters.PreservesAborted.Add(1)
 		return nil, err
 	}
+	// The source is gone from here on: a verdict of its own still in flight
+	// dies with it and cannot land during the window below.
+	p.dead = true
 
-	verified := 0
-	if !plan.skipVerify {
-		verified = plan.checksums()
-		m.Counters.ChecksumsVerified.Add(int64(verified))
-		m.Counters.ChecksumsReused.Add(int64(plan.reused))
-	}
-	// The clock is charged per the delta model: PTE moves and copies as
-	// before, full hashes only for the pages actually hashed (stage + verify),
-	// plus a soft-dirty bit scan over every preserved page.
-	m.Clock.Advance(m.Model.PreserveExecDelta(plan.moved, plan.copied, plan.hashed, plan.moved))
 	np.preserved = &Handoff{
-		InfoAddr:          spec.InfoAddr,
-		Ranges:            ranges,
-		MovedPages:        plan.moved,
-		CopiedPages:       plan.copied,
-		VerifiedChecksums: verified,
-		ReusedChecksums:   plan.reused,
-		ResidentPages:     plan.resident,
+		InfoAddr:    spec.InfoAddr,
+		Ranges:      ranges,
+		MovedPages:  plan.moved,
+		CopiedPages: plan.copied,
 	}
-	if !plan.skipVerify {
-		// This commit is the new delta baseline: record the verified per-page
-		// sums in the handoff and clear the soft-dirty bits of every
-		// fully-moved page in the successor. Both happen only on a verified
-		// commit — a SkipVerify commit propagates no cache and clears no bits
-		// (nothing proved the content matches the sums), and an aborted or
-		// integrity-failed commit never reaches here, so the rolled-back
-		// source keeps its dirty bits and the old cache stays valid.
-		np.preserved.PageSums = plan.cacheSums()
-		for _, mv := range plan.moves {
-			np.AS.ClearDirty(mv.start, mv.pages)
-		}
+	window := m.Model.PreserveExec(plan.moved, plan.copied)
+	if plan.checksummed {
+		np.preserved.VerifiedChecksums = plan.checksums()
+		np.preserved.ReusedChecksums = plan.reused
+		np.preserved.ResidentPages = plan.resident
+		// The restart window also pays the stage walk: a soft-dirty bit scan
+		// over every moved page and a fresh hash for each page with no
+		// current cached sum.
+		window = m.Model.PreserveExecDelta(plan.moved, plan.copied, plan.hashed, plan.moved)
+	}
+	m.Clock.Advance(window)
+	if plan.checksummed {
+		// The verify walk starts when the window closes.
+		np.verify = np.startVerify(plan)
 	}
 	m.Counters.PreservesCommitted.Add(1)
-	p.dead = true
 	return np, nil
 }
 
+// Verify is the background integrity check of one preserve_exec commit with
+// checksums on, run the way cross-check validation runs (§3.6): the
+// successor serves on the moved pages at once, while the verify walk reads
+// them through a copy-on-write view and compares them with the sums staged
+// while the source was whole. The walk runs under Clock.RunOffline at
+// commit, so its hashing only delays the verdict, which lands on a simclock
+// timer at Due:
+//
+//   - a clean verdict counts the verified and reused sums, and only then
+//     do the staged sums become the next preserve's cache (Handoff.PageSums);
+//   - a failing one counts a checksum mismatch and sets Err; the caller
+//     must fall back to the application's default recovery.
+//
+// A verdict dies with its incarnation: if the process is killed or replaced
+// before Due, nothing lands and its successor inherits no cache.
+type Verify struct {
+	// Due is the main-clock time the verdict lands: the end of the restart
+	// window plus Hashed pages at ChecksumPerPage.
+	Due time.Duration
+	// Hashed counts the pages the walk re-hashed. The clean cached pages it
+	// skipped make up the rest of Handoff.VerifiedChecksums.
+	Hashed int
+	// Landed is set when the verdict lands. Err is then its mismatch (nil
+	// when clean), and Written counts the moved pages the successor wrote
+	// before it landed: each took a copy-on-write fault against the
+	// verifier's view.
+	Landed  bool
+	Err     *IntegrityError
+	Written int
+	// Settled is set once Settle has charged the copy-on-write faults.
+	Settled bool
+
+	proc *Process
+	plan *preservePlan   // held until the verdict lands
+	err  *IntegrityError // the walk's result, withheld until Due
+}
+
+// startVerify runs the verify walk over np's freshly committed pages in the
+// background and schedules its verdict.
+func (np *Process) startVerify(plan *preservePlan) *Verify {
+	m := np.Machine
+	v := &Verify{proc: np, plan: plan}
+	bg := m.Clock.RunOffline(func() {
+		v.err, v.Hashed = verifyChecksums(np.AS, plan, m.preserveWorkers())
+		if m.AuditIncremental && v.err == nil && verifyFull(np.AS, plan) != nil {
+			// The incremental walk validated less than the full walk
+			// would: a corrupted frame slipped past the delta argument.
+			m.Counters.IncrementalAuditDivergences.Add(1)
+		}
+		m.Clock.Advance(time.Duration(v.Hashed) * m.Model.ChecksumPerPage)
+	})
+	// The moved pages start clean: from here on a write marks its page for
+	// the next preserve's delta walk and for the copy-on-write count.
+	for _, mv := range plan.moves {
+		np.AS.ClearDirty(mv.start, mv.pages)
+	}
+	v.Due = m.Clock.Now() + bg
+	m.Clock.AfterFunc(bg, v.land)
+	return v
+}
+
+// land publishes the verdict, unless its incarnation is gone, and releases
+// the staged plan.
+func (v *Verify) land() {
+	np, plan := v.proc, v.plan
+	v.plan = nil
+	if np.dead {
+		return
+	}
+	m := np.Machine
+	v.Landed, v.Err = true, v.err
+	for _, mv := range plan.moves {
+		v.Written += np.AS.DirtyPagesIn(mv.start, mv.pages)
+	}
+	if v.Err != nil {
+		m.Counters.ChecksumMismatches.Add(1)
+		return
+	}
+	m.Counters.ChecksumsVerified.Add(int64(plan.checksums()))
+	m.Counters.ChecksumsReused.Add(int64(plan.reused))
+	np.preserved.PageSums = plan.cacheSums()
+}
+
+// Settle waits for the verdict if it is still in flight (advancing the main
+// clock to Due), charges ForkPerPage for each Written page once, and returns
+// the verdict's mismatch, or nil when it was clean. Verdicts are acted on at
+// request boundaries and before a process-level recovery; a verdict whose
+// incarnation died first never lands, and Settle returns nil.
+func (v *Verify) Settle() error {
+	m := v.proc.Machine
+	if now := m.Clock.Now(); now <= v.Due {
+		// Advancing by zero still fires a verdict due now.
+		m.Clock.Advance(v.Due - now)
+	}
+	if v.Landed && !v.Settled {
+		v.Settled = true
+		m.Clock.Advance(time.Duration(v.Written) * m.Model.ForkPerPage)
+	}
+	if v.Err != nil {
+		return v.Err
+	}
+	return nil
+}
+
+// Verify returns the background integrity check of the preserve_exec that
+// created p, pending or landed, or nil when checksums were off or no
+// preserve created p.
+func (p *Process) Verify() *Verify { return p.verify }
+
 // pageMove is one staged zero-copy PTE transfer of a contiguous aligned run.
-// sums holds the FNV-1a checksum of each page in the run, recorded into the
-// preserve info block while the source was still whole. cached[i] marks sums
-// reused from the prior verified commit's cache (the page's soft-dirty bit was
-// still clear) rather than re-hashed.
+// With checksums on, sums holds the FNV-1a checksum of each page in the run,
+// recorded into the preserve info block while the source was still whole,
+// and cached[i] marks sums reused from the prior verified commit's cache (the
+// page's soft-dirty bit was still clear) rather than re-hashed.
 type pageMove struct {
 	start  mem.VAddr
 	pages  int
@@ -377,7 +484,8 @@ type pageMove struct {
 
 // partialCopy is one staged partial-page transfer: the bytes were read from
 // the intact source at stage time, so committing them later cannot observe a
-// half-moved page. sum is the stage-time checksum of exactly those bytes.
+// half-moved page. sum is the stage-time checksum of exactly those bytes
+// (zero with checksums off).
 type partialCopy struct {
 	addr mem.VAddr
 	data []byte
@@ -398,24 +506,23 @@ type preservePlan struct {
 	pages  map[mem.PageNum]bool
 	moved  int
 	copied int
-	// hashed counts full FNV passes actually computed for this plan (stage
-	// plus verify); reused counts sums taken from the prior commit's cache.
-	// Together they drive the delta cost model: the clock is charged for
-	// hashed pages plus a per-page dirty-bit scan, not for the preserved set.
-	hashed int
-	reused int
+	// checksummed reports whether the plan stages integrity sums. hashed
+	// counts the full FNV passes the stage walk computed; reused counts sums
+	// taken from the prior commit's cache. Together they drive the delta cost
+	// model: the restart window is charged for hashed pages plus a per-page
+	// dirty-bit scan, not for the preserved set.
+	checksummed bool
+	hashed      int
+	reused      int
 	// resident counts the moved pages whose frame was resident at stage.
 	resident int
-	// skipVerify suppresses the post-commit checksum comparison (ExecSpec's
-	// knob; the sums themselves are always staged).
-	skipVerify bool
 }
 
 // checksums returns the number of integrity checksums the plan stages: one
 // per moved frame plus one per partial copy.
 func (plan *preservePlan) checksums() int { return plan.moved + len(plan.copies) }
 
-// cacheSums builds the per-page checksum cache a verified commit hands to the
+// cacheSums builds the per-page checksum cache a clean verdict hands to the
 // successor: the sum of every fully-moved page. Pages that only received a
 // partial copy are excluded — the rest of such a page is image- or
 // zero-backed, so its full-page sum is not what was staged, and partial
@@ -432,11 +539,13 @@ func (plan *preservePlan) cacheSums() map[mem.PageNum]uint64 {
 
 // stagePreserve validates every range against both address spaces and stages
 // the transfers without mutating anything. Partial-page bytes are captured
-// here, while the source is still whole.
-func (p *Process) stagePreserve(ranges []linker.Range, infoAddr mem.VAddr) (*preservePlan, error) {
+// here, while the source is still whole, and with checksums on every
+// transferred page's sum is staged too.
+func (p *Process) stagePreserve(ranges []linker.Range, infoAddr mem.VAddr, checksummed bool) (*preservePlan, error) {
 	plan := &preservePlan{
-		movePages: make(map[mem.PageNum]bool),
-		pages:     make(map[mem.PageNum]bool),
+		movePages:   make(map[mem.PageNum]bool),
+		pages:       make(map[mem.PageNum]bool),
+		checksummed: checksummed,
 	}
 	for _, r := range ranges {
 		if r.Len <= 0 {
@@ -502,17 +611,19 @@ func (p *Process) planCopy(plan *preservePlan, lo, hi mem.VAddr) error {
 	if src == nil {
 		return fmt.Errorf("kernel: preserve range %#x unmapped in source", uint64(lo))
 	}
-	data := p.AS.ReadBytes(lo, int(hi-lo))
-	plan.copies = append(plan.copies, partialCopy{
+	cp := partialCopy{
 		addr: lo,
-		data: data,
+		data: p.AS.ReadBytes(lo, int(hi-lo)),
 		kind: src.Kind,
 		name: src.Name + "(partial)",
-		sum:  mem.Checksum(data),
-	})
+	}
+	if plan.checksummed {
+		cp.sum = mem.Checksum(cp.data)
+		plan.hashed++ // partial copies are always freshly hashed, never cached
+	}
+	plan.copies = append(plan.copies, cp)
 	plan.pages[mem.PageOf(lo)] = true
 	plan.copied++
-	plan.hashed++ // partial copies are always freshly hashed, never cached
 	return nil
 }
 
@@ -536,6 +647,11 @@ func (p *Process) planMove(plan *preservePlan, lo, hi mem.VAddr) error {
 		plan.pages[pg] = true
 	}
 	pages := int((hi - lo) / mem.PageSize)
+	plan.moved += pages
+	if !plan.checksummed {
+		plan.moves = append(plan.moves, pageMove{start: lo, pages: pages})
+		return nil
+	}
 	sums := make([]uint64, pages)
 	cached := make([]bool, pages)
 	hashed := make([]bool, pages)
@@ -576,7 +692,6 @@ func (p *Process) planMove(plan *preservePlan, lo, hi mem.VAddr) error {
 		}
 	}
 	plan.moves = append(plan.moves, pageMove{start: lo, pages: pages, sums: sums, cached: cached})
-	plan.moved += pages
 	return nil
 }
 
@@ -641,24 +756,6 @@ func (p *Process) commitPreserve(np *Process, plan *preservePlan) error {
 	// committed, and nothing has re-read the frames yet. An armed corruption
 	// fault strikes here, exactly where real bad DRAM or a stray DMA would.
 	p.injectCorruption(np, plan)
-	// Verify the staged checksums against what the new address space actually
-	// holds. A mismatch rolls the whole transfer back — the successor must
-	// never boot from silently corrupted preserved state.
-	if !plan.skipVerify {
-		err := verifyChecksums(np.AS, plan, m.preserveWorkers())
-		if m.AuditIncremental && err == nil {
-			if full := verifyFull(np.AS, plan); full != nil {
-				// The incremental walk validated less than the full walk
-				// would: a corrupted frame slipped past the delta argument.
-				m.Counters.IncrementalAuditDivergences.Add(1)
-			}
-		}
-		if err != nil {
-			m.Counters.ChecksumMismatches.Add(1)
-			rollback()
-			return err
-		}
-	}
 	return nil
 }
 
@@ -692,7 +789,8 @@ func (p *Process) injectCorruption(np *Process, plan *preservePlan) {
 
 // verifyChecksums re-reads transferred frames from the destination address
 // space and compares them against the checksums staged while the source was
-// whole. The walk is incremental: a page whose sum was reused from the prior
+// whole, returning the first mismatch and the number of pages it hashed. The
+// walk is incremental: a page whose sum was reused from the prior
 // verified commit's cache is skipped when its destination frame is still
 // clean — it was verified then, the frame moved by pointer, and any
 // corruption since (including FlipBit, which goes through the MMU) would have
@@ -704,7 +802,8 @@ func (p *Process) injectCorruption(np *Process, plan *preservePlan) {
 // the first reported mismatch are identical to the serial walk's for every
 // pool width (a mismatch stops the fold exactly where the serial loop would
 // have returned).
-func verifyChecksums(dst *mem.AddressSpace, plan *preservePlan, workers int) error {
+func verifyChecksums(dst *mem.AddressSpace, plan *preservePlan, workers int) (*IntegrityError, int) {
+	hashed := 0
 	for _, mv := range plan.moves {
 		type pageCheck struct {
 			skip   bool
@@ -728,28 +827,28 @@ func verifyChecksums(dst *mem.AddressSpace, plan *preservePlan, workers int) err
 				continue
 			}
 			if c.hashed {
-				plan.hashed++
+				hashed++
 			}
 			if c.got != mv.sums[i] {
 				addr := mv.start + mem.VAddr(i)*mem.PageSize
-				return &IntegrityError{Addr: addr, Want: mv.sums[i], Got: c.got}
+				return &IntegrityError{Addr: addr, Want: mv.sums[i], Got: c.got}, hashed
 			}
 		}
 	}
 	for _, cp := range plan.copies {
-		plan.hashed++
+		hashed++
 		if got := mem.Checksum(dst.ReadBytes(cp.addr, len(cp.data))); got != cp.sum {
-			return &IntegrityError{Addr: cp.addr, Want: cp.sum, Got: got}
+			return &IntegrityError{Addr: cp.addr, Want: cp.sum, Got: got}, hashed
 		}
 	}
-	return nil
+	return nil, hashed
 }
 
 // verifyFull is the non-incremental walk: every transferred frame is re-read
 // and compared, cache or not. It is the audit oracle AuditIncremental runs
 // beside verifyChecksums to prove the incremental walk never validates less;
 // it mutates no counters and charges no simulated time.
-func verifyFull(dst *mem.AddressSpace, plan *preservePlan) error {
+func verifyFull(dst *mem.AddressSpace, plan *preservePlan) *IntegrityError {
 	for _, mv := range plan.moves {
 		for i := 0; i < mv.pages; i++ {
 			addr := mv.start + mem.VAddr(i)*mem.PageSize

@@ -5,7 +5,7 @@ import (
 	"sync"
 )
 
-// The preserve hot loops — checksum staging in planMove, the post-commit
+// The preserve hot loops — checksum staging in planMove, the background
 // verify walk, and the migration stamp scan/re-hash — are embarrassingly
 // parallel page walks over a quiescent address space. They run over a
 // bounded worker pool of host goroutines; every worker owns a contiguous
@@ -14,9 +14,8 @@ import (
 // order therefore never leaks into the outcome: the plans, checksums,
 // counters, and the simulated clock are byte-identical whatever the worker
 // count, which is what keeps same-seed campaign JSONs and the explore
-// replay gate intact. (The simulated clock charge stays the serial delta
-// model; the modelled parallel-commit latency is a separate costmodel
-// formula the perf trajectory reports.)
+// replay gate intact. The simulated clock charges the serial walks: the
+// pool's width is wall-clock time only.
 
 // maxPreserveWorkers bounds the pool regardless of configuration: the walks
 // are memory-bound, so wider pools stop paying long before high core counts.

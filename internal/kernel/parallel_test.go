@@ -57,6 +57,7 @@ func preserveTwice(t *testing.T, workers int, dirtyMask uint32, fill byte) *Proc
 	if err != nil {
 		t.Fatal(err)
 	}
+	settle(t, np)
 	for i := 0; i < parPages; i++ {
 		if dirtyMask&(1<<i) != 0 {
 			np.AS.WriteU64(parBase+mem.VAddr(i)*mem.PageSize+8, uint64(dirtyMask)*31+uint64(i))
@@ -66,7 +67,7 @@ func preserveTwice(t *testing.T, workers int, dirtyMask uint32, fill byte) *Proc
 	if err != nil {
 		t.Fatal(err)
 	}
-	return np2
+	return settle(t, np2)
 }
 
 // samePreserve asserts two final processes are indistinguishable: handoff

@@ -28,16 +28,16 @@ type RecoveryCounters struct {
 	// integrity checksums verified.
 	PreservesCommitted atomic.Int64
 	// PreservesAborted counts preserve_exec calls that failed — at
-	// validation (source untouched), during commit (rolled back), or at
-	// integrity verification (rolled back).
+	// validation (source untouched) or during commit (rolled back).
 	PreservesAborted atomic.Int64
 	// ChecksumsVerified counts per-frame integrity checksums that were
 	// staged into the preserve info block and re-verified clean in the new
-	// address space.
+	// address space, counted when the clean background verdict lands.
 	ChecksumsVerified atomic.Int64
 	// ChecksumMismatches counts integrity verification failures: a preserved
 	// frame whose post-commit contents diverged from the stage-time checksum
-	// (a bit flip in the preservation channel). Each one aborts the preserve.
+	// (a bit flip in the preservation channel). Each is a failing background
+	// verdict, and the driver falls back from the successor it judged.
 	ChecksumMismatches atomic.Int64
 	// ChecksumsReused counts per-frame checksums the incremental preserve
 	// path reused from the prior verified commit's cache instead of
@@ -53,8 +53,8 @@ type RecoveryCounters struct {
 	// preserve_exec itself failed operationally (as opposed to
 	// unsafe-region, grace-window, cross-check, or integrity fallbacks).
 	RecoveryFaultFallbacks atomic.Int64
-	// IntegrityFallbacks counts driver fallbacks taken because integrity
-	// verification detected corrupted preserved state.
+	// IntegrityFallbacks counts driver fallbacks taken because a failing
+	// integrity verdict detected corrupted preserved state.
 	IntegrityFallbacks atomic.Int64
 	// BreakerTrips counts crash-loop breaker activations: the sliding
 	// restart-history window exceeded its threshold and the supervisor

@@ -37,8 +37,9 @@ const region = mem.VAddr(0x2000_0000)
 
 // PreserveCommit measures preserve_exec commit latency over a pages-sized
 // preserved range: the first preserve (no cache, every resident page hashed)
-// and a second preserve after exactly dirty pages were rewritten, which
-// exercises the delta-checksum path. Both durations are simulated time.
+// and, once its clean verdict has landed and installed the cache, a second
+// preserve after exactly dirty pages were rewritten, which exercises the
+// delta-checksum path. Both durations are the simulated restart window.
 func PreserveCommit(pages, dirty int) (first, second time.Duration, err error) {
 	m := kernel.NewMachine(1)
 	p, err := m.Spawn(nil)
@@ -59,6 +60,9 @@ func PreserveCommit(pages, dirty int) (first, second time.Duration, err error) {
 		return 0, 0, fmt.Errorf("first preserve: %w", err)
 	}
 	first = m.Clock.Now() - t0
+	if err := np.Verify().Settle(); err != nil {
+		return 0, 0, fmt.Errorf("first preserve's verdict: %w", err)
+	}
 
 	// Rewrite dirty pages spread evenly across the set, so the delta walk
 	// cannot benefit from range locality.
@@ -392,10 +396,8 @@ func Collect() ([]Metric, error) {
 		}
 		add(fmt.Sprintf("serve_batch_128_x%d", readers), d)
 	}
-	// Preserve staging, serial vs a 4-worker pool, at the trajectory's full
-	// footprint (every page moved, hashed, and scanned): the parallel walk's
-	// win must survive cost-model changes.
+	// Preserve staging at the trajectory's full footprint: every page moved,
+	// hashed and scanned.
 	add("preserve_stage_serial", model.PreserveExecDelta(Pages, 0, Pages, Pages))
-	add("preserve_stage_parallel_4w", model.PreserveExecDeltaParallel(Pages, 0, Pages, Pages, 4))
 	return out, nil
 }

@@ -17,8 +17,8 @@ import (
 // end in a counted fallback whose surviving state equals either the
 // fully-preserved or the default-recovery reference — never a torn hybrid,
 // never a simulator error, never an oracle violation. The corrupt probes
-// additionally require the integrity checksums to catch a silent bit flip in
-// the preserved frames.
+// additionally require the background integrity verdict to catch a silent
+// bit flip in the preserved frames.
 func TestPreserveAtomicityAllApps(t *testing.T) {
 	for _, name := range registry.Names() {
 		t.Run(name, func(t *testing.T) {

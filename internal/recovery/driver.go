@@ -69,9 +69,10 @@ type Config struct {
 	// the injection-testing configuration of §4.4, where fallbacks "restart
 	// to empty memory state".
 	DisablePersistence bool
-	// DisableChecksums turns off post-commit integrity verification of
-	// preserved frames (checksums are still staged). Only meaningful under
-	// ModePhoenix; the zero value keeps verification on.
+	// DisableChecksums turns preserve_exec's integrity checksums off, the
+	// paper's design: no sums are staged or verified, and a preserve costs
+	// the paper's formula (kernel.ExecSpec.SkipVerify). Only meaningful
+	// under ModePhoenix; the zero value keeps the checksums on.
 	DisableChecksums bool
 	// Supervise enables the crash-loop breaker and escalation ladder
 	// (PHOENIX → builtin → vanilla with exponential backoff, extended
@@ -216,10 +217,13 @@ type Stats struct {
 	// recovery mechanism degraded safely instead of killing the run.
 	RecoveryFaultFallbacks int
 	// IntegrityFallbacks counts fallbacks taken because preserve_exec's
-	// post-commit checksum verification caught corrupted preserved frames.
-	IntegrityFallbacks int
-	OtherRestarts      int // vanilla/builtin/criu restarts
-	BootFailures       int // Main crashed during recovery (counts into Fbk.)
+	// background verify walk caught corrupted preserved frames (a failing
+	// kernel.Verify verdict). ServedBeforeVerdict counts the requests those
+	// incarnations answered before their verdict: the price of optimism.
+	IntegrityFallbacks  int
+	ServedBeforeVerdict int
+	OtherRestarts       int // vanilla/builtin/criu restarts
+	BootFailures        int // Main crashed during recovery (counts into Fbk.)
 	// Escalation-ladder accounting (zero unless Config.Supervise).
 	BreakerTrips  int
 	Escalations   int
@@ -277,6 +281,9 @@ type Harness struct {
 	// callback captured under an older generation is stale and must not
 	// trigger a hot-switch against the current process.
 	ccGen int
+	// served counts the requests answered since the last PHOENIX restart,
+	// for Stats.ServedBeforeVerdict.
+	served int
 }
 
 // NewHarness assembles a harness. The injector may be nil (no injection).
@@ -440,6 +447,13 @@ func (h *Harness) applyLevel(l Level) {
 // the request crashed the process — the caller sees a failed request while
 // the harness recovers). err is non-nil only for simulator problems.
 func (h *Harness) ServeRequest(req *workload.Request) (ok, effective bool, err error) {
+	// A landed integrity verdict is acted on before the request, or a
+	// checkpoint, touches the state it judged.
+	if v := h.proc.Verify(); v != nil && v.Landed && !v.Settled {
+		if _, err := h.settleVerdict(); err != nil {
+			return false, false, err
+		}
+	}
 	h.maybeSnapshot()
 	if h.pendingSwitch {
 		if err := h.hotSwitch(); err != nil {
@@ -470,6 +484,9 @@ func (h *Harness) ServeRequest(req *workload.Request) (ok, effective bool, err e
 			}
 		}
 		h.TL.Record(now, ok, effective)
+		if ok {
+			h.served++
+		}
 		if ok && h.pendingResume {
 			h.TL.MarkResumed(now)
 			h.pendingResume = false
@@ -550,14 +567,7 @@ func (h *Harness) handleFailure(ci *kernel.CrashInfo) error {
 	h.pendingResume = true
 	h.event(EvCrash, fmt.Sprintf("%s: %s", ci.Sig, ci.Reason))
 
-	// The dying incarnation's cross-check state is void: a pending hot-switch
-	// or an in-flight verdict from the previous process must not fire against
-	// whatever boots next.
-	h.ccGen++
-	h.pendingSwitch = false
-	h.switchDetail = ""
-	h.switchRef = nil
-	h.activeCheck = nil
+	h.voidCrossCheck()
 
 	// A hang dwells until the watchdog fires.
 	if ci.Sig == kernel.SIGALRM {
@@ -624,6 +634,12 @@ func (h *Harness) handleFailure(ci *kernel.CrashInfo) error {
 			if _, err := h.proc.CommitRewindDomain(); err != nil {
 				return err
 			}
+		}
+		// A process-level recovery decides what becomes of the preserved
+		// state, so it first waits for an integrity verdict still in flight;
+		// a failing one sends the crash to default recovery.
+		if fellBack, err := h.settleVerdict(); fellBack || err != nil {
+			return err
 		}
 		switch level {
 		case LevelBuiltin:
@@ -780,18 +796,8 @@ func (h *Harness) phoenixRestart(ci *kernel.CrashInfo) error {
 	plan.SkipIntegrityVerify = h.Cfg.DisableChecksums
 	np, err := h.rt.Restart(plan)
 	if err != nil {
-		// preserve_exec aborted. The kernel rolled back either way, so the
-		// source address space is intact and the application's default
-		// recovery is safe to run — but the cause is worth distinguishing:
-		// an integrity mismatch means the preserved frames were corrupted in
-		// flight and the checksums caught it before the successor booted.
-		var ie *kernel.IntegrityError
-		if errors.As(err, &ie) {
-			h.Stat.IntegrityFallbacks++
-			h.M.Counters.IntegrityFallbacks.Add(1)
-			h.event(EvFallback, "integrity: "+err.Error())
-			return h.fallbackRestart("preserved-state corruption detected")
-		}
+		// preserve_exec aborted and rolled back, so the source address space
+		// is intact and the application's default recovery is safe to run.
 		h.Stat.RecoveryFaultFallbacks++
 		h.M.Counters.RecoveryFaultFallbacks.Add(1)
 		h.event(EvFallback, "preserve_exec failed: "+err.Error())
@@ -799,6 +805,7 @@ func (h *Harness) phoenixRestart(ci *kernel.CrashInfo) error {
 	}
 	h.proc = np
 	h.rt = h.newRuntime(np)
+	h.served = 0
 	h.Stat.PhoenixRestarts++
 	h.event(EvPhoenixRestart, "")
 
@@ -811,6 +818,11 @@ func (h *Harness) phoenixRestart(ci *kernel.CrashInfo) error {
 	})
 	if bootCrash != nil {
 		h.Stat.BootFailures++
+		// The boot may have crashed on corrupted state: a failing verdict,
+		// waited for here, names the cause.
+		if fellBack, err := h.settleVerdict(); fellBack || err != nil {
+			return err
+		}
 		h.Stat.GraceFallbacks++
 		h.event(EvFallback, "crash during phoenix boot: "+bootCrash.Reason)
 		return h.fallbackRestart("phoenix boot crash")
@@ -839,6 +851,48 @@ func (h *Harness) phoenixRestart(ci *kernel.CrashInfo) error {
 		}
 	}
 	return nil
+}
+
+// voidCrossCheck drops the replaced incarnation's cross-check state: a
+// pending hot-switch or an in-flight verdict from the previous process must
+// not fire against whatever boots next.
+func (h *Harness) voidCrossCheck() {
+	h.ccGen++
+	h.pendingSwitch = false
+	h.switchDetail = ""
+	h.switchRef = nil
+	h.activeCheck = nil
+}
+
+// settleVerdict settles the live incarnation's background integrity verdict
+// (kernel.Verify.Settle, which waits for one still in flight) and, when it
+// failed, falls back to the application's default recovery, reporting that
+// it did. The verdict belongs to the process it judges, so one from a
+// replaced incarnation never acts on its successor.
+func (h *Harness) settleVerdict() (fellBack bool, err error) {
+	v := h.proc.Verify()
+	if v == nil || v.Settled {
+		return false, nil
+	}
+	ierr := v.Settle()
+	if ierr == nil {
+		return false, nil
+	}
+	h.voidCrossCheck()
+	h.Stat.IntegrityFallbacks++
+	h.Stat.ServedBeforeVerdict += h.served
+	h.M.Counters.IntegrityFallbacks.Add(1)
+	h.event(EvFallback, fmt.Sprintf("integrity: %v (after %d requests)", ierr, h.served))
+	defer func() { h.lastCkpt = h.M.Clock.Now() }()
+	return true, h.fallbackRestart("preserved-state corruption detected")
+}
+
+// SettleVerdict waits for the live incarnation's integrity verdict if one is
+// still in flight and acts on it as a request boundary would. Drivers call
+// it before judging a run, so no corruption is left undetected in flight.
+func (h *Harness) SettleVerdict() error {
+	_, err := h.settleVerdict()
+	return err
 }
 
 // fallbackRestart runs the application's default recovery path.
