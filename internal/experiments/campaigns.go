@@ -256,8 +256,9 @@ type MicrorebootOutcome struct {
 // request 40, after a 5 ms calm that lets the builtin rung's checkpoint
 // cadence persist the first 40 requests: the app's scripted mid-request bug,
 // which crashes on transient state only so every rung can recover it, or on
-// the microreboot rung a crash of the root of the app's component graph. The contract is the
-// granularity order on the same application: rewind < microreboot < phoenix.
+// the microreboot rung a crash of the root of the app's component graph.
+// The contract is the granularity order on the same application:
+// rewind < microreboot < phoenix.
 func Microreboot(app string, seed int64) (MicrorebootOutcome, error) {
 	const faultAt, steps = 40, 90
 	o := MicrorebootOutcome{App: app}
