@@ -30,9 +30,6 @@ import (
 
 // Config parameterises the store.
 type Config struct {
-	// MaxMemory caps the simulated heap (0 = unlimited). Exceeding it is an
-	// OOM crash, as in Redis without maxmemory-policy.
-	MaxMemory int64
 	// BootCost is the fixed fresh-start initialisation time (config parse,
 	// socket setup, worker spawn).
 	BootCost time.Duration
@@ -157,7 +154,7 @@ func (kv *KV) Ctx() *simds.Ctx { return kv.ctx }
 func (kv *KV) Main(rt *core.Runtime) error {
 	kv.rt = rt
 	m := rt.Proc().Machine
-	h, err := rt.OpenHeap(heap.Options{MaxBytes: kv.cfg.MaxMemory, Name: "kv"})
+	h, err := rt.OpenHeap(heap.Options{Name: "kv"})
 	if err != nil {
 		return fmt.Errorf("kvstore: open heap: %w", err)
 	}
@@ -588,7 +585,7 @@ func (kv *KV) Reattach(rt *core.Runtime) {
 	kv.rt = rt
 	proc := rt.Proc()
 	m := proc.Machine
-	h, err := heap.Attach(proc.AS, core.DefaultHeapBase, heap.Options{MaxBytes: kv.cfg.MaxMemory, Name: "kv"})
+	h, err := heap.Attach(proc.AS, core.DefaultHeapBase, heap.Options{Name: "kv"})
 	if err != nil {
 		panic(&kernel.Crash{Sig: kernel.SIGABRT, Reason: "kv: criu reattach: " + err.Error()})
 	}

@@ -460,3 +460,29 @@ func TestCorruptPreserveFallsBackBeforeServing(t *testing.T) {
 		t.Fatalf("the corrupted incarnation served %d requests (replaced: %v)", h.Stat.ServedBeforeVerdict, h.Proc() != corrupted)
 	}
 }
+
+// TestServeRequestAllocs pins the harness request rung of the allocation
+// ladder on a warm 2,000-key PHOENIX store with the cleanup on: a read
+// through Harness.ServeRequest allocates one Go object, the reply's copy of
+// the value, and an update none.
+func TestServeRequestAllocs(t *testing.T) {
+	h, kv := boot(t, Config{Cleanup: true}, recovery.ModePhoenix, recovery.Config{UnsafeRegions: true}, 1)
+	kv.Load(loadKeys(2000), 64)
+	const key = "user0000000042"
+	for _, c := range []struct {
+		req  *workload.Request
+		want float64
+	}{
+		{&workload.Request{Op: workload.OpRead, Key: key}, 1},
+		{&workload.Request{Op: workload.OpUpdate, Key: key, Value: workload.Value(key, 2, 64)}, 0},
+	} {
+		got := testing.AllocsPerRun(500, func() {
+			if ok, _, err := h.ServeRequest(c.req); err != nil || !ok {
+				t.Fatalf("%v: ok=%v err=%v", c.req.Op, ok, err)
+			}
+		})
+		if got != c.want {
+			t.Errorf("%v through ServeRequest allocates %v objects, want %v", c.req.Op, got, c.want)
+		}
+	}
+}

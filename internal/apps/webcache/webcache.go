@@ -50,10 +50,7 @@ func (f Flavor) String() string {
 type Config struct {
 	Flavor Flavor
 	// CapacityBytes bounds total cached body bytes (LRU eviction beyond).
-	CapacityBytes int64
-	// BackendLatency and BackendRate model origin fetches on a miss.
-	BackendLatency  time.Duration
-	BackendRate     int64 // bytes per second
+	CapacityBytes   int64
 	BootCost        time.Duration
 	PhoenixBootCost time.Duration
 	// ObjectTTL is the freshness lifetime of cached objects (0 = immortal).
@@ -68,12 +65,6 @@ func (c *Config) fill() {
 	if c.CapacityBytes == 0 {
 		c.CapacityBytes = 64 << 20
 	}
-	if c.BackendLatency == 0 {
-		c.BackendLatency = 2 * time.Millisecond
-	}
-	if c.BackendRate == 0 {
-		c.BackendRate = 100 << 20
-	}
 	if c.BootCost == 0 {
 		c.BootCost = 400 * time.Millisecond
 	}
@@ -81,6 +72,13 @@ func (c *Config) fill() {
 		c.PhoenixBootCost = 40 * time.Millisecond
 	}
 }
+
+// An origin fetch on a miss waits backendLatency, then streams the body at
+// backendRate bytes per second.
+const (
+	backendLatency = 2 * time.Millisecond
+	backendRate    = 100 << 20
+)
 
 // Cache-object layout in simulated memory:
 //
@@ -379,8 +377,8 @@ func (c *Cache) Handle(req *workload.Request) (ok, effective bool) {
 			panic(&kernel.Crash{Sig: kernel.SIGSEGV, Reason: "webcache: bogus content-length"})
 		}
 	}
-	m.Clock.Advance(c.cfg.BackendLatency)
-	m.Clock.Advance(time.Duration(float64(size) / float64(c.cfg.BackendRate) * float64(time.Second)))
+	m.Clock.Advance(backendLatency)
+	m.Clock.Advance(time.Duration(float64(size) / float64(backendRate) * float64(time.Second)))
 	if req.Cacheable {
 		c.insert(req.Key, size)
 	}

@@ -146,10 +146,6 @@ type Options struct {
 	ArenaSize int
 	// BrkMax overrides DefaultBrkMax (growth limit of the brk arena).
 	BrkMax int
-	// MaxBytes caps total mapped heap bytes; 0 means unlimited. Alloc
-	// returns NullPtr once the cap would be exceeded (the app decides
-	// whether that is an OOM crash).
-	MaxBytes int64
 	// Name tags the heap's mappings (useful when multiple PhxAllocators
 	// coexist).
 	Name string
@@ -246,7 +242,7 @@ func (h *Heap) mappedBytes() int64 {
 }
 
 // Alloc allocates n payload bytes and returns the payload address, or
-// NullPtr if the heap limit is exhausted. The payload is NOT zeroed when the
+// NullPtr if no mapping can be made for it. The payload is NOT zeroed when the
 // chunk is recycled from a free list — like malloc, stale contents leak
 // through, which matters for the uninitialized-variable fault type.
 func (h *Heap) Alloc(n int) mem.VAddr {
@@ -313,7 +309,7 @@ func (h *Heap) bumpFrom(a mem.VAddr, size int) mem.VAddr {
 }
 
 // growBrk extends the brk arena by at least need bytes (page-rounded),
-// respecting BrkMax and MaxBytes. It reports whether the arena grew.
+// respecting BrkMax. It reports whether the arena grew.
 func (h *Heap) growBrk(need int) bool {
 	asize := int(h.as.ReadU32(h.base + offArenaSize))
 	if asize >= h.opts.BrkMax {
@@ -330,9 +326,6 @@ func (h *Heap) growBrk(need int) bool {
 	if grow <= 0 {
 		return false
 	}
-	if h.opts.MaxBytes > 0 && h.mappedBytes()+int64(grow)*mem.PageSize > h.opts.MaxBytes {
-		return false
-	}
 	m := h.as.FindMapping(h.base)
 	if m == nil {
 		h.abort("brk arena mapping lost")
@@ -347,9 +340,6 @@ func (h *Heap) growBrk(need int) bool {
 // newArena maps a fresh mmap arena and links it into the arena list.
 func (h *Heap) newArena() mem.VAddr {
 	size := h.opts.ArenaSize
-	if h.opts.MaxBytes > 0 && h.mappedBytes()+int64(size) > h.opts.MaxBytes {
-		return mem.NullPtr
-	}
 	a := h.as.ReadPtr(h.base + offNextMap)
 	if _, err := h.as.Map(a, size/mem.PageSize, mem.KindMmap, h.opts.Name+".arena"); err != nil {
 		return mem.NullPtr
@@ -371,9 +361,6 @@ func (h *Heap) allocLarge(n int) mem.VAddr {
 	total := largeHdr + chunkHeader + n
 	pages := mem.PagesFor(total)
 	size := pages * mem.PageSize
-	if h.opts.MaxBytes > 0 && h.mappedBytes()+int64(size) > h.opts.MaxBytes {
-		return mem.NullPtr
-	}
 	l := h.as.ReadPtr(h.base + offNextMap)
 	if _, err := h.as.Map(l, pages, mem.KindMmap, h.opts.Name+".large"); err != nil {
 		return mem.NullPtr

@@ -160,26 +160,6 @@ func TestBrkGrowthThenArenas(t *testing.T) {
 	}
 }
 
-func TestMaxBytesOOM(t *testing.T) {
-	_, h := newHeap(t, Options{BrkMax: 8 << 10, ArenaSize: 8 << 10, MaxBytes: 32 << 10})
-	var last mem.VAddr
-	n := 0
-	for {
-		p := h.Alloc(1024)
-		if p == mem.NullPtr {
-			break
-		}
-		last = p
-		n++
-		if n > 10000 {
-			t.Fatal("MaxBytes never enforced")
-		}
-	}
-	if n == 0 || last == mem.NullPtr {
-		t.Fatal("no allocations succeeded before OOM")
-	}
-}
-
 func expectAbort(t *testing.T, name string, fn func()) {
 	t.Helper()
 	defer func() {

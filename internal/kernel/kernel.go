@@ -96,12 +96,9 @@ type Machine struct {
 	// exploration campaigns can leave it on for every seed.
 	AuditIncremental bool
 
-	// PreserveWorkers is the worker-pool width for the parallel preserve
-	// walks (checksum staging, background verification, migration delta
-	// scans). 0 takes one worker per host CPU; values are clamped to
-	// maxPreserveWorkers. The pool affects wall-clock time only — results
-	// and the simulated clock are identical for every width (see parallel.go).
-	PreserveWorkers int
+	// workers overrides the parallel preserve walks' pool width (see
+	// parallel.go); only tests set it.
+	workers int
 
 	nextPID int
 	rng     *rand.Rand
@@ -404,7 +401,7 @@ func (np *Process) startVerify(plan *preservePlan) *Verify {
 	m := np.Machine
 	v := &Verify{proc: np, plan: plan}
 	bg := m.Clock.RunOffline(func() {
-		v.err, v.Hashed = verifyChecksums(np.AS, plan, m.preserveWorkers())
+		v.err, v.Hashed = verifyChecksums(np.AS, plan, m.poolWidth())
 		if m.AuditIncremental && v.err == nil && verifyFull(np.AS, plan) != nil {
 			// The incremental walk validated less than the full walk
 			// would: a corrupted frame slipped past the delta argument.
@@ -663,7 +660,7 @@ func (p *Process) planMove(plan *preservePlan, lo, hi mem.VAddr) error {
 	// so it fans out over the preserve worker pool; every worker writes only
 	// its own index range and the counters are folded afterwards in page
 	// order, keeping the plan byte-identical for any pool width.
-	parallelRanges(pages, p.Machine.preserveWorkers(), func(wlo, whi int) {
+	parallelRanges(pages, p.Machine.poolWidth(), func(wlo, whi int) {
 		for i := wlo; i < whi; i++ {
 			pg := mem.PageOf(lo) + mem.PageNum(i)
 			// Reuse the cached sum only when it is provably current: the page
@@ -967,29 +964,3 @@ func (p *Process) Run(f func()) (ci *CrashInfo) {
 	f()
 	return nil
 }
-
-// Watchdog detects hangs: if Pet is not called within Timeout of simulated
-// time, Expired reports true and the supervisor forces a SIGALRM restart —
-// the "added watchdog" of §2.1 and the pool-herder of §4.3.3.
-type Watchdog struct {
-	Timeout time.Duration
-	clock   *simclock.Clock
-	lastPet time.Duration
-}
-
-// NewWatchdog creates a watchdog petted at the current instant.
-func (m *Machine) NewWatchdog(timeout time.Duration) *Watchdog {
-	return &Watchdog{Timeout: timeout, clock: m.Clock, lastPet: m.Clock.Now()}
-}
-
-// Pet records liveness.
-func (w *Watchdog) Pet() { w.lastPet = w.clock.Now() }
-
-// Expired reports whether the timeout has elapsed since the last Pet.
-func (w *Watchdog) Expired() bool {
-	return w.clock.Now()-w.lastPet >= w.Timeout
-}
-
-// Deadline returns the absolute simulated time at which the watchdog fires
-// if not petted again.
-func (w *Watchdog) Deadline() time.Duration { return w.lastPet + w.Timeout }

@@ -2,7 +2,6 @@ package kernel
 
 import (
 	"testing"
-	"time"
 
 	"phoenix/internal/linker"
 	"phoenix/internal/mem"
@@ -206,27 +205,6 @@ func TestSignalDelivery(t *testing.T) {
 	}
 	if !p.Dead() {
 		t.Fatal("SIGKILL did not kill")
-	}
-}
-
-func TestWatchdog(t *testing.T) {
-	m := NewMachine(1)
-	w := m.NewWatchdog(5 * time.Second)
-	if w.Expired() {
-		t.Fatal("fresh watchdog expired")
-	}
-	m.Clock.Advance(3 * time.Second)
-	w.Pet()
-	m.Clock.Advance(4 * time.Second)
-	if w.Expired() {
-		t.Fatal("petted watchdog expired early")
-	}
-	m.Clock.Advance(time.Second)
-	if !w.Expired() {
-		t.Fatal("watchdog did not expire")
-	}
-	if w.Deadline() != 3*time.Second+5*time.Second {
-		t.Fatalf("Deadline = %v", w.Deadline())
 	}
 }
 

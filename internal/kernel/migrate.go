@@ -200,7 +200,7 @@ func (mg *Migration) shipDelta(pages []mem.PageNum) RoundStats {
 		data     []byte
 	}
 	res := make([]staged, len(pages))
-	parallelRanges(len(pages), mg.src.Machine.preserveWorkers(), func(lo, hi int) {
+	parallelRanges(len(pages), mg.src.Machine.poolWidth(), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			p := pages[i]
 			g := as.PageGen(p)

@@ -17,24 +17,18 @@ import (
 // replay gate intact. The simulated clock charges the serial walks: the
 // pool's width is wall-clock time only.
 
-// maxPreserveWorkers bounds the pool regardless of configuration: the walks
-// are memory-bound, so wider pools stop paying long before high core counts.
-const maxPreserveWorkers = 8
+// maxWorkers bounds the pool: the walks are memory-bound, so wider pools
+// stop paying long before high core counts.
+const maxWorkers = 8
 
-// preserveWorkers resolves the machine's configured pool width: 0 means one
-// worker per host CPU (bounded), anything explicit is clamped to the bound.
-func (m *Machine) preserveWorkers() int {
-	w := m.PreserveWorkers
+// poolWidth is the walks' pool width: the machine's test override when set,
+// else one worker per host CPU, capped at maxWorkers.
+func (m *Machine) poolWidth() int {
+	w := m.workers
 	if w <= 0 {
 		w = runtime.GOMAXPROCS(0)
 	}
-	if w > maxPreserveWorkers {
-		w = maxPreserveWorkers
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
+	return min(w, maxWorkers)
 }
 
 // parallelRanges splits [0, n) into at most workers contiguous chunks and

@@ -28,7 +28,7 @@ const (
 func preserveTwice(t *testing.T, workers int, dirtyMask uint32, fill byte) *Process {
 	t.Helper()
 	m := NewMachine(42)
-	m.PreserveWorkers = workers
+	m.workers = workers
 	p, err := m.Spawn(nil)
 	if err != nil {
 		t.Fatal(err)
@@ -117,7 +117,7 @@ func TestParallelPreserveByteIdentity(t *testing.T) {
 func TestParallelMigrationByteIdentity(t *testing.T) {
 	run := func(workers int) (*Process, *Machine, []RoundStats) {
 		src := NewMachine(7)
-		src.PreserveWorkers = workers
+		src.workers = workers
 		p, err := src.Spawn(nil)
 		if err != nil {
 			t.Fatal(err)
@@ -133,7 +133,7 @@ func TestParallelMigrationByteIdentity(t *testing.T) {
 			Ranges:   []linker.Range{{Start: parBase, Len: parPages * mem.PageSize}},
 		}
 		dst := NewMachine(8)
-		dst.PreserveWorkers = workers
+		dst.workers = workers
 		mg, err := StartMigration(p, dst, func() (ExecSpec, error) { return spec, nil })
 		if err != nil {
 			t.Fatal(err)
@@ -190,7 +190,7 @@ func FuzzParallelPreserveMergeOrder(f *testing.F) {
 	f.Add(uint32(0xFFFFFFFF), uint8(3), uint8(42))
 
 	f.Fuzz(func(t *testing.T, mask uint32, workers, fill uint8) {
-		w := 2 + int(workers)%(maxPreserveWorkers-1)
+		w := 2 + int(workers)%(maxWorkers-1)
 		serial := preserveTwice(t, 1, mask, byte(fill))
 		parallel := preserveTwice(t, w, mask, byte(fill))
 		samePreserve(t, serial, parallel)

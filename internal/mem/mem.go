@@ -886,7 +886,7 @@ func (as *AddressSpace) ClearDirty(start VAddr, pages int) {
 }
 
 // ClearAllDirty clears every soft-dirty bit in the address space. Same
-// contract as ClearDirty; used by whole-process incremental checkpoints.
+// contract as ClearDirty.
 func (as *AddressSpace) ClearAllDirty() {
 	as.eachFrame(func(_ PageNum, f *Frame) { f.Dirty = false })
 }

@@ -1,14 +1,14 @@
 // Package netsim is a deterministic message-passing network on the simulated
-// clock. Nodes register handlers; Send schedules delivery after a per-link
-// latency drawn from a seeded RNG, optionally dropping, duplicating, or
-// delaying the message. Partitions cut delivery between node groups — both
-// for new sends and for messages already in flight when the partition forms.
+// clock. Nodes register handlers; Send schedules delivery after the link's
+// latency plus a jitter drawn from a seeded RNG. Partitions cut delivery
+// between node groups — both for new sends and for messages already in
+// flight when the partition forms.
 //
 // Everything is driven by simclock: no goroutines, no wall time, no map
 // iteration in the delivery path, so a run with a given seed and send
 // sequence produces byte-identical delivery order. The faultinject sites
-// (netsim.link.*) let campaigns strike individual messages the same way they
-// strike preserve_exec operations.
+// (netsim.link.*) drop, duplicate or delay individual messages, the same way
+// campaigns strike preserve_exec operations.
 package netsim
 
 import (
@@ -36,16 +36,12 @@ type Message struct {
 // Handler receives delivered messages.
 type Handler func(Message)
 
-// LinkConfig shapes one directed link.
+// LinkConfig shapes every link of a network.
 type LinkConfig struct {
 	// Latency is the base one-way delay.
 	Latency time.Duration
 	// Jitter adds a uniform [0, Jitter) component per delivery.
 	Jitter time.Duration
-	// DropProb drops a message with this probability (0..1).
-	DropProb float64
-	// DupProb delivers a message twice with this probability (0..1).
-	DupProb float64
 }
 
 func (lc *LinkConfig) fill() {
@@ -98,7 +94,7 @@ func RegisterSites(inj *faultinject.Injector) {
 type Stats struct {
 	Sent       int
 	Delivered  int
-	Dropped    int // random link loss
+	Dropped    int // addressed to a node with no handler
 	Duplicated int
 	Delayed    int // injected delay penalties
 	// PartitionDrops counts messages cut by a partition — at send time or
@@ -114,8 +110,7 @@ type Network struct {
 	rng *rand.Rand
 	inj *faultinject.Injector
 
-	def      LinkConfig
-	links    map[[2]NodeID]LinkConfig
+	link     LinkConfig
 	handlers map[NodeID]Handler
 
 	// group assigns each node to a partition group; nodes in different
@@ -126,10 +121,10 @@ type Network struct {
 	Stat Stats
 }
 
-// New builds a network on clk. def shapes every link without an override;
-// seed drives all randomness; inj may be nil (no injection).
-func New(clk *simclock.Clock, def LinkConfig, seed int64, inj *faultinject.Injector) *Network {
-	def.fill()
+// New builds a network on clk. link shapes every link; seed drives the
+// jitter; inj may be nil (no injection).
+func New(clk *simclock.Clock, link LinkConfig, seed int64, inj *faultinject.Injector) *Network {
+	link.fill()
 	if inj == nil {
 		inj = faultinject.New()
 	}
@@ -138,8 +133,7 @@ func New(clk *simclock.Clock, def LinkConfig, seed int64, inj *faultinject.Injec
 		clk:      clk,
 		rng:      rand.New(rand.NewSource(seed)),
 		inj:      inj,
-		def:      def,
-		links:    make(map[[2]NodeID]LinkConfig),
+		link:     link,
 		handlers: make(map[NodeID]Handler),
 		group:    make(map[NodeID]int),
 	}
@@ -148,19 +142,6 @@ func New(clk *simclock.Clock, def LinkConfig, seed int64, inj *faultinject.Injec
 // Register binds a delivery handler to a node. Re-registering replaces the
 // handler (a restarted node re-binds).
 func (n *Network) Register(id NodeID, h Handler) { n.handlers[id] = h }
-
-// SetLink overrides the shape of the directed link from → to.
-func (n *Network) SetLink(from, to NodeID, lc LinkConfig) {
-	lc.fill()
-	n.links[[2]NodeID{from, to}] = lc
-}
-
-func (n *Network) link(from, to NodeID) LinkConfig {
-	if lc, ok := n.links[[2]NodeID{from, to}]; ok {
-		return lc
-	}
-	return n.def
-}
 
 // Partition splits the network into the given groups: nodes in different
 // groups (or in no group) cannot exchange messages until Heal. In-flight
@@ -204,29 +185,21 @@ func (n *Network) Send(from, to NodeID, payload any) {
 		return
 	}
 
-	lc := n.link(from, to)
 	copies := 1
 	if n.inj.Fail(SiteLinkDup) {
 		copies = 2
 		n.Stat.Duplicated++
-	} else if lc.DupProb > 0 && n.rng.Float64() < lc.DupProb {
-		copies = 2
-		n.Stat.Duplicated++
-	}
-	if lc.DropProb > 0 && n.rng.Float64() < lc.DropProb {
-		n.Stat.Dropped++
-		return
 	}
 
 	var penalty time.Duration
 	if n.inj.Fail(SiteLinkDelay) {
-		penalty = 10 * lc.Latency
+		penalty = 10 * n.link.Latency
 		n.Stat.Delayed++
 	}
 	for i := 0; i < copies; i++ {
-		d := lc.Latency + penalty
-		if lc.Jitter > 0 {
-			d += time.Duration(n.rng.Int63n(int64(lc.Jitter)))
+		d := n.link.Latency + penalty
+		if n.link.Jitter > 0 {
+			d += time.Duration(n.rng.Int63n(int64(n.link.Jitter)))
 		}
 		n.clk.AfterFunc(d, func() { n.deliver(msg) })
 	}

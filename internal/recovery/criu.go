@@ -14,15 +14,11 @@ import (
 
 // CRIUImage is a full-process checkpoint: a clone of the address space, its
 // page buffers shared copy-on-write with the dumped process (mem.Clone),
-// plus accounting of how many bytes the on-disk image occupies. In
-// incremental mode an image may be a delta on top of a parent chain: Bytes is
-// what *this* snapshot wrote, ChainBytes the cumulative chain a restore must
-// read back (equal to Bytes for a full snapshot).
+// plus accounting of how many bytes the on-disk image occupies.
 type CRIUImage struct {
-	AS         *mem.AddressSpace
-	Bytes      int64
-	ChainBytes int64
-	TakenAt    time.Duration
+	AS      *mem.AddressSpace
+	Bytes   int64
+	TakenAt time.Duration
 }
 
 // criuFile is the simulated on-disk image name.
@@ -40,39 +36,7 @@ func CRIUSnapshot(p *kernel.Process) *CRIUImage {
 		Bytes:   int64(p.AS.ResidentPages()) * mem.PageSize,
 		TakenAt: m.Clock.Now(),
 	}
-	img.ChainBytes = img.Bytes
 	// The page dump is written as one sequential image.
-	m.Disk.WriteFile(criuFile, make([]byte, 0))
-	m.Clock.Advance(m.Model.DiskWrite(img.Bytes))
-	return img
-}
-
-// CRIUSnapshotIncremental takes a soft-dirty-driven delta checkpoint: the
-// freeze still stops the world, but only pages dirtied since prev are dumped,
-// so steady-state snapshot overhead scales with the write rate — the same win
-// incremental preservation gives PHOENIX, kept in the baseline so the
-// comparison stays fair. The first snapshot (prev == nil) is a full dump that
-// establishes the baseline. Every snapshot clears the process's soft-dirty
-// bits; the restore cost is the whole chain (ChainBytes), which is the
-// classic incremental-checkpoint trade-off.
-func CRIUSnapshotIncremental(p *kernel.Process, prev *CRIUImage) *CRIUImage {
-	if prev == nil {
-		// Full baseline dump. Clear the bits before cloning so both the live
-		// process and the image record "clean as of this dump": a restore
-		// from the image then deltas correctly against the chain.
-		p.AS.ClearAllDirty()
-		return CRIUSnapshot(p)
-	}
-	m := p.Machine
-	m.Clock.Advance(m.Model.FreezeFixed)
-	dirty := int64(p.AS.DirtyPages()) * mem.PageSize
-	p.AS.ClearAllDirty()
-	img := &CRIUImage{
-		AS:      p.AS.Clone(),
-		Bytes:   dirty,
-		TakenAt: m.Clock.Now(),
-	}
-	img.ChainBytes = prev.ChainBytes + img.Bytes
 	m.Disk.WriteFile(criuFile, make([]byte, 0))
 	m.Clock.Advance(m.Model.DiskWrite(img.Bytes))
 	return img
@@ -80,10 +44,9 @@ func CRIUSnapshotIncremental(p *kernel.Process, prev *CRIUImage) *CRIUImage {
 
 // CRIURestore reads the image back and reconstructs the process. Execution
 // state resumes from the snapshot instant: all updates after TakenAt are
-// lost, which is CRIU's staleness trade-off. For an incremental image the
-// read covers the full parent chain, not just the last delta.
+// lost, which is CRIU's staleness trade-off.
 func CRIURestore(m *kernel.Machine, old *kernel.Process, img *CRIUImage) *kernel.Process {
-	m.Clock.Advance(m.Model.DiskRead(img.ChainBytes))
+	m.Clock.Advance(m.Model.DiskRead(img.Bytes))
 	old.Kill()
 	// Restore into a clone so the cached image can be restored again: the
 	// restored process's writes copy its pages, never the image's.

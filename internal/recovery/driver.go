@@ -57,11 +57,6 @@ type Config struct {
 	// CheckpointInterval is the Builtin/CRIU snapshot period (0 disables
 	// periodic snapshots).
 	CheckpointInterval time.Duration
-	// IncrementalCheckpoint makes periodic CRIU snapshots soft-dirty deltas
-	// after the first full dump: each snapshot writes only pages dirtied
-	// since the previous one, and a restore reads the whole chain. Only
-	// meaningful under ModeCRIU.
-	IncrementalCheckpoint bool
 	// WatchdogTimeout is how long a hang persists before a forced restart.
 	WatchdogTimeout time.Duration
 	// DisablePersistence turns the app's builtin persistence off even under
@@ -128,9 +123,6 @@ func (c Config) Validate() error {
 		if c.RewindDomains {
 			return fmt.Errorf("recovery: RewindDomains requires ModePhoenix (got %v): rewind is a rung below the PHOENIX ladder", c.Mode)
 		}
-	}
-	if c.IncrementalCheckpoint && c.Mode != ModeCRIU {
-		return fmt.Errorf("recovery: IncrementalCheckpoint requires ModeCRIU (got %v): only CRIU snapshots dump page deltas", c.Mode)
 	}
 	if c.CheckpointInterval < 0 {
 		return fmt.Errorf("recovery: negative CheckpointInterval %v", c.CheckpointInterval)
@@ -339,13 +331,42 @@ func (h *Harness) LadderFloor() Level {
 // Runtime returns the live PHOENIX runtime (nil before Boot).
 func (h *Harness) Runtime() *core.Runtime { return h.rt }
 
-// newRuntime binds a PHOENIX runtime to proc, marking it as an
-// instrumented build only under ModePhoenix (vanilla builds compile the
-// annotations away, so they cost nothing — the Table 8 baseline).
-func (h *Harness) newRuntime(proc *kernel.Process) *core.Runtime {
-	rt := core.Init(proc, nil)
-	rt.SetInstrumented(h.Cfg.Mode == ModePhoenix)
-	return rt
+// bind makes proc the live process and binds a fresh PHOENIX runtime to it,
+// marking it as an instrumented build only under ModePhoenix (vanilla
+// builds compile the annotations away, so they cost nothing — the Table 8
+// baseline).
+func (h *Harness) bind(proc *kernel.Process) {
+	h.proc = proc
+	h.rt = core.Init(proc, nil)
+	h.rt.SetInstrumented(h.Cfg.Mode == ModePhoenix)
+}
+
+// persistence is the application's persistence posture at boot: on under
+// ModeBuiltin and ModePhoenix unless DisablePersistence turns it off.
+func (h *Harness) persistence() bool {
+	return (h.Cfg.Mode == ModeBuiltin || h.Cfg.Mode == ModePhoenix) && !h.Cfg.DisablePersistence
+}
+
+// runMain boots the application in the live process. An error from Main is
+// a SIGABRT crash, so a failed boot is reported like any other.
+func (h *Harness) runMain() *kernel.CrashInfo {
+	return h.proc.Run(func() {
+		if err := h.App.Main(h.rt); err != nil {
+			panic(&kernel.Crash{Sig: kernel.SIGABRT, Reason: "main: " + err.Error()})
+		}
+	})
+}
+
+// fallback replaces the live process through the runtime's default
+// recovery path (core.Runtime.Fallback) and binds the harness to the
+// successor.
+func (h *Harness) fallback(reason string) error {
+	np, err := h.rt.Fallback(reason)
+	if err != nil {
+		return err
+	}
+	h.bind(np)
+	return nil
 }
 
 // Proc returns the live process.
@@ -353,17 +374,12 @@ func (h *Harness) Proc() *kernel.Process { return h.proc }
 
 // Boot spawns the first process and runs the application's Main.
 func (h *Harness) Boot() error {
-	persist := h.Cfg.Mode == ModeBuiltin || h.Cfg.Mode == ModePhoenix
-	if h.Cfg.DisablePersistence {
-		persist = false
-	}
-	h.App.SetPersistence(persist)
+	h.App.SetPersistence(h.persistence())
 	p, err := h.M.Spawn(h.App.Image())
 	if err != nil {
 		return err
 	}
-	h.proc = p
-	h.rt = h.newRuntime(p)
+	h.bind(p)
 	h.lastCkpt = h.M.Clock.Now()
 	return h.App.Main(h.rt)
 }
@@ -382,22 +398,12 @@ func (h *Harness) AdoptPreserved(np *kernel.Process) error {
 	if np == nil || np.Machine != h.M {
 		return fmt.Errorf("recovery: AdoptPreserved: process not on this harness's machine")
 	}
-	persist := h.Cfg.Mode == ModeBuiltin || h.Cfg.Mode == ModePhoenix
-	if h.Cfg.DisablePersistence {
-		persist = false
-	}
-	h.App.SetPersistence(persist)
-	h.proc = np
-	h.rt = h.newRuntime(np)
+	h.App.SetPersistence(h.persistence())
+	h.bind(np)
 	h.ccGen++
 	h.lastCkpt = h.M.Clock.Now()
 	h.event(EvAdopt, fmt.Sprintf("%d preserved pages", np.Handoff().MovedPages))
-	bootCrash := np.Run(func() {
-		if err := h.App.Main(h.rt); err != nil {
-			panic(&kernel.Crash{Sig: kernel.SIGABRT, Reason: "main: " + err.Error()})
-		}
-	})
-	if bootCrash != nil {
+	if bootCrash := h.runMain(); bootCrash != nil {
 		h.Stat.BootFailures++
 		h.event(EvFallback, "crash during adopting boot: "+bootCrash.Reason)
 		return h.fallbackRestart("adopt boot crash")
@@ -546,11 +552,7 @@ func (h *Harness) maybeSnapshot() {
 		h.App.Checkpoint()
 		h.Stat.CheckpointsTaken++
 	case ModeCRIU:
-		if h.Cfg.IncrementalCheckpoint {
-			h.criuImage = CRIUSnapshotIncremental(h.proc, h.criuImage)
-		} else {
-			h.criuImage = CRIUSnapshot(h.proc)
-		}
+		h.criuImage = CRIUSnapshot(h.proc)
 		h.Stat.CheckpointsTaken++
 	case ModePhoenix:
 		// PHOENIX leaves the application's own persistence cadence alone;
@@ -750,12 +752,9 @@ func (h *Harness) microreboot(ci *kernel.CrashInfo) (bool, error) {
 // plainRestart tears down and reboots; Builtin recovery happens inside
 // App.Main when persistence is on.
 func (h *Harness) plainRestart(reason string) error {
-	np, err := h.rt.Fallback(reason)
-	if err != nil {
+	if err := h.fallback(reason); err != nil {
 		return err
 	}
-	h.proc = np
-	h.rt = h.newRuntime(np)
 	h.Stat.OtherRestarts++
 	h.event(EvRestart, reason)
 	return h.bootAfterRecovery()
@@ -765,8 +764,7 @@ func (h *Harness) criuRestart() error {
 	if h.criuImage == nil {
 		return h.plainRestart("criu: no image")
 	}
-	h.proc = CRIURestore(h.M, h.proc, h.criuImage)
-	h.rt = h.newRuntime(h.proc)
+	h.bind(CRIURestore(h.M, h.proc, h.criuImage))
 	// Reattaching can itself fail — e.g. a restored Varnish worker cannot
 	// re-handshake with its master (§4.3.3); that degenerates to a full
 	// restart.
@@ -803,20 +801,14 @@ func (h *Harness) phoenixRestart(ci *kernel.CrashInfo) error {
 		h.event(EvFallback, "preserve_exec failed: "+err.Error())
 		return h.fallbackRestart("preserve_exec failed")
 	}
-	h.proc = np
-	h.rt = h.newRuntime(np)
+	h.bind(np)
 	h.served = 0
 	h.Stat.PhoenixRestarts++
 	h.event(EvPhoenixRestart, "")
 
 	// Boot in recovery mode; a crash here means the preserved state is
 	// unusable — fall back to default recovery.
-	bootCrash := h.proc.Run(func() {
-		if err := h.App.Main(h.rt); err != nil {
-			panic(&kernel.Crash{Sig: kernel.SIGABRT, Reason: "main: " + err.Error()})
-		}
-	})
-	if bootCrash != nil {
+	if bootCrash := h.runMain(); bootCrash != nil {
 		h.Stat.BootFailures++
 		// The boot may have crashed on corrupted state: a failing verdict,
 		// waited for here, names the cause.
@@ -897,12 +889,9 @@ func (h *Harness) SettleVerdict() error {
 
 // fallbackRestart runs the application's default recovery path.
 func (h *Harness) fallbackRestart(reason string) error {
-	np, err := h.rt.Fallback(reason)
-	if err != nil {
+	if err := h.fallback(reason); err != nil {
 		return err
 	}
-	h.proc = np
-	h.rt = h.newRuntime(np)
 	return h.bootAfterRecovery()
 }
 
@@ -911,22 +900,15 @@ func (h *Harness) fallbackRestart(reason string) error {
 // otherwise; the paper's scope excludes such cases, §3.5).
 func (h *Harness) bootAfterRecovery() error {
 	for attempt := 0; attempt < 3; attempt++ {
-		crash := h.proc.Run(func() {
-			if err := h.App.Main(h.rt); err != nil {
-				panic(&kernel.Crash{Sig: kernel.SIGABRT, Reason: "main: " + err.Error()})
-			}
-		})
+		crash := h.runMain()
 		if crash == nil {
 			return nil
 		}
 		h.Stat.BootFailures++
 		h.event(EvBootCrash, crash.Reason)
-		np, err := h.rt.Fallback("boot crash")
-		if err != nil {
+		if err := h.fallback("boot crash"); err != nil {
 			return err
 		}
-		h.proc = np
-		h.rt = h.newRuntime(np)
 	}
 	return fmt.Errorf("recovery: %s could not boot after repeated crashes", h.App.Name())
 }
@@ -941,13 +923,9 @@ func (h *Harness) hotSwitch() error {
 	h.event(EvHotSwitch, h.switchDetail)
 	var err error
 	h.M.Clock.RunOffline(func() {
-		var np *kernel.Process
-		np, err = h.rt.Fallback("cross-check mismatch")
-		if err != nil {
+		if err = h.fallback("cross-check mismatch"); err != nil {
 			return
 		}
-		h.proc = np
-		h.rt = h.newRuntime(np)
 		if rr, ok := h.App.(ReferenceRestorer); ok && h.switchRef != nil {
 			err = rr.RestoreReference(h.rt, h.switchRef)
 		} else {

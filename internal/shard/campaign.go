@@ -106,7 +106,7 @@ func checkSystem(sys System, o Options) (Result, error) {
 	// recovered PHOENIX node is readmitted one fabric delivery after it
 	// serves again, with no probe wait, and rejoins sooner than a node
 	// that rebuilt its state.
-	delivery := (cfg.Link.Latency + cfg.Link.Jitter).Microseconds()
+	delivery := (linkLatency + linkJitter).Microseconds()
 	for _, w := range p.Windows {
 		if _, readmit, _ := w.Split(); readmit > delivery {
 			return res, fmt.Errorf("PHOENIX node %d was readmitted %dµs after it served again, later than one fabric delivery (%dµs)", w.Node, readmit, delivery)

@@ -106,7 +106,7 @@ func newFabric(cfg Config, mk recovery.AppFactory, sched Schedule) (*Fabric, err
 	f := &Fabric{
 		cfg:         cfg,
 		clk:         clk,
-		net:         netsim.New(clk, cfg.Link, cfg.Seed, cfg.Inj),
+		net:         netsim.New(clk, netsim.LinkConfig{Latency: linkLatency, Jitter: linkJitter}, cfg.Seed, cfg.Inj),
 		deadline:    cfg.Profile.RunFor,
 		activeShard: make(map[int]*migration),
 		activeSrc:   make(map[int]*migration),
@@ -224,7 +224,7 @@ func newFabric(cfg Config, mk recovery.AppFactory, sched Schedule) (*Fabric, err
 // run advances the clock through the traffic window and the settle, audits
 // the ledger and reports.
 func (f *Fabric) run(sched Schedule) (Report, error) {
-	f.clk.Advance(f.cfg.Profile.RunFor + f.cfg.Profile.Settle)
+	f.clk.Advance(f.cfg.Profile.RunFor + f.cfg.Profile.settle())
 	if f.firstErr != nil {
 		return Report{}, f.firstErr
 	}

@@ -122,8 +122,8 @@ func (m *migration) deltaRound() {
 		return
 	}
 	m.rounds = append(m.rounds, roundRec{st.Scanned, st.Hashed, st.Shipped, st.Cost})
-	converged := len(m.rounds) >= 2 && st.Shipped <= f.cfg.MigrationConvergePages
-	maxed := len(m.rounds) >= f.cfg.MigrationMaxRounds
+	converged := len(m.rounds) >= 2 && st.Shipped <= migrationConvergePages
+	maxed := len(m.rounds) >= migrationMaxRounds
 	f.clk.AfterFunc(st.Cost, func() {
 		if m.aborted {
 			return
@@ -132,7 +132,7 @@ func (m *migration) deltaRound() {
 			m.beginFreeze()
 			return
 		}
-		f.clk.AfterFunc(f.cfg.MigrationRoundGap, m.deltaRound)
+		f.clk.AfterFunc(migrationRoundGap, m.deltaRound)
 	})
 }
 

@@ -73,7 +73,7 @@ func runNotice(t *testing.T, f *Fabric, sched Schedule) (Report, WindowReport) {
 }
 
 // delivery is the longest one fabric delivery takes, in µs.
-func delivery(f *Fabric) int64 { return (f.cfg.Link.Latency + f.cfg.Link.Jitter).Microseconds() }
+const delivery = int64((linkLatency + linkJitter) / time.Microsecond)
 
 // TestPreKillAckAfterDownNoticeDoesNotReadmit holds node 0's probe acks from
 // its last probe interval before the kill and delivers them right after its
@@ -86,7 +86,7 @@ func TestPreKillAckAfterDownNoticeDoesNotReadmit(t *testing.T) {
 	tapRouter(f, func(m netsim.Message, deliver func(netsim.Message)) {
 		switch env := m.Payload.(type) {
 		case ackEnv:
-			if env.Node == 0 && env.Epoch == 0 && f.clk.Now() >= noticeKillAt-f.cfg.ProbeInterval {
+			if env.Node == 0 && env.Epoch == 0 && f.clk.Now() >= noticeKillAt-probeInterval {
 				held = append(held, m)
 				return
 			}
@@ -107,8 +107,8 @@ func TestPreKillAckAfterDownNoticeDoesNotReadmit(t *testing.T) {
 	if released == 0 {
 		t.Fatal("no pre-kill ack was held back past the down notice")
 	}
-	if _, readmit, _ := w.Split(); readmit > delivery(f) {
-		t.Fatalf("node 0 readmitted %dµs after it served again, later than one delivery (%dµs)", readmit, delivery(f))
+	if _, readmit, _ := w.Split(); readmit > delivery {
+		t.Fatalf("node 0 readmitted %dµs after it served again, later than one delivery (%dµs)", readmit, delivery)
 	}
 }
 
@@ -151,7 +151,7 @@ func TestDroppedUpNoticeFallsBackToProbe(t *testing.T) {
 			rep.NetInjectedDrops, w.ServedUs, clean.ServedUs)
 	}
 	_, readmit, _ := w.Split()
-	limit := (f.cfg.ProbeInterval + 2*(f.cfg.Link.Latency+f.cfg.Link.Jitter)).Microseconds()
+	limit := (probeInterval + 2*(linkLatency+linkJitter)).Microseconds()
 	t.Logf("readmission %dµs after serving again, %dµs with the up notice", readmit, clean.ReadmitUs-clean.ServedUs)
 	if w.ReadmitUs <= clean.ReadmitUs || readmit > limit {
 		t.Fatalf("readmitted %dµs after serving again (%dµs with the up notice), want later, within %dµs",
@@ -190,8 +190,8 @@ func TestLateDownNoticeDoesNotEvictRecoveredNode(t *testing.T) {
 	if !late {
 		t.Fatal("the down notice was never delivered after the up notice")
 	}
-	if _, readmit, _ := w.Split(); readmit > delivery(f) {
-		t.Fatalf("node 0 readmitted %dµs after it served again, later than one delivery (%dµs)", readmit, delivery(f))
+	if _, readmit, _ := w.Split(); readmit > delivery {
+		t.Fatalf("node 0 readmitted %dµs after it served again, later than one delivery (%dµs)", readmit, delivery)
 	}
 }
 
@@ -307,7 +307,7 @@ func FuzzMembershipOrder(f *testing.F) {
 			}
 		}
 
-		fab := &Fabric{cfg: Config{ProbeStale: 5 * time.Millisecond}, clk: simclock.New(), openW: make([]*windowRec, 1)}
+		fab := &Fabric{clk: simclock.New(), openW: make([]*windowRec, 1)}
 		fab.router = &router{f: fab, members: make([]member, 1)}
 		maxAck, maxDown, lastAck, acked := 0, 0, time.Duration(0), false
 		var delivered []notice
@@ -322,7 +322,7 @@ func FuzzMembershipOrder(f *testing.F) {
 			}
 			delivered = append(delivered, n)
 			wantDown := maxDown > maxAck
-			wantHealthy := !wantDown && acked && fab.clk.Now()-lastAck <= fab.cfg.ProbeStale
+			wantHealthy := !wantDown && acked && fab.clk.Now()-lastAck <= probeStale
 			if got := fab.router.members[0].down(); got != wantDown {
 				t.Fatalf("after %v: down=%v, want %v (newest down epoch %d, newest ack epoch %d)", delivered, got, wantDown, maxDown, maxAck)
 			}

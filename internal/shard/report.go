@@ -191,7 +191,7 @@ func percentile(sorted []time.Duration, q float64) int64 {
 }
 
 func (f *Fabric) report(sched Schedule) Report {
-	end := f.cfg.Profile.RunFor + f.cfg.Profile.Settle
+	end := f.cfg.Profile.RunFor + f.cfg.Profile.settle()
 	rep := Report{
 		System:   f.cfg.System,
 		Mode:     f.cfg.Recovery.Mode.String(),
@@ -199,7 +199,7 @@ func (f *Fabric) report(sched Schedule) Report {
 		Shards:   f.cfg.Shards,
 		Replicas: f.cfg.Replicas,
 		Spares:   f.cfg.Spares,
-		Vnodes:   f.cfg.VnodesPerShard,
+		Vnodes:   vnodesPerShard,
 
 		Population: f.cfg.Profile.Population,
 		RingGen:    f.ringGen,

@@ -2,7 +2,7 @@ package shard
 
 import "sort"
 
-// Ring is the consistent-hash key ring: each shard owns VnodesPerShard
+// Ring is the consistent-hash key ring: each shard owns vnodesPerShard
 // seeded points on a 64-bit circle, and a key belongs to the shard owning
 // the first point at or clockwise of the key's hash. The ring is static for
 // a run — key→shard is pinned at construction — while shard→node placement

@@ -61,7 +61,7 @@ func newRouter(f *Fabric) *router {
 	cfg := f.cfg
 	r := &router{
 		f:        f,
-		ring:     NewRing(cfg.Seed, cfg.Shards, cfg.VnodesPerShard),
+		ring:     NewRing(cfg.Seed, cfg.Shards, vnodesPerShard),
 		epoch:    make([]int, cfg.Shards),
 		slotRot:  make([]int, cfg.Shards),
 		frozen:   make([]bool, cfg.Shards),
@@ -92,7 +92,7 @@ func newRouter(f *Fabric) *router {
 //
 // Probes stay the only detector of silent failures (partitions, notices
 // lost to link faults) and of drain starts: a node whose acks stop for
-// longer than ProbeStale is unhealthy whatever its epochs say.
+// longer than probeStale is unhealthy whatever its epochs say.
 type member struct {
 	lastAck             time.Duration
 	ackEpoch, downEpoch int
@@ -113,12 +113,12 @@ func (r *router) probe() {
 	for i := range r.f.nodes {
 		r.f.net.Send(routerID, nodeID(i), probeEnv{})
 	}
-	r.f.clk.AfterFunc(r.f.cfg.ProbeInterval, r.probe)
+	r.f.clk.AfterFunc(probeInterval, r.probe)
 }
 
 func (r *router) healthy(nodeIdx int) bool {
 	m := &r.members[nodeIdx]
-	return !m.down() && r.f.clk.Now()-m.lastAck <= r.f.cfg.ProbeStale
+	return !m.down() && r.f.clk.Now()-m.lastAck <= probeStale
 }
 
 func (r *router) handle(m netsim.Message) {

@@ -33,6 +33,25 @@ import (
 const routerID = netsim.NodeID("router")
 const feID = netsim.NodeID("fe")
 
+// The fabric's fixed shape. Each shard owns vnodesPerShard points on the key
+// ring. The router probes every node each probeInterval and holds a node
+// whose acks stop for longer than probeStale unhealthy. A live migration
+// runs background delta rounds migrationRoundGap apart, so live traffic
+// re-dirties pages between them, and begins its cutover freeze once a round
+// after the first ships at most migrationConvergePages pages, or after
+// migrationMaxRounds rounds. A message crosses any link in linkLatency plus
+// a uniform jitter below linkJitter.
+const (
+	vnodesPerShard         = 16
+	probeInterval          = 2 * time.Millisecond
+	probeStale             = 5 * time.Millisecond
+	migrationRoundGap      = time.Millisecond
+	migrationMaxRounds     = 12
+	migrationConvergePages = 4
+	linkLatency            = 100 * time.Microsecond
+	linkJitter             = 50 * time.Microsecond
+)
+
 func nodeID(i int) netsim.NodeID { return netsim.NodeID(fmt.Sprintf("node%d", i)) }
 
 // Profile shapes the client population and traffic window.
@@ -60,10 +79,9 @@ type Profile struct {
 	RetryDelay time.Duration
 	HedgeDelay time.Duration
 
-	// RunFor is the arrival window (default 300ms); Settle drains in-flight
-	// work after it.
+	// RunFor is the arrival window (default 300ms). The run goes on after
+	// it until in-flight work drains (see settle).
 	RunFor time.Duration
-	Settle time.Duration
 	// CheckpointInterval is the per-node harness checkpoint cadence.
 	CheckpointInterval time.Duration
 }
@@ -87,12 +105,15 @@ func (p *Profile) fill() {
 	if p.RunFor <= 0 {
 		p.RunFor = 300 * time.Millisecond
 	}
-	if p.Settle <= 0 {
-		p.Settle = time.Duration(p.MaxRetries+1)*(p.Timeout+p.RetryDelay) + 20*time.Millisecond
-	}
 	if p.CheckpointInterval <= 0 {
 		p.CheckpointInterval = 2 * time.Millisecond
 	}
+}
+
+// settle is how long the fabric keeps running after the arrival window: time
+// for the last request's every attempt to time out and retry, plus 20ms.
+func (p *Profile) settle() time.Duration {
+	return time.Duration(p.MaxRetries+1)*(p.Timeout+p.RetryDelay) + 20*time.Millisecond
 }
 
 // Config parameterises one fabric run.
@@ -106,29 +127,11 @@ type Config struct {
 	Shards   int
 	Replicas int
 	Spares   int
-	// VnodesPerShard sets the key ring's virtual-node count per shard
-	// (default 16).
-	VnodesPerShard int
 	// Seed drives every derived seed: ring placement, node machines, the
 	// arrival process, and the request stream.
 	Seed int64
 	// Recovery is the per-node harness configuration (the mode under test).
 	Recovery recovery.Config
-	// Link shapes the fabric's default link.
-	Link netsim.LinkConfig
-	// ProbeInterval/ProbeStale drive the router's per-node health view.
-	ProbeInterval time.Duration
-	ProbeStale    time.Duration
-
-	// MigrationRoundGap spaces background delta rounds so live traffic
-	// re-dirties pages between them (default 1ms). MigrationMaxRounds caps
-	// the background phase (default 12); MigrationConvergePages is the
-	// shipped-page threshold below which the dirty set is considered
-	// converged and the cutover freeze begins (default 4).
-	MigrationRoundGap      time.Duration
-	MigrationMaxRounds     int
-	MigrationConvergePages int
-
 	// Profile shapes the client population.
 	Profile Profile
 	// Inj, when non-nil, is the network-level injector.
@@ -144,30 +147,6 @@ func (c *Config) fill() {
 	}
 	if c.Spares < 0 {
 		c.Spares = 0
-	}
-	if c.VnodesPerShard <= 0 {
-		c.VnodesPerShard = 16
-	}
-	if c.ProbeInterval <= 0 {
-		c.ProbeInterval = 2 * time.Millisecond
-	}
-	if c.ProbeStale <= 0 {
-		c.ProbeStale = 5 * time.Millisecond
-	}
-	if c.MigrationRoundGap <= 0 {
-		c.MigrationRoundGap = time.Millisecond
-	}
-	if c.MigrationMaxRounds <= 0 {
-		c.MigrationMaxRounds = 12
-	}
-	if c.MigrationConvergePages <= 0 {
-		c.MigrationConvergePages = 4
-	}
-	if c.Link.Latency == 0 {
-		c.Link.Latency = 100 * time.Microsecond
-		if c.Link.Jitter == 0 {
-			c.Link.Jitter = 50 * time.Microsecond
-		}
 	}
 	c.Profile.fill()
 }
