@@ -56,10 +56,9 @@ func (c *Config) fill() {
 // rdbFile is the snapshot file name.
 const rdbFile = "dump.rdb"
 
-// Info-block layout: [0] dict root, [8] redo-log root, [16] magic,
-// [24] expires-dict root.
+// Info-block layout: [0] dict root, [8] redo-log root, [16] magic.
 const (
-	infoSize  = 32
+	infoSize  = 24
 	infoMagic = 0x7265646973 // "redis"
 )
 
@@ -74,13 +73,9 @@ type KV struct {
 	rt          *core.Runtime
 	ctx         *simds.Ctx
 	dict        *simds.Dict
-	expires     *simds.Dict
 	redo        *core.RedoLog
 	info        mem.VAddr
 	persistence bool
-
-	// reqSinceCron counts requests since the last active expire cycle.
-	reqSinceCron int
 
 	// armedBug fires a scripted real-bug scenario on the next request.
 	armedBug string
@@ -94,7 +89,6 @@ type KV struct {
 // Stats counts store activity.
 type Stats struct {
 	Gets, Hits, Sets, Dels uint64
-	Expired                uint64
 	RDBSaves, RDBLoads     uint64
 }
 
@@ -128,7 +122,6 @@ func Sites() []faultinject.Site {
 		{ID: "kv.req.dispatch", Func: "processCommand", Kind: faultinject.KindCond},
 		{ID: "kv.req.arity", Func: "processCommand", Kind: faultinject.KindValue},
 		{ID: "kv.redo.append", Func: "feedAppendOnlyFile", Kind: faultinject.KindAction, Modifying: true},
-		{ID: "kv.expire.scan", Func: "activeExpireCycle", Kind: faultinject.KindCond},
 	}
 }
 
@@ -169,7 +162,6 @@ func (kv *KV) Main(rt *core.Runtime) error {
 		}
 		kv.info = info
 		kv.dict = simds.OpenDict(kv.ctx, rt.Proc().AS.ReadPtr(info))
-		kv.openExpires(true, rt.Proc().AS.ReadPtr(info+24))
 		if redoRoot := rt.Proc().AS.ReadPtr(info + 8); redoRoot != mem.NullPtr {
 			kv.redo = core.OpenRedoLog(kv.ctx, redoRoot)
 		}
@@ -184,7 +176,6 @@ func (kv *KV) Main(rt *core.Runtime) error {
 		if kv.cfg.Cleanup {
 			mark = func() {
 				kv.dict.Mark(func(val uint64) { h.Mark(mem.VAddr(val)) })
-				kv.markExpires()
 				if kv.redo != nil {
 					kv.redo.Mark()
 				}
@@ -198,7 +189,6 @@ func (kv *KV) Main(rt *core.Runtime) error {
 	// Fresh start (vanilla, builtin, or fallback): full initialisation.
 	m.Clock.Advance(kv.cfg.BootCost)
 	kv.dict = simds.NewDict(kv.ctx, 1024)
-	kv.openExpires(false, mem.NullPtr)
 	kv.redo = nil
 	if kv.cfg.RedoLog {
 		kv.redo = core.NewRedoLog(kv.ctx)
@@ -225,7 +215,6 @@ func (kv *KV) writeInfo() {
 		as.WritePtr(kv.info+8, mem.NullPtr)
 	}
 	as.WriteU64(kv.info+16, infoMagic)
-	as.WritePtr(kv.info+24, kv.expires.Addr())
 }
 
 // Load seeds the store with the initial dataset (the YCSB load phase).
@@ -240,11 +229,6 @@ func (kv *KV) Handle(req *workload.Request) (ok, effective bool) {
 	m := kv.rt.Proc().Machine
 	m.Clock.Advance(m.Model.RequestBase)
 	kv.inflight = req.Key
-	kv.reqSinceCron++
-	if kv.reqSinceCron >= 64 {
-		kv.reqSinceCron = 0
-		kv.activeExpireCycle(32)
-	}
 	if kv.armedBug != "" {
 		bug := kv.armedBug
 		kv.armedBug = ""
@@ -285,10 +269,6 @@ func (kv *KV) handleGet(req *workload.Request) (bool, bool) {
 			}
 		}
 	}
-	if kv.expired(key) {
-		kv.reapExpired(key)
-		return true, false
-	}
 	valPtr, found := kv.dict.Get([]byte(key))
 	if inj != nil {
 		found = inj.Cond("kv.get.probe", found)
@@ -314,11 +294,6 @@ func (kv *KV) handleGet(req *workload.Request) (bool, bool) {
 func (kv *KV) handleSet(req *workload.Request) (bool, bool) {
 	kv.stats.Sets++
 	kv.setKey(req.Key, req.Value, true)
-	if _, hadTTL := kv.expires.Get([]byte(req.Key)); hadTTL {
-		kv.rt.UnsafeBegin("kv")
-		kv.expires.Delete([]byte(req.Key))
-		kv.rt.UnsafeEnd("kv")
-	}
 	return true, true
 }
 
@@ -335,8 +310,8 @@ func (kv *KV) setKey(key string, value []byte, log bool) {
 	// Stage the write before entering the unsafe region: the value blob is
 	// allocated and filled, and the redo record encoded, while the durable
 	// chains are still untouched. A crash during staging leaves the
-	// dictionary, expiry table, and redo log exactly consistent — the staged
-	// blob is unreferenced garbage the recovery sweep reclaims — so only the
+	// dictionary and redo log exactly consistent — the staged blob is
+	// unreferenced garbage the recovery sweep reclaims — so only the
 	// chain-linking instants below need the unsafe bracket. This is what
 	// makes the whole handler rewind-safe: everything it mutates lives in
 	// simulated memory, and nothing durable changes until the publish step.
@@ -406,7 +381,6 @@ func (kv *KV) handleDel(req *workload.Request) (bool, bool) {
 			free()
 		}
 	}
-	kv.expires.Delete([]byte(req.Key))
 	if redoRec != nil && found {
 		kv.redo.Append(redoRec)
 	}
@@ -415,9 +389,9 @@ func (kv *KV) handleDel(req *workload.Request) (bool, bool) {
 }
 
 // Rewindable implements recovery.RewindableApp: every byte a request
-// handler mutates — dictionary chains, expiry table, redo log, and the
-// allocator metadata under all three — lives in simulated memory, so a
-// rewind-domain discard rolls a faulting request back byte-exactly. Writes
+// handler mutates — dictionary chains, redo log, and the allocator
+// metadata under both — lives in simulated memory, so a rewind-domain
+// discard rolls a faulting request back byte-exactly. Writes
 // are staged before publication (setKey/handleDel), so even the blast
 // radius of a mid-request crash is an unreferenced staged blob, and the
 // harness resets the unsafe counters after a successful discard to match
@@ -444,10 +418,10 @@ func (kv *KV) Checkpoint() {
 	m.Clock.RunOffline(func() {
 		// One buffer, sized from the previous image with an eighth to
 		// spare so a store that grew since is not copied again: the
-		// header's record count and the expiry block's length are
-		// patched in place once the walks have produced them.
+		// header's record count is patched in place once the walk has
+		// produced it.
 		prev := max(m.Disk.Size(rdbFile), 0)
-		img := make([]byte, 8, prev+prev/8+12)
+		img := make([]byte, 8, prev+prev/8+8)
 		var count uint64
 		kv.dict.Iterate(func(key []byte, val uint64) bool {
 			v := mem.VAddr(val)
@@ -459,9 +433,6 @@ func (kv *KV) Checkpoint() {
 			return true
 		})
 		binary.LittleEndian.PutUint64(img, count)
-		el := len(img)
-		img = kv.appendExpires(append(img, 0, 0, 0, 0))
-		binary.LittleEndian.PutUint32(img[el:], uint32(len(img)-el-4))
 		m.Clock.Advance(time.Duration(len(img)) * m.Model.MarshalPerByte)
 		m.Disk.WriteFile(rdbFile, img)
 	})
@@ -479,7 +450,7 @@ func (kv *KV) loadRDB() {
 	if !ok {
 		return
 	}
-	recs, rest, err := DecodeRDBFull(img)
+	recs, err := decodeRDB(img)
 	if err != nil {
 		panic(&kernel.Crash{Sig: kernel.SIGABRT, Reason: "kv: corrupt RDB: " + err.Error()})
 	}
@@ -488,50 +459,38 @@ func (kv *KV) loadRDB() {
 	for _, r := range recs {
 		kv.setKey(r.Key, r.Val, false)
 	}
-	if len(rest) >= 4 {
-		n := binary.LittleEndian.Uint32(rest)
-		if uint32(len(rest)-4) >= n {
-			kv.loadExpires(rest[4 : 4+n])
-		}
-	}
 	kv.stats.RDBLoads++
 }
 
-// Record is one RDB entry.
-type Record struct {
+// record is one RDB entry.
+type record struct {
 	Key string
 	Val []byte
 }
 
-// DecodeRDB parses a snapshot image's key-value records.
-func DecodeRDB(img []byte) ([]Record, error) {
-	recs, _, err := DecodeRDBFull(img)
-	return recs, err
-}
-
-// DecodeRDBFull parses a snapshot image and also returns the trailing
-// sections (the expiry table).
-func DecodeRDBFull(img []byte) ([]Record, []byte, error) {
+// decodeRDB parses a snapshot image: an 8-byte record count, then each
+// record's key and value as length-prefixed fields.
+func decodeRDB(img []byte) ([]record, error) {
 	if len(img) < 8 {
-		return nil, nil, fmt.Errorf("short header")
+		return nil, fmt.Errorf("short header")
 	}
 	count := binary.LittleEndian.Uint64(img)
 	img = img[8:]
-	recs := make([]Record, 0, count)
+	recs := make([]record, 0, count)
 	for i := uint64(0); i < count; i++ {
 		var key, val []byte
 		var err error
 		key, img, err = takeField(img)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		val, img, err = takeField(img)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		recs = append(recs, Record{Key: string(key), Val: val})
+		recs = append(recs, record{Key: string(key), Val: val})
 	}
-	return recs, img, nil
+	return recs, nil
 }
 
 func takeField(img []byte) ([]byte, []byte, error) {
@@ -591,7 +550,6 @@ func (kv *KV) Reattach(rt *core.Runtime) {
 	}
 	kv.ctx = simds.NewCtx(h, m.Clock, m.Model)
 	kv.dict = simds.OpenDict(kv.ctx, proc.AS.ReadPtr(kv.info))
-	kv.openExpires(true, proc.AS.ReadPtr(kv.info+24))
 	if kv.redo != nil {
 		kv.redo = core.OpenRedoLog(kv.ctx, proc.AS.ReadPtr(kv.info+8))
 	}
@@ -644,7 +602,7 @@ func (kv *KV) CrossCheck(rt *core.Runtime) (core.CrossCheckSpec, bool) {
 			dur := m.Clock.RunOffline(func() {
 				img, ok := m.Disk.ReadFile(rdbFile)
 				if ok {
-					if recs, err := DecodeRDB(img); err == nil {
+					if recs, err := decodeRDB(img); err == nil {
 						m.Clock.Advance(time.Duration(len(img)) * m.Model.UnmarshalPerByte)
 						m.Clock.Advance(time.Duration(len(recs)) * m.Model.UnmarshalPerObject)
 						for _, r := range recs {

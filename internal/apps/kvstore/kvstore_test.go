@@ -1,6 +1,8 @@
 package kvstore
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
 	"testing"
 	"time"
@@ -8,6 +10,7 @@ import (
 	"phoenix/internal/core"
 	"phoenix/internal/faultinject"
 	"phoenix/internal/kernel"
+	"phoenix/internal/mem"
 	"phoenix/internal/recovery"
 	"phoenix/internal/workload"
 )
@@ -72,6 +75,15 @@ func TestKeyChunkBytes(t *testing.T) {
 	}
 }
 
+// TestBootChunkBytes pins what a freshly booted store holds on its heap: the
+// dictionary header, its 1,024-bucket array and the 24-byte info block.
+func TestBootChunkBytes(t *testing.T) {
+	h, _ := boot(t, Config{}, recovery.ModeVanilla, recovery.Config{}, 1)
+	if st := h.Runtime().MainHeap().Stats(); st.LiveChunks != 3 || st.LiveBytes != 16448 {
+		t.Fatalf("a booted store holds %d chunks of %d bytes, want 3 of 16,448", st.LiveChunks, st.LiveBytes)
+	}
+}
+
 func TestDumpMatchesWrites(t *testing.T) {
 	h, kv := boot(t, Config{}, recovery.ModeVanilla, recovery.Config{}, 2)
 	kv.Load(loadKeys(100), 16)
@@ -112,6 +124,74 @@ func TestRDBRoundTrip(t *testing.T) {
 			t.Fatalf("key %s mismatch after reload", k)
 		}
 	}
+}
+
+// TestCheckpointRoundTripsEveryKey checkpoints a store of mixed value sizes
+// after it outgrew its first image, checks the image byte for byte against a
+// record-at-a-time encoding, then takes a builtin restart through the harness
+// and reads back every key and value.
+func TestCheckpointRoundTripsEveryKey(t *testing.T) {
+	h, kv := boot(t, Config{}, recovery.ModeBuiltin, recovery.Config{CheckpointInterval: time.Hour}, 37)
+	keys := loadKeys(300)
+	kv.Load(keys, 16)
+	kv.Checkpoint()
+	// Empty, small and page-spanning values, so the next image is larger
+	// than the one it is sized from.
+	for i, k := range keys {
+		kv.Handle(&workload.Request{Op: workload.OpInsert, Key: k, Value: workload.Value(k, 2, i*37%9000)})
+	}
+	before := kv.Dump()
+	kv.Checkpoint()
+	img, ok := h.M.Disk.ReadFile(rdbFile)
+	if !ok {
+		t.Fatal("checkpoint wrote no image")
+	}
+	if want := recordAtATimeImage(kv); !bytes.Equal(img, want) {
+		t.Fatalf("image is %d bytes, a record-at-a-time encoding %d; first difference at byte %d",
+			len(img), len(want), firstDiff(img, want))
+	}
+
+	if err := h.Kill(); err != nil {
+		t.Fatal(err)
+	}
+	if h.Stat.OtherRestarts != 1 || kv.Stats().RDBLoads != 1 {
+		t.Fatalf("want one builtin restart from the image, got %+v, %d loads", h.Stat, kv.Stats().RDBLoads)
+	}
+	after := kv.Dump()
+	if len(after) != len(before) {
+		t.Fatalf("restart read back %d keys, want %d", len(after), len(before))
+	}
+	for k, v := range before {
+		if after[k] != v {
+			t.Fatalf("key %s: %d bytes after restart, %d before", k, len(after[k]), len(v))
+		}
+	}
+}
+
+// recordAtATimeImage encodes the RDB image the way Checkpoint did before it
+// wrote into one buffer: every record copied out separately, then
+// concatenated behind the header.
+func recordAtATimeImage(kv *KV) []byte {
+	var recs []byte
+	var count uint64
+	field := func(buf, b []byte) []byte {
+		return append(binary.LittleEndian.AppendUint32(buf, uint32(len(b))), b...)
+	}
+	kv.dict.Iterate(func(key []byte, val uint64) bool {
+		recs = field(field(recs, key), kv.ctx.BlobBytes(mem.VAddr(val)))
+		count++
+		return true
+	})
+	return append(binary.LittleEndian.AppendUint64(nil, count), recs...)
+}
+
+func firstDiff(a, b []byte) int {
+	for i := range min(len(a), len(b)) {
+		if a[i] != b[i] {
+			return i
+		}
+	}
+	return min(len(a), len(b))
 }
 
 func phoenixCfg() recovery.Config {
@@ -451,10 +531,8 @@ func TestCorruptPreserveFallsBackBeforeServing(t *testing.T) {
 	if err := h.RunRequests(50); err != nil {
 		t.Fatal(err)
 	}
-	c := h.M.Counters
-	if h.Stat.IntegrityFallbacks != 1 || c.IntegrityFallbacks.Load() != 1 || c.ChecksumMismatches.Load() != 1 {
-		t.Fatalf("integrity fallbacks %d (counter %d), mismatches %d; want 1 each",
-			h.Stat.IntegrityFallbacks, c.IntegrityFallbacks.Load(), c.ChecksumMismatches.Load())
+	if n := h.M.Counters.ChecksumMismatches.Load(); h.Stat.IntegrityFallbacks != 1 || n != 1 {
+		t.Fatalf("integrity fallbacks %d, mismatches %d; want 1 each", h.Stat.IntegrityFallbacks, n)
 	}
 	if h.Stat.ServedBeforeVerdict != 0 || h.Proc() == corrupted || !corrupted.Dead() {
 		t.Fatalf("the corrupted incarnation served %d requests (replaced: %v)", h.Stat.ServedBeforeVerdict, h.Proc() != corrupted)

@@ -1,8 +1,6 @@
 package kvstore
 
 import (
-	"time"
-
 	"phoenix/internal/mem"
 	"phoenix/internal/simds"
 	"phoenix/internal/workload"
@@ -10,27 +8,19 @@ import (
 
 // OpenSnapshotReader implements recovery.SnapshotServer: GETs served off a
 // frozen MVCC view of the preserved dictionary. The closure is built on the
-// writer thread (it reads the live clock and info block) and is then safe to
-// call from any number of reader goroutines concurrently with the writer:
-// every byte it touches lives in the immutable view, and it mutates nothing —
-// no stats, no lazy expiry reap, no injection. Expiry is judged against the
-// clock frozen at commit time, so a key alive in the snapshot stays alive for
-// every reader of that version (snapshot isolation, not read-your-latest).
+// writer thread (it reads the info block) and is then safe to call from any
+// number of reader goroutines concurrently with the writer: every byte it
+// touches lives in the immutable view, and it mutates nothing — no stats, no
+// injection. A key present in the snapshot stays present for every reader of
+// that version (snapshot isolation, not read-your-latest).
 func (kv *KV) OpenSnapshotReader(view *mem.AddressSpace) func(req *workload.Request) (ok, effective bool) {
-	m := kv.rt.Proc().Machine
-	c := simds.SnapshotCtx(view, m.Model)
+	c := simds.SnapshotCtx(view, kv.rt.Proc().Machine.Model)
 	dict := simds.OpenDict(c, view.ReadPtr(kv.info))
-	expires := simds.OpenDict(c, view.ReadPtr(kv.info+24))
-	now := m.Clock.Now()
 	return func(req *workload.Request) (ok, effective bool) {
 		if req.Op != workload.OpRead {
 			return false, false
 		}
-		key := []byte(req.Key)
-		if dl, hasTTL := expires.Get(key); hasTTL && time.Duration(dl) <= now {
-			return true, false
-		}
-		valPtr, found := dict.Get(key)
+		valPtr, found := dict.Get([]byte(req.Key))
 		if !found {
 			return true, false
 		}

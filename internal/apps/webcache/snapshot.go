@@ -1,8 +1,6 @@
 package webcache
 
 import (
-	"time"
-
 	"phoenix/internal/mem"
 	"phoenix/internal/simds"
 	"phoenix/internal/workload"
@@ -12,14 +10,11 @@ import (
 // off a frozen MVCC view of the object table. The hot hit path in Handle
 // mutates — it takes a reference, bumps the LRU node, counts stats — and none
 // of that is possible (or needed) on an immutable view, so the snapshot
-// reader is the pure lookup: dict probe, freshness check against the clock
-// frozen at commit, body copy. A miss is just a miss — a frozen view cannot
-// fetch from the backend, so snapshot reads never insert.
+// reader is the pure lookup: dict probe, body copy. A miss is just a miss — a
+// frozen view cannot fetch from the backend, so snapshot reads never insert.
 func (c *Cache) OpenSnapshotReader(view *mem.AddressSpace) func(req *workload.Request) (ok, effective bool) {
-	m := c.rt.Proc().Machine
-	sc := simds.SnapshotCtx(view, m.Model)
+	sc := simds.SnapshotCtx(view, c.rt.Proc().Machine.Model)
 	dict := simds.OpenDict(sc, view.ReadPtr(c.root))
-	now := m.Clock.Now()
 	return func(req *workload.Request) (ok, effective bool) {
 		if req.Op != workload.OpWebGet && req.Op != workload.OpRead {
 			return false, false
@@ -28,12 +23,7 @@ func (c *Cache) OpenSnapshotReader(view *mem.AddressSpace) func(req *workload.Re
 		if !found {
 			return true, false
 		}
-		obj := mem.VAddr(objVal)
-		if exp := view.ReadU64(obj + objOffExp); exp != 0 && time.Duration(exp) <= now {
-			// Stale at commit time; revalidation needs the writer.
-			return true, false
-		}
-		_ = sc.BlobBytes(view.ReadPtr(obj + objOffBody))
+		_ = sc.BlobBytes(view.ReadPtr(mem.VAddr(objVal) + objOffBody))
 		return true, true
 	}
 }

@@ -53,9 +53,6 @@ type Config struct {
 	CapacityBytes   int64
 	BootCost        time.Duration
 	PhoenixBootCost time.Duration
-	// ObjectTTL is the freshness lifetime of cached objects (0 = immortal).
-	// Stale objects are revalidated: evicted and refetched on access.
-	ObjectTTL time.Duration
 	// Cleanup runs mark-and-sweep after a PHOENIX recovery, off the restart
 	// window (core.Cleanup).
 	Cleanup bool
@@ -88,16 +85,14 @@ const (
 //	16: LRU node (VAddr)
 //	24: key blob (VAddr)
 //	32: body blob (VAddr)
-//	40: expiry deadline (u64 nanoseconds of simulated time; 0 = immortal)
 const (
-	objSize    = 48
+	objSize    = 40
 	objOffRef  = 0
 	objOffFlag = 4
 	objOffLen  = 8
 	objOffLRU  = 16
 	objOffKey  = 24
 	objOffBody = 32
-	objOffExp  = 40
 )
 
 // Root-block layout: [0] dict, [8] lru list, [16] cached bytes, [24] magic.
@@ -135,7 +130,6 @@ type Cache struct {
 // Stats counts cache activity.
 type Stats struct {
 	Gets, Hits, Misses, Inserts, Evictions uint64
-	Stale                                  uint64
 	RefResets                              uint64
 }
 
@@ -313,18 +307,6 @@ func (c *Cache) Handle(req *workload.Request) (ok, effective bool) {
 	}
 	if found {
 		obj := mem.VAddr(objVal)
-		// Freshness check: a stale object is evicted and refetched, as an
-		// expired Cache-Control lifetime forces revalidation.
-		if exp := as.ReadU64(obj + objOffExp); exp != 0 && time.Duration(exp) <= m.Clock.Now() {
-			c.rt.UnsafeBegin("cache")
-			c.evict(obj, as.ReadPtr(obj+objOffLRU))
-			c.rt.UnsafeEnd("cache")
-			c.stats.Stale++
-			found = false
-		}
-	}
-	if found {
-		obj := mem.VAddr(objVal)
 		// Take a reference while serving (Varnish semantics).
 		acquire := func() { as.WriteU32(obj+objOffRef, as.ReadU32(obj+objOffRef)+1) }
 		release := func() {
@@ -451,11 +433,6 @@ func (c *Cache) insert(url string, size int) {
 	as.WriteU64(obj+objOffLen, sz)
 	as.WritePtr(obj+objOffKey, keyBlob)
 	as.WritePtr(obj+objOffBody, bodyBlob)
-	if c.cfg.ObjectTTL > 0 {
-		as.WriteU64(obj+objOffExp, uint64(c.rt.Proc().Machine.Clock.Now()+c.cfg.ObjectTTL))
-	} else {
-		as.WriteU64(obj+objOffExp, 0)
-	}
 	node := c.lru.PushFront(uint64(obj))
 	as.WritePtr(obj+objOffLRU, node)
 

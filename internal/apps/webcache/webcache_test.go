@@ -232,50 +232,17 @@ func TestPhoenixHitRateBeatsVanillaAfterCrash(t *testing.T) {
 	}
 }
 
-func TestObjectTTLExpiry(t *testing.T) {
-	h, c := boot(t, Config{ObjectTTL: time.Second}, recovery.Config{Mode: recovery.ModeVanilla}, 40)
-	url := workload.URLOf(3)
-	req := &workload.Request{Op: workload.OpWebGet, Key: url, Size: 1024, Cacheable: true}
-	c.Handle(req) // miss + insert
-	ok, eff := c.Handle(req)
-	if !ok || !eff {
-		t.Fatal("fresh object missed")
-	}
-	h.M.Clock.Advance(2 * time.Second)
-	ok, eff = c.Handle(req) // stale: revalidated (miss + reinsert)
-	if !ok || eff {
-		t.Fatal("stale object served as a hit")
-	}
-	if c.Stats().Stale != 1 {
-		t.Fatalf("Stale = %d", c.Stats().Stale)
-	}
-	ok, eff = c.Handle(req) // fresh again
-	if !ok || !eff {
-		t.Fatal("refetched object missed")
-	}
-}
-
-func TestObjectTTLSurvivesPhoenixRestart(t *testing.T) {
-	rcfg := recovery.Config{Mode: recovery.ModePhoenix, UnsafeRegions: true, WatchdogTimeout: time.Second}
-	h, c := boot(t, Config{ObjectTTL: time.Hour}, rcfg, 41)
-	if err := h.RunRequests(3000); err != nil {
-		t.Fatal(err)
-	}
-	c.ArmBug("VA1")
-	if err := h.RunRequests(100); err != nil {
-		t.Fatal(err)
-	}
-	if h.Stat.PhoenixRestarts != 1 {
-		t.Fatalf("stats %+v", h.Stat)
-	}
-	// Deadlines are absolute simulated times: preserved objects expire on
-	// schedule after the restart.
-	h.M.Clock.Advance(2 * time.Hour)
-	pre := c.Stats().Stale
-	if err := h.RunRequests(500); err != nil {
-		t.Fatal(err)
-	}
-	if c.Stats().Stale == pre {
-		t.Fatal("no preserved object expired after its TTL")
+// TestObjectChunkBytes pins what one cached object costs the heap: a
+// 13-byte URL with a 1,024-byte body takes five chunks, the 40-byte object
+// header in a 48-byte chunk, the key and body blobs, the LRU node and the
+// dictionary entry.
+func TestObjectChunkBytes(t *testing.T) {
+	h, c := boot(t, Config{}, recovery.Config{Mode: recovery.ModeVanilla}, 1)
+	hp := h.Runtime().MainHeap()
+	before := hp.Stats()
+	c.Handle(&workload.Request{Op: workload.OpWebGet, Key: workload.URLOf(3), Size: 1024, Cacheable: true})
+	after := hp.Stats()
+	if chunks, bytes := after.LiveChunks-before.LiveChunks, after.LiveBytes-before.LiveBytes; chunks != 5 || bytes != 1696 {
+		t.Fatalf("one object took %d chunks of %d bytes, want 5 of 1,696", chunks, bytes)
 	}
 }

@@ -252,7 +252,9 @@ func TestMarkSweepLeavesPagesClean(t *testing.T) {
 		live = append(live, h.Alloc(40+i%700))
 	}
 	live = append(live, h.Alloc(100<<10), h.Alloc(200<<10))
-	as.ClearAllDirty()
+	for _, m := range as.Mappings() {
+		as.ClearDirty(m.Start, m.Pages)
+	}
 	for _, p := range live {
 		h.Mark(p)
 	}

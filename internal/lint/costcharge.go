@@ -36,8 +36,8 @@ var costChargeAnalyzer = &Analyzer{
 // brackets — anything whose cost scales with pages touched.
 var bulkPageOps = map[string]bool{
 	"MovePages": true, "UnmovePages": true, "CopyPages": true, "Clone": true,
-	"PageChecksum": true, "ClearDirty": true, "ClearAllDirty": true,
-	"DirtySet": true, "DirtySetIn": true, "DirtyPages": true, "DirtyPagesIn": true,
+	"PageChecksum": true, "ClearDirty": true,
+	"DirtySetIn": true, "DirtyPages": true, "DirtyPagesIn": true,
 	"ResidentPages": true, "BeginDomain": true, "CommitDomain": true,
 	"DiscardDomain": true, "Commit": true, "CheckFrozen": true,
 }

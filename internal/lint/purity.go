@@ -47,7 +47,7 @@ var asMutators = map[string]bool{
 	"WriteAt": true, "WriteU8": true, "WriteU32": true, "WriteU64": true,
 	"WritePtr": true, "Zero": true, "FlipBit": true, "Map": true,
 	"Unmap": true, "Grow": true, "MovePages": true, "UnmovePages": true,
-	"CopyPages": true, "ClearDirty": true, "ClearAllDirty": true,
+	"CopyPages": true, "ClearDirty": true,
 }
 
 func runPurity(r *Repo) []Diagnostic {

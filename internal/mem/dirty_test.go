@@ -66,13 +66,13 @@ func TestDirtySetAndClear(t *testing.T) {
 	as.WriteU8(dirtyBase+7*PageSize, 1)
 
 	want := []PageNum{PageOf(dirtyBase), PageOf(dirtyBase) + 3, PageOf(dirtyBase) + 7}
-	got := as.DirtySet()
+	got := as.DirtySetIn(dirtyBase, 8)
 	if len(got) != len(want) {
-		t.Fatalf("DirtySet = %v, want %v", got, want)
+		t.Fatalf("DirtySetIn = %v, want %v", got, want)
 	}
 	for i := range want {
 		if got[i] != want[i] {
-			t.Fatalf("DirtySet = %v, want %v", got, want)
+			t.Fatalf("DirtySetIn = %v, want %v", got, want)
 		}
 	}
 	if n := as.DirtyPagesIn(dirtyBase, 4); n != 2 {
@@ -86,15 +86,15 @@ func TestDirtySetAndClear(t *testing.T) {
 	if !as.PageDirty(PageOf(dirtyBase) + 7) {
 		t.Fatal("ClearDirty cleared a bit outside its range")
 	}
-	as.ClearAllDirty()
+	as.ClearDirty(dirtyBase, 8)
 	if n := as.DirtyPages(); n != 0 {
-		t.Fatalf("ClearAllDirty left %d dirty pages", n)
+		t.Fatalf("ClearDirty over the mapping left %d dirty pages", n)
 	}
 
 	// Re-dirtying after a clear works (the baseline advances, tracking does not stop).
 	as.WriteU8(dirtyBase+3*PageSize, 2)
 	if !as.PageDirty(PageOf(dirtyBase) + 3) {
-		t.Fatal("write after ClearAllDirty did not re-set the bit")
+		t.Fatal("write after ClearDirty did not re-set the bit")
 	}
 }
 
@@ -144,7 +144,7 @@ func TestZeroReleasesFullyZeroedFrames(t *testing.T) {
 	if got := as.ResidentPages(); got != 4 {
 		t.Fatalf("ResidentPages = %d, want 4", got)
 	}
-	as.ClearAllDirty()
+	as.ClearDirty(dirtyBase, 4)
 
 	// A large clear spanning three pages releases all three.
 	as.Zero(dirtyBase, 3*PageSize)

@@ -256,7 +256,7 @@ func FuzzMoveUnmoveRoundTrip(f *testing.F) {
 		if ms := dst.Mappings(); len(ms) != 0 {
 			t.Fatalf("destination still has %d mappings after UnmovePages", len(ms))
 		}
-		if dst.ResidentPages() != 0 || len(dst.DirtySet()) != 0 {
+		if dst.ResidentPages() != 0 || dst.DirtyPages() != 0 {
 			t.Fatal("destination still holds frames after UnmovePages")
 		}
 	})

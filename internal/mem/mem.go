@@ -824,17 +824,6 @@ func (as *AddressSpace) PageResident(p PageNum) bool {
 	return f != nil && f.Data != nil
 }
 
-// DirtySet returns the numbers of every dirty page, in ascending order.
-func (as *AddressSpace) DirtySet() []PageNum {
-	var out []PageNum
-	as.eachFrame(func(p PageNum, f *Frame) {
-		if f.Dirty {
-			out = append(out, p)
-		}
-	})
-	return out
-}
-
 // DirtyPages returns the number of dirty pages.
 func (as *AddressSpace) DirtyPages() int {
 	n := 0
@@ -883,12 +872,6 @@ func (as *AddressSpace) ClearDirty(start VAddr, pages int) {
 			f.Dirty = false
 		}
 	})
-}
-
-// ClearAllDirty clears every soft-dirty bit in the address space. Same
-// contract as ClearDirty.
-func (as *AddressSpace) ClearAllDirty() {
-	as.eachFrame(func(_ PageNum, f *Frame) { f.Dirty = false })
 }
 
 // ResidentPages returns the number of frames with materialized data.

@@ -309,7 +309,7 @@ func FuzzFrameShareInterleave(f *testing.F) {
 					}
 				}
 			case 13:
-				as.ClearAllDirty()
+				as.ClearDirty(snapBase, pages)
 			}
 		}
 

@@ -6,15 +6,14 @@ import (
 	"sync/atomic"
 )
 
-// RecoveryCounters counts recovery-mechanism lifecycle events machine-wide:
-// preserve_exec plans staged/committed/aborted, integrity checksums verified
-// and caught, driver-level fallbacks by cause, and escalation-ladder
-// transitions. The kernel increments the preserve and checksum counters; the
-// recovery driver increments the fallback and escalation counters. Together
-// they make the supervision contract observable: Staged == Committed +
-// CommitAborts, every abort is matched by a counted fallback rather than a
-// torn successor, and every checksum mismatch surfaces as an integrity
-// fallback instead of a corrupt boot.
+// RecoveryCounters counts the kernel's recovery-mechanism events
+// machine-wide: preserve_exec plans staged/committed/aborted, integrity
+// checksums verified, caught and reused, and rewind-domain discards. The
+// recovery driver counts its fallbacks by cause and its ladder transitions
+// in recovery.Stats. Together they make the supervision contract
+// observable: Staged == Committed + CommitAborts, every abort is matched by
+// a counted fallback rather than a torn successor, and every checksum
+// mismatch surfaces as an integrity fallback instead of a corrupt boot.
 //
 // All fields are atomic: the harness mutates them on the simulated main
 // timeline while background cross-check goroutines may snapshot them
@@ -49,30 +48,6 @@ type RecoveryCounters struct {
 	// would. Any nonzero value is a soundness bug in dirty tracking or the
 	// delta-checksum protocol; the exploration oracles flag it.
 	IncrementalAuditDivergences atomic.Int64
-	// RecoveryFaultFallbacks counts driver fallbacks taken because
-	// preserve_exec itself failed operationally (as opposed to
-	// unsafe-region, grace-window, cross-check, or integrity fallbacks).
-	RecoveryFaultFallbacks atomic.Int64
-	// IntegrityFallbacks counts driver fallbacks taken because a failing
-	// integrity verdict detected corrupted preserved state.
-	IntegrityFallbacks atomic.Int64
-	// BreakerTrips counts crash-loop breaker activations: the sliding
-	// restart-history window exceeded its threshold and the supervisor
-	// escalated the recovery mechanism.
-	BreakerTrips atomic.Int64
-	// Escalations counts downward ladder transitions (PHOENIX → builtin →
-	// vanilla); currently every escalation is a breaker trip.
-	Escalations atomic.Int64
-	// Deescalations counts upward ladder transitions back toward PHOENIX
-	// after a stable serving period.
-	Deescalations atomic.Int64
-	// Rewinds counts faulting requests recovered by discarding their rewind
-	// domain in-process — the cheapest rung, below any restart.
-	Rewinds atomic.Int64
-	// Microreboots counts component-level reboots: one component's transient
-	// state discarded and reinitialised (dependents cascading) while the
-	// process keeps its address space.
-	Microreboots atomic.Int64
 	// DomainDiscards counts rewind-domain discards at the kernel layer,
 	// whatever triggered them (the rewind rung or a campaign probe). Each one
 	// restored the touched pages byte-exactly.
@@ -94,13 +69,6 @@ func (c *RecoveryCounters) Snapshot() map[string]int64 {
 		"checksum_mismatches":           c.ChecksumMismatches.Load(),
 		"checksums_reused":              c.ChecksumsReused.Load(),
 		"incremental_audit_divergences": c.IncrementalAuditDivergences.Load(),
-		"recovery_fault_fallbacks":      c.RecoveryFaultFallbacks.Load(),
-		"integrity_fallbacks":           c.IntegrityFallbacks.Load(),
-		"breaker_trips":                 c.BreakerTrips.Load(),
-		"escalations":                   c.Escalations.Load(),
-		"deescalations":                 c.Deescalations.Load(),
-		"rewinds":                       c.Rewinds.Load(),
-		"microreboots":                  c.Microreboots.Load(),
 		"domain_discards":               c.DomainDiscards.Load(),
 	}
 }
@@ -113,9 +81,7 @@ func (c *RecoveryCounters) MarshalJSON() ([]byte, error) {
 }
 
 func (c *RecoveryCounters) String() string {
-	return fmt.Sprintf("staged=%d committed=%d aborted=%d checksums=%d/%d-bad recovery-fault-fallbacks=%d integrity-fallbacks=%d breaker-trips=%d esc=%d deesc=%d",
+	return fmt.Sprintf("staged=%d committed=%d aborted=%d checksums=%d/%d-bad",
 		c.PreservesStaged.Load(), c.PreservesCommitted.Load(), c.PreservesAborted.Load(),
-		c.ChecksumsVerified.Load(), c.ChecksumMismatches.Load(),
-		c.RecoveryFaultFallbacks.Load(), c.IntegrityFallbacks.Load(),
-		c.BreakerTrips.Load(), c.Escalations.Load(), c.Deescalations.Load())
+		c.ChecksumsVerified.Load(), c.ChecksumMismatches.Load())
 }

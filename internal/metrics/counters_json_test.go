@@ -15,7 +15,7 @@ func TestCountersMarshalJSONDeterministic(t *testing.T) {
 		c.PreservesCommitted.Store(6)
 		c.PreservesAborted.Store(1)
 		c.ChecksumMismatches.Store(1)
-		c.Escalations.Store(2)
+		c.DomainDiscards.Store(2)
 		return c
 	}
 	a, err := json.Marshal(mk())

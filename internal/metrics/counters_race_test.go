@@ -22,7 +22,7 @@ func TestRecoveryCountersConcurrent(t *testing.T) {
 				c.PreservesStaged.Add(1)
 				c.PreservesCommitted.Add(1)
 				c.ChecksumsVerified.Add(3)
-				c.IntegrityFallbacks.Add(1)
+				c.ChecksumMismatches.Add(1)
 			}
 		}()
 	}
@@ -59,7 +59,7 @@ func TestRecoveryCountersConcurrent(t *testing.T) {
 	want := int64(writers * perWriter)
 	snap := c.Snapshot()
 	if snap["preserves_staged"] != want || snap["preserves_committed"] != want ||
-		snap["checksums_verified"] != 3*want || snap["integrity_fallbacks"] != want {
+		snap["checksums_verified"] != 3*want || snap["checksum_mismatches"] != want {
 		t.Fatalf("lost updates: %s", c)
 	}
 }

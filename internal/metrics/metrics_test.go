@@ -153,13 +153,13 @@ func TestRecoveryCountersSnapshot(t *testing.T) {
 	c.PreservesStaged.Store(3)
 	c.PreservesCommitted.Store(2)
 	c.PreservesAborted.Store(1)
-	c.RecoveryFaultFallbacks.Store(1)
+	c.ChecksumMismatches.Store(1)
 	snap := c.Snapshot()
 	for name, want := range map[string]int64{
-		"preserves_staged":         3,
-		"preserves_committed":      2,
-		"preserves_aborted":        1,
-		"recovery_fault_fallbacks": 1,
+		"preserves_staged":    3,
+		"preserves_committed": 2,
+		"preserves_aborted":   1,
+		"checksum_mismatches": 1,
 	} {
 		if snap[name] != want {
 			t.Fatalf("%s = %d, want %d", name, snap[name], want)

@@ -500,7 +500,6 @@ func (h *Harness) ServeRequest(req *workload.Request) (ok, effective bool, err e
 		if ok && h.sup != nil {
 			if de, to := h.sup.NoteServing(now); de {
 				h.Stat.Deescalations++
-				h.M.Counters.Deescalations.Add(1)
 				h.event(EvDeescalate, to.String())
 				h.applyLevel(to)
 			}
@@ -593,8 +592,6 @@ func (h *Harness) handleFailure(ci *kernel.CrashInfo) error {
 		if d.Tripped {
 			h.Stat.BreakerTrips++
 			h.Stat.Escalations++
-			h.M.Counters.BreakerTrips.Add(1)
-			h.M.Counters.Escalations.Add(1)
 			h.event(EvBreakerTrip, fmt.Sprintf("escalating to %v", d.Level))
 			h.event(EvEscalate, d.Level.String())
 			h.applyLevel(d.Level)
@@ -685,7 +682,6 @@ func (h *Harness) rewindRecover() (bool, error) {
 		ro.AfterRewind()
 	}
 	h.Stat.Rewinds++
-	h.M.Counters.Rewinds.Add(1)
 	h.event(EvRewind, fmt.Sprintf("%d pages restored", n))
 	return true, nil
 }
@@ -744,7 +740,6 @@ func (h *Harness) microreboot(ci *kernel.CrashInfo) (bool, error) {
 	h.rt.Unsafe().Reset()
 	h.M.Clock.Advance(h.M.Model.Microreboot(len(set), units))
 	h.Stat.Microreboots++
-	h.M.Counters.Microreboots.Add(1)
 	h.event(EvMicroreboot, fmt.Sprintf("%s (%d components, %d units)", ci.Component, len(set), units))
 	return true, nil
 }
@@ -797,7 +792,6 @@ func (h *Harness) phoenixRestart(ci *kernel.CrashInfo) error {
 		// preserve_exec aborted and rolled back, so the source address space
 		// is intact and the application's default recovery is safe to run.
 		h.Stat.RecoveryFaultFallbacks++
-		h.M.Counters.RecoveryFaultFallbacks.Add(1)
 		h.event(EvFallback, "preserve_exec failed: "+err.Error())
 		return h.fallbackRestart("preserve_exec failed")
 	}
@@ -873,7 +867,6 @@ func (h *Harness) settleVerdict() (fellBack bool, err error) {
 	h.voidCrossCheck()
 	h.Stat.IntegrityFallbacks++
 	h.Stat.ServedBeforeVerdict += h.served
-	h.M.Counters.IntegrityFallbacks.Add(1)
 	h.event(EvFallback, fmt.Sprintf("integrity: %v (after %d requests)", ierr, h.served))
 	defer func() { h.lastCkpt = h.M.Clock.Now() }()
 	return true, h.fallbackRestart("preserved-state corruption detected")

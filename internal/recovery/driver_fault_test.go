@@ -42,7 +42,7 @@ func TestRestartErrorTakesFallback(t *testing.T) {
 	if h.Stat.RecoveryFaultFallbacks != 1 || h.Stat.PhoenixRestarts != 0 {
 		t.Fatalf("stats %+v", h.Stat)
 	}
-	if m.Counters.RecoveryFaultFallbacks.Load() != 1 || m.Counters.PreservesAborted.Load() != 1 {
+	if m.Counters.PreservesAborted.Load() != 1 {
 		t.Fatalf("counters %s", m.Counters)
 	}
 	if app.value() >= 50 {
@@ -77,7 +77,7 @@ func TestInjectedRecoveryFaultFallsBack(t *testing.T) {
 	}
 	snap := m.Counters.Snapshot()
 	if snap["preserves_staged"] != 1 || snap["preserves_aborted"] != 1 ||
-		snap["preserves_committed"] != 0 || snap["recovery_fault_fallbacks"] != 1 {
+		snap["preserves_committed"] != 0 {
 		t.Fatalf("counters %s", m.Counters)
 	}
 
