@@ -102,6 +102,23 @@ func OraclesFor(app string) []Oracle {
 	return out
 }
 
+// counterLookup returns a reader over a machine-counter snapshot
+// (metrics.RecoveryCounters.Snapshot) for an oracle's clauses. A key the
+// snapshot lacks reads as 0 and adds one violation naming it, prefixed by
+// where, so a renamed or deleted counter fails its clause instead of
+// comparing against 0.
+func counterLookup(snap map[string]int64, where string, add func(string, ...interface{})) func(string) int64 {
+	missing := map[string]bool{}
+	return func(key string) int64 {
+		n, ok := snap[key]
+		if !ok && !missing[key] {
+			missing[key] = true
+			add("%scounter %q missing from the machine-counter snapshot", where, key)
+		}
+		return n
+	}
+}
+
 // --- accounting oracle ---
 
 // accountingOracle cross-checks the kernel's machine-wide recovery counters
@@ -116,38 +133,38 @@ func (accountingOracle) Name() string { return "accounting" }
 
 func (accountingOracle) Check(o *Observation) []string {
 	var v []string
-	c := o.Counters
 	add := func(format string, args ...interface{}) { v = append(v, fmt.Sprintf(format, args...)) }
+	c := counterLookup(o.Counters, "", add)
 
-	if int64(o.CorruptionsFired) > c["checksum_mismatches"] {
+	if int64(o.CorruptionsFired) > c("checksum_mismatches") {
 		add("silent corruption: %d bit flips fired against preserved frames but only %d checksum mismatches counted",
-			o.CorruptionsFired, c["checksum_mismatches"])
+			o.CorruptionsFired, c("checksum_mismatches"))
 	}
 	if o.OpFaultsFired != o.Stats.RecoveryFaultFallbacks {
 		add("op faults fired (%d) != recovery-fault fallbacks (%d): a failed preserve was not contained",
 			o.OpFaultsFired, o.Stats.RecoveryFaultFallbacks)
 	}
-	if c["checksum_mismatches"] != int64(o.Stats.IntegrityFallbacks) {
+	if c("checksum_mismatches") != int64(o.Stats.IntegrityFallbacks) {
 		add("checksum mismatches (%d) != integrity fallbacks (%d): a detection was not contained",
-			c["checksum_mismatches"], o.Stats.IntegrityFallbacks)
+			c("checksum_mismatches"), o.Stats.IntegrityFallbacks)
 	}
-	if c["incremental_audit_divergences"] > 0 {
+	if c("incremental_audit_divergences") > 0 {
 		add("incremental verification unsound: %d commits passed the delta checksum walk but failed the full walk",
-			c["incremental_audit_divergences"])
+			c("incremental_audit_divergences"))
 	}
-	if c["checksums_reused"] > 0 && c["preserves_committed"] == 0 {
+	if c("checksums_reused") > 0 && c("preserves_committed") == 0 {
 		add("checksum reuse (%d) without any committed preserve: the delta baseline leaked through a failed commit",
-			c["checksums_reused"])
+			c("checksums_reused"))
 	}
-	if c["preserves_committed"] > c["preserves_staged"] {
-		add("preserves committed (%d) exceed staged (%d)", c["preserves_committed"], c["preserves_staged"])
+	if c("preserves_committed") > c("preserves_staged") {
+		add("preserves committed (%d) exceed staged (%d)", c("preserves_committed"), c("preserves_staged"))
 	}
-	if c["preserves_aborted"] < c["preserves_staged"]-c["preserves_committed"] {
+	if c("preserves_aborted") < c("preserves_staged")-c("preserves_committed") {
 		add("aborted preserves (%d) below staged-minus-committed (%d-%d)",
-			c["preserves_aborted"], c["preserves_staged"], c["preserves_committed"])
+			c("preserves_aborted"), c("preserves_staged"), c("preserves_committed"))
 	}
-	if int64(o.Stats.PhoenixRestarts) != c["preserves_committed"] {
-		add("phoenix restarts (%d) != committed preserves (%d)", o.Stats.PhoenixRestarts, c["preserves_committed"])
+	if int64(o.Stats.PhoenixRestarts) != c("preserves_committed") {
+		add("phoenix restarts (%d) != committed preserves (%d)", o.Stats.PhoenixRestarts, c("preserves_committed"))
 	}
 	return v
 }
@@ -316,17 +333,17 @@ func (componentOracle) Check(o *Observation) []string {
 	for _, m := range o.ComponentViolations {
 		add("dangling component state after recovery: %s", m)
 	}
-	c := o.Counters
+	c := counterLookup(o.Counters, "", add)
 	if !o.Domains {
 		if o.Stats.Rewinds > 0 {
 			add("%d rewind recoveries without rewind domains enabled", o.Stats.Rewinds)
 		}
-		if c["domain_discards"] > 0 {
-			add("%d domain discards without rewind domains enabled", c["domain_discards"])
+		if c("domain_discards") > 0 {
+			add("%d domain discards without rewind domains enabled", c("domain_discards"))
 		}
 	}
-	if c["domain_discards"] < int64(o.Stats.Rewinds) {
-		add("domain discards (%d) below rewind recoveries (%d): a rewind kept its domain", c["domain_discards"], o.Stats.Rewinds)
+	if c("domain_discards") < int64(o.Stats.Rewinds) {
+		add("domain discards (%d) below rewind recoveries (%d): a rewind kept its domain", c("domain_discards"), o.Stats.Rewinds)
 	}
 	if o.Floor > recovery.LevelRewind && o.Stats.Rewinds > 0 {
 		add("rewind recoveries (%d) with floor %v above the rewind rung", o.Stats.Rewinds, o.Floor)
@@ -406,15 +423,15 @@ func (shardOracle) Check(o *Observation) []string {
 		}
 	}
 	for _, nd := range r.Nodes {
-		c := nd.Counters
-		if c["preserves_committed"] > c["preserves_staged"] {
-			add("node %d: committed preserves (%d) exceed staged (%d)", nd.Node, c["preserves_committed"], c["preserves_staged"])
+		c := counterLookup(nd.Counters, fmt.Sprintf("node %d: ", nd.Node), add)
+		if c("preserves_committed") > c("preserves_staged") {
+			add("node %d: committed preserves (%d) exceed staged (%d)", nd.Node, c("preserves_committed"), c("preserves_staged"))
 		}
-		if c["checksum_mismatches"] != int64(nd.IntegrityFallbacks) {
-			add("node %d: checksum mismatches (%d) != integrity fallbacks (%d)", nd.Node, c["checksum_mismatches"], nd.IntegrityFallbacks)
+		if c("checksum_mismatches") != int64(nd.IntegrityFallbacks) {
+			add("node %d: checksum mismatches (%d) != integrity fallbacks (%d)", nd.Node, c("checksum_mismatches"), nd.IntegrityFallbacks)
 		}
-		if int64(nd.PhoenixRestarts) != c["preserves_committed"] {
-			add("node %d: phoenix restarts (%d) != committed preserves (%d)", nd.Node, nd.PhoenixRestarts, c["preserves_committed"])
+		if int64(nd.PhoenixRestarts) != c("preserves_committed") {
+			add("node %d: phoenix restarts (%d) != committed preserves (%d)", nd.Node, nd.PhoenixRestarts, c("preserves_committed"))
 		}
 	}
 	return v

@@ -57,6 +57,11 @@ func (rt *Runtime) startCleanup(mark func()) *Cleanup {
 	slices.Sort(c.forkDirty)
 	c.Fork = m.Model.ForkCoW(pages, len(c.forkDirty))
 	m.Clock.Advance(c.Fork)
+	// A page first written from here on takes one fault, which Reclaim
+	// charges, even while the integrity verify's view shares it too.
+	if v := rt.proc.Verify(); v != nil {
+		v.Fork(c.forkDirty)
+	}
 
 	c.heaps = append(c.heaps, rt.allocators...)
 	if rt.mainHeap != nil {
@@ -84,7 +89,8 @@ func (c *Cleanup) DueBy(now time.Duration) bool { return !c.Reclaimed && now >= 
 // advances the main clock to Due — which is what tests and one-shot tools
 // want; the recovery harness calls it at the first request boundary at or
 // after Due. The main clock pays ForkPerPage for every preserved page first
-// written while the fork was alive (its copy-on-write fault) and
+// written while the fork was alive (its copy-on-write fault, which the
+// integrity verify's Settle does not charge again: kernel.Verify.Fork) and
 // GCSweepPerChunk for every chunk freed. A collected pointer that is no
 // longer a live chunk aborts (SIGABRT), so run it where a crash is handled.
 // Reclaim is a no-op once the frees have landed.

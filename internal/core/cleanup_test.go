@@ -155,3 +155,33 @@ func TestCleanupReclaimChargesPagesWrittenDuringFork(t *testing.T) {
 		t.Fatalf("rewriting pages dirty at fork time added %v, want 0", got)
 	}
 }
+
+// With checksums on and a cold cache the verify walk outlasts a cleanup
+// forked at once, so a preserved page first written between the fork and
+// the verdict is shared by the verifier's view and the fork when it is
+// written. It takes one copy-on-write fault, so landing, settling and
+// reclaiming charge it one ForkPerPage between them, not one each.
+func TestPageWrittenUnderVerifyAndForkChargedOnce(t *testing.T) {
+	charged := func(write bool) time.Duration {
+		np, rt, h, info := cleanupHeap(t)
+		m := np.Machine
+		rt.FinishRecovery(func() { markDict(h, info) })
+		v := np.Verify()
+		if v == nil || v.Landed || m.Clock.Now() >= v.Due {
+			t.Fatal("the verdict is not in flight at the fork")
+		}
+		if write {
+			a := DefaultHeapBase + 64*mem.PageSize + 1
+			np.AS.WriteU8(a, np.AS.ReadU8(a))
+		}
+		start := m.Clock.Now()
+		if err := v.Settle(); err != nil {
+			t.Fatal(err)
+		}
+		rt.AwaitCleanup()
+		return m.Clock.Now() - start
+	}
+	if got, want := charged(true)-charged(false), costmodel.Default().ForkPerPage; got != want {
+		t.Fatalf("one page written under both copies charged %v, want one fault's %v", got, want)
+	}
+}

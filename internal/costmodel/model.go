@@ -163,10 +163,12 @@ type Model struct {
 	// publishing the version pointer under the store lock.
 	SnapshotCommitFixed time.Duration
 
-	// SnapshotCopyPerPage is the per-page cost of freezing one page changed
-	// since the previous version into the new snapshot (a page copy plus
-	// version bookkeeping); unchanged pages are shared with the predecessor
-	// and cost nothing, so commit cost tracks the write rate.
+	// SnapshotCopyPerPage is the per-page cost of one snapshot fault: the
+	// live space's first write, after a commit, to a page a retained
+	// version shares copies the page (a page copy plus version
+	// bookkeeping). The commit copies nothing, and a page written again
+	// before the next commit costs nothing more, so the copies track the
+	// write rate (SnapshotFaults).
 	SnapshotCopyPerPage time.Duration
 
 	// ReaderSpawn is the per-reader fixed cost of standing up one concurrent
@@ -318,10 +320,19 @@ func (m Model) MigrateCutover(scannedPages, hashedPages, shippedPages int) time.
 
 // SnapshotCommit returns the modelled duration of committing one MVCC
 // snapshot version with changedPages pages changed since the predecessor
-// version, each charged one page copy (the rest are shared with the
-// predecessor).
+// version: the fixed publish cost plus a copy-on-write fork over the
+// changed pages, which write-protects each one and copies none (the rest
+// are shared with the predecessor). Each copy is charged later, at the
+// fault that makes it (SnapshotFaults).
 func (m Model) SnapshotCommit(changedPages int) time.Duration {
-	return m.SnapshotCommitFixed + time.Duration(changedPages)*m.SnapshotCopyPerPage
+	return m.SnapshotCommitFixed + m.ForkCoW(changedPages, 0)
+}
+
+// SnapshotFaults returns the modelled duration of faults snapshot faults:
+// copy-on-write faults the live space takes on pages a retained snapshot
+// version shares, each one page copy.
+func (m Model) SnapshotFaults(faults int) time.Duration {
+	return time.Duration(faults) * m.SnapshotCopyPerPage
 }
 
 // ConcurrentReadBatch returns the modelled duration of serving reads requests

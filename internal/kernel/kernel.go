@@ -382,17 +382,18 @@ type Verify struct {
 	Hashed int
 	// Landed is set when the verdict lands. Err is then its mismatch (nil
 	// when clean), and Written counts the moved pages the successor wrote
-	// before it landed: each took a copy-on-write fault against the
-	// verifier's view.
+	// before it landed, or before a fork took their faults over (Fork):
+	// each took a copy-on-write fault against the verifier's view.
 	Landed  bool
 	Err     *IntegrityError
 	Written int
 	// Settled is set once Settle has charged the copy-on-write faults.
 	Settled bool
 
-	proc *Process
-	plan *preservePlan   // held until the verdict lands
-	err  *IntegrityError // the walk's result, withheld until Due
+	proc   *Process
+	plan   *preservePlan   // held until the verdict lands
+	err    *IntegrityError // the walk's result, withheld until Due
+	forked bool            // Written was counted at Fork
 }
 
 // startVerify runs the verify walk over np's freshly committed pages in the
@@ -429,8 +430,10 @@ func (v *Verify) land() {
 	}
 	m := np.Machine
 	v.Landed, v.Err = true, v.err
-	for _, mv := range plan.moves {
-		v.Written += np.AS.DirtyPagesIn(mv.start, mv.pages)
+	if !v.forked {
+		for _, mv := range plan.moves {
+			v.Written += np.AS.DirtyPagesIn(mv.start, mv.pages)
+		}
 	}
 	if v.Err != nil {
 		m.Counters.ChecksumMismatches.Add(1)
@@ -460,6 +463,25 @@ func (v *Verify) Settle() error {
 		return v.Err
 	}
 	return nil
+}
+
+// Fork hands the copy-on-write faults still to come to a fork of the
+// successor's pages that starts sharing them with the verifier's view
+// while the verdict is in flight (the PHOENIX cleanup's): a page first
+// written from then on takes one fault, and the fork pays it. dirty is
+// the fork's own scan, the pages dirty when it was taken; Written counts
+// the moved ones now, and the verdict does not recount. A landed verdict,
+// or one whose incarnation died, is left alone.
+func (v *Verify) Fork(dirty []mem.PageNum) {
+	if v.Landed || v.plan == nil || v.proc.dead {
+		return
+	}
+	v.forked = true
+	for _, p := range dirty {
+		if v.plan.movePages[p] {
+			v.Written++
+		}
+	}
 }
 
 // Verify returns the background integrity check of the preserve_exec that

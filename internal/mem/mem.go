@@ -109,6 +109,12 @@ func (k Kind) String() string {
 // versions are released from reader goroutines. It sits in the padding
 // after Dirty, so a Frame stays 40 bytes.
 //
+// snap marks a share SnapshotStore.Commit made: the frame's buffer is also
+// a snapshot version's, so its copy-on-write fault is a snapshot fault
+// (SnapshotFaults), the copy the cost model charges at the write instead of
+// at the commit. Clone and CopyPages share without it, so a CRIU image or a
+// cross-check fork adds no snapshot fault. It sits in the padding too.
+//
 // Gen is the frame's write-generation stamp: the value of the owning
 // address space's monotonic write counter at the frame's last content
 // mutation (writes, Zero, FlipBit, rewind-domain discard restores, and
@@ -123,20 +129,26 @@ type Frame struct {
 	Data   []byte
 	Dirty  bool
 	shared bool
+	snap   bool
 	Gen    uint64
 }
 
 // materialize returns f's buffer ready for mutation and sets the soft-dirty
 // bit: it allocates a zero page for a frame without data, and copies a
 // shared buffer so the write stays private to f — the copy-on-write fault.
-func (f *Frame) materialize() []byte {
+// A fault on a buffer SnapshotStore.Commit shared counts in snapFaults.
+// write and zeroPage, the two write funnels, are its only callers.
+func (as *AddressSpace) materialize(f *Frame) []byte {
 	f.Dirty = true
 	if f.Data == nil {
 		f.Data = make([]byte, PageSize)
 	} else if f.shared {
 		f.Data = append([]byte(nil), f.Data...)
+		if f.snap {
+			as.snapFaults++
+		}
 	}
-	f.shared = false
+	f.shared, f.snap = false, false
 	return f.Data
 }
 
@@ -207,6 +219,10 @@ type AddressSpace struct {
 	// ASLRBase is the randomized layout offset chosen at first startup and
 	// reused across PHOENIX restarts (§3.3, ASLR compatibility).
 	ASLRBase VAddr
+
+	// snapFaults counts the copy-on-write faults taken on buffers a
+	// snapshot commit shared (see Frame.snap and SnapshotFaults).
+	snapFaults int
 }
 
 // NewAddressSpace returns an empty address space.
@@ -440,7 +456,7 @@ func (as *AddressSpace) write(p PageNum, pte **Frame) []byte {
 		*pte = f
 	}
 	as.stamp(f)
-	return f.materialize()
+	return as.materialize(f)
 }
 
 // stamp assigns frame f a fresh write generation from this address space.
@@ -532,7 +548,7 @@ func (as *AddressSpace) zeroPage(f *Frame, addr VAddr, n int) int {
 	if f != nil && f.Data != nil {
 		as.touch(PageOf(addr), f)
 		as.stamp(f)
-		d := f.materialize()
+		d := as.materialize(f)
 		clear(d[o : o+n])
 		if allZero(d) {
 			f.Data = nil

@@ -90,6 +90,47 @@ func TestCommitSharesBufferUntilFirstWrite(t *testing.T) {
 	}
 }
 
+// TestSnapshotFaultsCountCommitSharesOnly: the first write after a commit
+// to a page the commit shared is one snapshot fault, whether a CRIU-style
+// clone also shares the page or not; a second write, a write to a page only
+// a clone or a fork copy shares, and writes inside the clone count none.
+func TestSnapshotFaultsCountCommitSharesOnly(t *testing.T) {
+	as := newSnapSpace(t, 4)
+	for i := range 3 {
+		as.WriteU64(snapBase+VAddr(i)*PageSize, uint64(i)+1)
+	}
+	NewSnapshotStore(as).Commit()
+	faults := func(want int, what string) {
+		t.Helper()
+		if got := as.SnapshotFaults(); got != want {
+			t.Fatalf("after %s: %d snapshot faults, want %d", what, got, want)
+		}
+	}
+	as.WriteU64(snapBase, 10)
+	faults(1, "the first write to a committed page")
+	as.WriteU64(snapBase, 11)
+	faults(1, "a second write to it")
+	as.WriteU64(snapBase+3*PageSize, 12)
+	faults(1, "a write to a page without data at the commit")
+
+	clone := as.Clone()
+	fork := NewAddressSpace()
+	if _, err := as.CopyPages(fork, snapBase+2*PageSize, 1, KindCustom, "fork"); err != nil {
+		t.Fatal(err)
+	}
+	as.WriteU64(snapBase, 13)
+	faults(1, "a write to a page only the clone shares")
+	as.WriteU64(snapBase+PageSize, 14)
+	faults(2, "a write to a page the commit and the clone share")
+	clone.WriteU64(snapBase+2*PageSize, 15)
+	faults(2, "a write inside the clone")
+	if clone.SnapshotFaults() != 0 {
+		t.Fatalf("the clone counted %d snapshot faults, want 0", clone.SnapshotFaults())
+	}
+	as.WriteU64(snapBase+2*PageSize, 16)
+	faults(3, "a write to a page the commit, the clone and the fork share")
+}
+
 // TestCommitAllocsOnePerChangedPage: an incremental commit allocates one
 // frame struct per changed page and no page buffer.
 func TestCommitAllocsOnePerChangedPage(t *testing.T) {
@@ -184,7 +225,9 @@ func TestCloneAllocsOneSlabPerMapping(t *testing.T) {
 // space, all sharing buffers copy-on-write. Every held view, clone and fork
 // copy must keep reading the byte model captured when it was taken (plus its
 // own writes), and the live space must match its own model, however the
-// writes interleave.
+// writes interleave. Clones and fork copies add no snapshot fault, so the
+// live space's faults between two commits stay at most the second commit's
+// Changed().
 func FuzzFrameShareInterleave(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 1, 2, 3, 7, 0, 5, 9, 0, 1, 2, 6, 4, 0, 1, 1})
@@ -211,6 +254,7 @@ func FuzzFrameShareInterleave(f *testing.F) {
 		}
 		var held []frozen
 		var committed []byte // model at the latest commit
+		lastFaults := 0      // the live space's SnapshotFaults at the latest commit
 
 		i := 0
 		next := func() byte {
@@ -241,7 +285,12 @@ func FuzzFrameShareInterleave(f *testing.F) {
 				as.FlipBit(snapBase+VAddr(off), uint(bit))
 				model[off] ^= 1 << (bit % 8)
 			case 4:
-				st.Commit()
+				faults := as.SnapshotFaults()
+				if v := st.Commit(); faults-lastFaults > v.Changed() {
+					t.Fatalf("%d snapshot faults since the last commit, above this commit's %d changed pages",
+						faults-lastFaults, v.Changed())
+				}
+				lastFaults = faults
 				committed = bytes.Clone(model)
 			case 5:
 				if v := st.Open(); v != nil {

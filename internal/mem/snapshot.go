@@ -14,8 +14,9 @@ import (
 // the live frames — so PreserveExec page moves or rewind-domain restores on
 // the live space can not tear a published snapshot. A view frame shares the
 // live page buffer copy-on-write: the commit copies no bytes, and the live
-// space copies each page at its next write (Frame.materialize), so a
-// retained version costs only the pages written since it was taken. Pages
+// space copies each page at its next write (materialize, counted by
+// SnapshotFaults), so a retained version costs only the pages written since
+// it was taken. Pages
 // whose write-generation stamp is unchanged since the previous version share
 // that version's frozen frame instead of getting a new one, so commit cost
 // is proportional to the pages written since the last commit, not to the
@@ -113,11 +114,13 @@ func (s *SnapshotStore) Commit() *SnapshotVersion {
 			v.changed++
 			if f.Data != nil {
 				// The view takes the live buffer; the live frame copies it
-				// at its next write. One frame at a time, not a slab: later
-				// versions keep sharing this version's unchanged frames
-				// after it retires, so a slab would keep its superseded
-				// frames and their buffers alive and raise the heap.
+				// at its next write, a snapshot fault. One frame at a time,
+				// not a slab: later versions keep sharing this version's
+				// unchanged frames after it retires, so a slab would keep
+				// its superseded frames and their buffers alive and raise
+				// the heap.
 				nf := f.fork()
+				f.snap = true
 				nm.ptes[i] = &nf
 			}
 			// Non-resident pages get no frame: the view reads them as zeros,
@@ -236,9 +239,18 @@ func (v *SnapshotVersion) MaxGen() uint64 { return v.maxGen }
 
 // Changed is the number of pages whose stamp moved since the predecessor
 // version, each given a new frozen frame (the rest share the predecessor's).
-// It is the commit's charged incremental cost: the live space copies these
-// pages at their first write after the commit.
+// The commit write-protects these pages and copies none of them: the live
+// space copies each resident one at its first write after the commit, a
+// snapshot fault (AddressSpace.SnapshotFaults).
 func (v *SnapshotVersion) Changed() int { return v.changed }
+
+// SnapshotFaults returns how many copy-on-write faults the space has taken
+// on page buffers a SnapshotStore.Commit shared: the first write since a
+// commit to a page that commit froze, which copies the page once. Buffers
+// Clone and CopyPages share do not count. The count only grows; between
+// two commits of one store it grows by at most the second commit's
+// Changed(), since a fault stamps its page.
+func (as *AddressSpace) SnapshotFaults() int { return as.snapFaults }
 
 // CheckFrozen is the stale-snapshot oracle: every frame in the frozen view
 // must carry a generation stamp no newer than the version's commit horizon.

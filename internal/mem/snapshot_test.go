@@ -194,7 +194,11 @@ func TestSnapshotConcurrentReaders(t *testing.T) {
 // commits, opens, and releases, and checks every still-held version
 // round-trips byte-exactly against the plain map model captured at its
 // commit — the MVCC store may share and retire frames however it likes, but
-// a version's contents are immutable.
+// a version's contents are immutable. It also models the snapshot faults: a
+// commit shares every resident page with the latest version, which the
+// store always retains, and the first write or zero of a shared page is one
+// fault; a second is none. Faults between two commits never exceed the
+// second commit's Changed().
 func FuzzSnapshotInterleave(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 10, 0, 7, 3, 4, 0, 20, 1, 9, 3, 4, 5, 0})
@@ -219,6 +223,18 @@ func FuzzSnapshotInterleave(f *testing.F) {
 		}
 		var holds []held
 		var lastModel [][]byte
+		var shared [pages]bool
+		faults, lastFaults := 0, 0
+		// mutate models a write or zero of [off, off+n): each shared page
+		// in the range takes one fault and is private afterwards.
+		mutate := func(off, n int) {
+			for pg := off / PageSize; pg <= (off+n-1)/PageSize; pg++ {
+				if shared[pg] {
+					shared[pg] = false
+					faults++
+				}
+			}
+		}
 
 		i := 0
 		next := func() byte {
@@ -235,11 +251,24 @@ func FuzzSnapshotInterleave(f *testing.F) {
 			case 0, 1: // writes dominate the mix
 				off := (int(next())<<8 | int(next())) % (pages*PageSize - 8)
 				as.WriteU64(snapBase+VAddr(off), uint64(next())*0x9E3779B97F4A7C15+1)
+				mutate(off, 8)
 			case 2:
 				off := int(next()) * 37 % (pages*PageSize - 64)
 				as.Zero(snapBase+VAddr(off), 64)
+				mutate(off, 64)
 			case 3:
-				st.Commit()
+				if got := as.SnapshotFaults(); got != faults {
+					t.Fatalf("%d snapshot faults counted, the model took %d", got, faults)
+				}
+				v := st.Commit()
+				if faults-lastFaults > v.Changed() {
+					t.Fatalf("%d snapshot faults since the last commit, above this commit's %d changed pages",
+						faults-lastFaults, v.Changed())
+				}
+				lastFaults = faults
+				for pg := range shared {
+					shared[pg] = as.PageResident(PageOf(snapBase) + PageNum(pg))
+				}
 				lastModel = capture()
 			case 4:
 				if v := st.Open(); v != nil {
@@ -254,6 +283,9 @@ func FuzzSnapshotInterleave(f *testing.F) {
 			}
 		}
 
+		if got := as.SnapshotFaults(); got != faults {
+			t.Fatalf("%d snapshot faults counted, the model took %d", got, faults)
+		}
 		for hi, h := range holds {
 			if err := h.v.CheckFrozen(); err != nil {
 				t.Fatal(err)

@@ -230,9 +230,11 @@ func MigrationRoundTrip(pages, dirty int) (MigrationCosts, error) {
 // SnapshotServeBatch measures one concurrent-serving cycle off the MVCC
 // snapshot store in simulated time: committing a dirty-delta version of a
 // pages-sized preserved set, then serving a read batch off the frozen view at
-// one reader fan-out. The commit term is O(dirty); the batch term amortises
-// across readers at the price of the reader spawns — collecting the same
-// batch at 1, 4, and 16 readers pins that curve.
+// one reader fan-out. The commit term is O(dirty) write-protects; the dirty
+// writes pay their page copies as snapshot faults before the measured
+// window, as a harness request does. The batch term amortises across
+// readers at the price of the reader spawns — collecting the same batch at
+// 1, 4, and 16 readers pins that curve.
 func SnapshotServeBatch(pages, dirty, reads, readers int) (time.Duration, error) {
 	m := kernel.NewMachine(1)
 	p, err := m.Spawn(nil)
@@ -256,6 +258,10 @@ func SnapshotServeBatch(pages, dirty, reads, readers int) (time.Duration, error)
 	for i := 0; i < dirty; i++ {
 		p.AS.WriteU64(region+mem.VAddr(i*stride%pages)*mem.PageSize, 0xD1D1)
 	}
+	if f := p.AS.SnapshotFaults(); f != dirty {
+		return 0, fmt.Errorf("perftraj: %d dirty writes took %d snapshot faults", dirty, f)
+	}
+	m.Clock.Advance(m.Model.SnapshotFaults(dirty))
 
 	t0 := m.Clock.Now()
 	v := store.Commit()

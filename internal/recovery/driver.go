@@ -261,8 +261,10 @@ type Harness struct {
 
 	// snapStore holds the MVCC snapshot versions of the live process's
 	// address space (nil until the first SnapshotCommit; recreated when a
-	// restart or migration installs a new space).
-	snapStore *mem.SnapshotStore
+	// restart or migration installs a new space). snapFaults is the
+	// space's SnapshotFaults count already charged.
+	snapStore  *mem.SnapshotStore
+	snapFaults int
 
 	pendingResume bool
 	pendingSwitch bool
@@ -472,7 +474,9 @@ func (h *Harness) ServeRequest(req *workload.Request) (ok, effective bool, err e
 	// request's rewind domain, so a discarded request cannot undo the frees,
 	// and inside Run, so an allocator abort is an ordinary crash.
 	if c := h.rt.Cleanup(); c != nil && c.DueBy(h.M.Clock.Now()) {
-		if ci := h.proc.Run(c.Reclaim); ci != nil {
+		ci := h.proc.Run(c.Reclaim)
+		h.chargeSnapshotFaults()
+		if ci != nil {
 			return false, false, h.handleFailure(ci)
 		}
 	}
@@ -482,6 +486,7 @@ func (h *Harness) ServeRequest(req *workload.Request) (ok, effective bool, err e
 		}
 	}
 	ci := h.proc.Run(func() { ok, effective = h.App.Handle(req) })
+	h.chargeSnapshotFaults()
 	now := h.M.Clock.Now()
 	if ci == nil {
 		if h.proc.AS.DomainActive() {

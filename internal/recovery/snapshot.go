@@ -55,18 +55,41 @@ func (r *SnapshotReader) Close() { r.store.Release(r.v) }
 // snapshotStore returns the store bound to the live process's address space,
 // creating it when none exists yet or when a restart/migration installed a
 // new space (versions of the dead incarnation die with it — the first commit
-// on the new space counts every page as changed).
+// on the new space counts every page as changed, and only faults taken from
+// then on are charged).
 func (h *Harness) snapshotStore() *mem.SnapshotStore {
 	if h.snapStore == nil || h.snapStore.Space() != h.proc.AS {
 		h.snapStore = mem.NewSnapshotStore(h.proc.AS)
+		h.snapFaults = h.proc.AS.SnapshotFaults()
 	}
 	return h.snapStore
 }
 
+// chargeSnapshotFaults charges SnapshotCopyPerPage for each snapshot fault
+// the live space took since the last charge: the first write, after a
+// commit, to a page a retained version shares copies it. The harness calls
+// it after each step that runs application writes (a request, a cleanup's
+// Reclaim), so a copy lands on the clock of the step whose write made it,
+// and a crashed request pays its faults before its recovery starts. Faults
+// count only while the store is bound to the live space: a dead
+// incarnation's versions die with it.
+func (h *Harness) chargeSnapshotFaults() {
+	if h.snapStore == nil || h.snapStore.Space() != h.proc.AS {
+		return
+	}
+	if n := h.proc.AS.SnapshotFaults(); n > h.snapFaults {
+		h.M.Clock.Advance(h.M.Model.SnapshotFaults(n - h.snapFaults))
+		h.snapFaults = n
+	}
+}
+
 // SnapshotCommit freezes the current application state as a new MVCC version,
-// charging the incremental commit cost (pages written since the previous
-// commit). Returns the number of pages copied. The app must implement
-// SnapshotServer — committing versions nobody can read is a driver bug.
+// charging costmodel.SnapshotCommit: the fixed publish cost and one
+// write-protect per page changed since the previous commit. It copies no
+// page; the live space's writes pay for the copies as snapshot faults.
+// Returns the version's changed pages (SnapshotVersion.Changed). The app
+// must implement SnapshotServer — committing versions nobody can read is a
+// driver bug.
 func (h *Harness) SnapshotCommit() (changed int, err error) {
 	if _, ok := h.App.(SnapshotServer); !ok {
 		return 0, fmt.Errorf("recovery: %s does not implement SnapshotServer", h.App.Name())

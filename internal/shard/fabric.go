@@ -34,7 +34,7 @@ type Fabric struct {
 	retried       int
 	stale         int
 	failed        int
-	latencies     []time.Duration
+	latencies     []time.Duration // every finished request's, failed ones too
 
 	windows []*windowRec
 	openW   []*windowRec // per-node open kill window

@@ -143,18 +143,20 @@ func (fe *frontend) handle(m netsim.Message) {
 	fe.finish(env.RID, p, env.Effective, false)
 }
 
-// finish classifies the request's outcome and, for acknowledged effective
-// writes, updates the fabric's acked-write ledger — the ground truth the
-// lost-write oracle audits after the run.
+// finish records the request's latency and classifies its outcome, and for
+// acknowledged effective writes updates the fabric's acked-write ledger —
+// the ground truth the lost-write oracle audits after the run. A failed
+// request's latency is the time its client gave up: a failure misses any
+// latency limit, so it belongs in the percentiles.
 func (fe *frontend) finish(rid uint64, p *pending, effective, failed bool) {
 	fe.stopTimers(p)
 	delete(fe.pending, rid)
 	f := fe.f
+	f.latencies = append(f.latencies, f.clk.Now()-p.issuedAt)
 	if failed {
 		f.failed++
 		return
 	}
-	f.latencies = append(f.latencies, f.clk.Now()-p.issuedAt)
 	switch {
 	case effective && !p.resent:
 		f.served++

@@ -128,6 +128,8 @@ type Report struct {
 	// AvailabilityPct is effective requests (served + retried) over total.
 	AvailabilityPct float64 `json:"availability_pct"`
 
+	// P50Us, P99Us and P999Us are client latency percentiles over every
+	// request: issue to answer, or to the client giving up on a failed one.
 	P50Us  int64 `json:"p50_us"`
 	P99Us  int64 `json:"p99_us"`
 	P999Us int64 `json:"p999_us"`

@@ -110,8 +110,8 @@ func (m *member) down() bool { return m.downEpoch > m.ackEpoch }
 func (r *router) start() { r.probe() }
 
 func (r *router) probe() {
-	for i := range r.f.nodes {
-		r.f.net.Send(routerID, nodeID(i), probeEnv{})
+	for _, nd := range r.f.nodes {
+		r.f.net.Send(routerID, nd.id, probeEnv{})
 	}
 	r.f.clk.AfterFunc(probeInterval, r.probe)
 }
@@ -183,7 +183,7 @@ func (r *router) route(env reqEnv) {
 
 func (r *router) dispatch(nodeIdx int, d dispatchEnv) {
 	r.inflight[nodeIdx]++
-	r.f.net.Send(routerID, nodeID(nodeIdx), d)
+	r.f.net.Send(routerID, r.f.nodes[nodeIdx].id, d)
 }
 
 // forgetInflight drops dispatches that died with a killed node's queue (the
