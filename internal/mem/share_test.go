@@ -39,8 +39,9 @@ func sameBuffer(a, b *Frame) bool {
 	return a != nil && b != nil && a.Data != nil && unsafe.SliceData(a.Data) == unsafe.SliceData(b.Data)
 }
 
-// TestFrameSize pins the share bit in the padding after Dirty: a Frame stays
-// 40 bytes, so spaces with tens of thousands of frames do not grow.
+// TestFrameSize pins the share and snapshot bits in the padding after
+// Dirty: a Frame stays 40 bytes, so spaces with tens of thousands of frames
+// do not grow.
 func TestFrameSize(t *testing.T) {
 	if got := unsafe.Sizeof(Frame{}); got != 40 {
 		t.Fatalf("Frame is %d bytes, want 40", got)

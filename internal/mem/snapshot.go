@@ -16,11 +16,10 @@ import (
 // live page buffer copy-on-write: the commit copies no bytes, and the live
 // space copies each page at its next write (materialize, counted by
 // SnapshotFaults), so a retained version costs only the pages written since
-// it was taken. Pages
-// whose write-generation stamp is unchanged since the previous version share
-// that version's frozen frame instead of getting a new one, so commit cost
-// is proportional to the pages written since the last commit, not to the
-// whole space.
+// it was taken. Pages whose write-generation stamp is unchanged since the
+// previous version share that version's frozen frame instead of getting a
+// new one, so commit cost is proportional to the pages written since the
+// last commit, not to the whole space.
 //
 // Open returns the latest committed version in O(1) (a refcount bump under
 // the store mutex; the mutex handoff is also the happens-before edge that
